@@ -5,8 +5,6 @@ truth, and walks through Dice, HD95 and inter-slice Dice plus the
 fold-level aggregation (mean, std, coefficient of variation).
 """
 
-import json
-
 import numpy as np
 
 from cordpipe import (
@@ -17,7 +15,6 @@ from cordpipe import (
     perturb_slices,
     report_to_csv,
 )
-from cordpipe.metrics import aggregate_to_json
 from cordpipe.volume import CLASS_NAMES, FOREGROUND_CLASSES
 
 mag, phase, labels = generate(PhantomConfig(seed=0))
@@ -57,5 +54,5 @@ print(f"\n4-fold lesion-gm dice: {row.mean:.3f} +/- {row.std:.3f} "
 print("\nCSV rows (frozen columns):")
 print("\n".join(report_to_csv(reports).splitlines()[:3]))
 
-doc = json.loads(aggregate_to_json(agg))
+doc = agg.to_json_dict()
 print(f"\nJSON aggregate keys: {sorted(doc)}")

@@ -7,9 +7,18 @@ drops to the class weight alpha, everything else stays 0.
 
 import numpy as np
 
-from cordpipe import SOFT1, SOFT2, SOFT3, boundary_margin, harden, soften_plane
-from cordpipe.softlabel import soften_array
-from cordpipe.volume import LESION_GM, Spacing
+from cordpipe import (
+    SOFT1,
+    SOFT2,
+    SOFT3,
+    LabelVolume,
+    Spacing,
+    boundary_margin,
+    harden,
+    soften,
+    soften_plane,
+)
+from cordpipe.volume import LESION_GM
 
 
 def render(channel):
@@ -41,7 +50,7 @@ print(f"margin voxels: k=3 -> {int(margin3.sum())}, k=7 -> {int(margin7.sum())} 
 
 # hardening inverts softening where alpha > 0.5; low-confidence lesion
 # weights fall below the threshold and their margins return to background
-soft = soften_array(plane[:, :, None], Spacing.isotropic(), SOFT2)
+soft = soften(LabelVolume(plane[:, :, None], Spacing.isotropic()), SOFT2)
 back = harden(soft)
 core = np.zeros_like(plane)
 core[6:9, 6:9] = LESION_GM

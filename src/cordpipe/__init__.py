@@ -24,7 +24,6 @@ from .volume import (
     Spacing,
     axial_slice,
     extract_patch,
-    new_label_volume,
     new_scalar_volume,
     patch1,
     set_axial_slice,
@@ -58,7 +57,6 @@ from .augment import (
     AugProfile,
     SampledTransform,
     build_matrix,
-    profile_by_name,
     sample_transform,
     slice_seed,
     warp_image,

@@ -56,18 +56,6 @@ AUG1 = AugProfile(0.45, 90.0, (0.7, 1.7), (-35.0, 35.0), 0.35, name="aug1")
 AUG2 = AugProfile(0.45, 180.0, (0.3, 2.0), (-55.0, 55.0), 0.55, name="aug2")
 AUG3 = AugProfile(0.80, 180.0, (0.1, 3.0), (-85.0, 85.0), 0.85, name="aug3")
 
-PROFILES = {p.name: p for p in (AUG_NONE, AUG1, AUG2, AUG3)}
-
-
-def profile_by_name(name: str) -> AugProfile:
-    """Resolve a config value like ``augment.profile = aug2``."""
-    try:
-        return PROFILES[name.lower()]
-    except KeyError:
-        raise ConfigError(f"unknown augmentation profile {name!r}; "
-                          f"choose from {sorted(PROFILES)}") from None
-
-
 @dataclass(frozen=True, eq=False)
 class SampledTransform:
     """A concrete draw: the projective matrix plus its parameter record."""

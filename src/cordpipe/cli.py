@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -48,11 +49,12 @@ from .pseudolabel import (
     ensemble,
     predict_volume,
     stack_slices,
+    thread_map,
 )
 from .regions import RegionStack, merge_regions, to_regions
 from .softlabel import PROFILES as SOFT_PROFILES
 from .softlabel import SoftProfile, soften
-from .volume import CLASS_NAMES, FOREGROUND_CLASSES, ScalarVolume
+from .volume import CLASS_NAMES, FOREGROUND_CLASSES, ScalarVolume, Spacing
 
 
 def _read_file(path: str) -> bytes:
@@ -130,21 +132,20 @@ def _cmd_preprocess(args) -> int:
         vol = apply_mask(vol, mask, fill=0.0)
 
     if use_stretch:
-        stretch_cfg = StretchConfig(
-            p_low=p_low if p_low is not None else 15.0,
-            p_high=p_high if p_high is not None else 70.0,
-        )
-        vol = percentile_stretch(vol, stretch_cfg, mask=mask)
+        vol = percentile_stretch(vol, StretchConfig(**_given(p_low=p_low, p_high=p_high)),
+                                 mask=mask)
 
     if use_clahe:
-        tiles = args.clahe_tiles or get_typed(cfg, "preprocess.clahe.tiles", tuple, (8, 8))
+        tiles = args.clahe_tiles or get_typed(cfg, "preprocess.clahe.tiles", tuple, None)
         clip = args.clahe_clip if args.clahe_clip is not None else \
-            get_typed(cfg, "preprocess.clahe.clip", float, 0.01)
+            get_typed(cfg, "preprocess.clahe.clip", float, None)
         bins = args.clahe_bins if args.clahe_bins is not None else \
-            get_typed(cfg, "preprocess.clahe.bins", int, 256)
+            get_typed(cfg, "preprocess.clahe.bins", int, None)
+        if tiles is not None:
+            tiles = tuple(int(v) for v in tiles)
         if vol.data.min() < 0 or vol.data.max() > 1:
             vol = minmax_rescale(vol)
-        vol = clahe_slicewise(vol, ClaheConfig(tuple(int(v) for v in tiles), clip, bins))
+        vol = clahe_slicewise(vol, ClaheConfig(**_given(tiles=tiles, clip_limit=clip, bins=bins)))
 
     if use_zscore:
         vol = zscore_normalize(vol, mask=mask)
@@ -154,6 +155,12 @@ def _cmd_preprocess(args) -> int:
           f"otsu={int(use_otsu)} stretch={int(bool(use_stretch))} "
           f"clahe={int(use_clahe)} zscore={int(use_zscore)}")
     return 0
+
+
+def _given(**kwargs) -> dict:
+    """The keyword arguments a flag or config key set; the rest keep their
+    dataclass defaults."""
+    return {k: v for k, v in kwargs.items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +246,19 @@ def _slice_index_from_name(name: str) -> int:
         if stem.endswith(suffix):
             stem = stem[: -len(suffix)]
             break
-    digits = "".join(ch for ch in stem if ch.isdigit())
-    if not digits:
+    runs = re.findall(r"\d+", stem)
+    if not runs:
         raise ValidationError(f"cannot parse slice index from file name {name!r}")
-    return int(digits)
+    return int(runs[-1])
 
 
-def _load_slice_dir(path: str) -> dict[int, RegionStack]:
+def _load_slice_dir(path: str) -> tuple[dict[int, RegionStack], Spacing]:
+    """Per-slice region stacks keyed by z, plus the first slice's spacing."""
     names = sorted(n for n in os.listdir(path) if n.endswith((".nii", ".nii.gz")))
     if not names:
         raise ValidationError(f"no NIfTI slices found in {path}")
     out: dict[int, RegionStack] = {}
+    spacing = None
     for name in names:
         z = _slice_index_from_name(name)
         vol = _load_volume(os.path.join(path, name))
@@ -261,7 +270,8 @@ def _load_slice_dir(path: str) -> dict[int, RegionStack]:
             raise ValidationError(f"duplicate slice index {z} in {path}")
         probs = np.clip(vol.data, 0.0, 1.0)
         out[z] = RegionStack(probs[:, :, 0], probs[:, :, 1], probs[:, :, 2])
-    return out
+        spacing = spacing or vol.spacing
+    return out, spacing
 
 
 def _cmd_stack(args) -> int:
@@ -294,17 +304,12 @@ def _cmd_stack(args) -> int:
         if not args.slice_dirs:
             raise ValidationError("stack needs slice directories or --predictor")
         fold_stacks = []
-        z_extent = None
         for d in args.slice_dirs:
-            per_slice = _load_slice_dir(d)
-            if z_extent is None:
-                z_extent = max(per_slice) + 1
+            per_slice, dir_spacing = _load_slice_dir(d)
+            if not fold_stacks:
+                z_extent, spacing = max(per_slice) + 1, dir_spacing
             fold_stacks.append(stack_slices(per_slice, z_extent))
         volume_stack = ensemble(fold_stacks)
-        ref = _load_volume(
-            os.path.join(args.slice_dirs[0],
-                         sorted(os.listdir(args.slice_dirs[0]))[0]))
-        spacing = ref.spacing
 
     labels = merge_regions(volume_stack, spacing, tissue_thresh, lesion_thresh)
     _write_volume(args.out, labels, args.dry_run)
@@ -350,15 +355,7 @@ def _cmd_evaluate_batch(args) -> int:
             f"no matching volume names between {args.pred} and {args.gt}"
         )
 
-    from concurrent.futures import ThreadPoolExecutor
-    from .pseudolabel import _resolve_threads
-    n = _resolve_threads(args.threads)
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            reports = list(pool.map(
-                lambda s: _evaluate_one(preds[s], gts[s], s), stems))
-    else:
-        reports = [_evaluate_one(preds[s], gts[s], s) for s in stems]
+    reports = thread_map(lambda s: _evaluate_one(preds[s], gts[s], s), stems, args.threads)
 
     agg = fold_aggregate(reports)
     if args.csv:
@@ -409,8 +406,7 @@ def _cmd_phantom(args) -> int:
 
     step = max(1, args.annotate_every)
     z_idx = list(range(0, labels.dims[2], step))
-    planes = np.stack([labels.data[:, :, z] for z in z_idx], axis=2)
-    ann = SparseAnnotation(f"phantom-{args.seed}", z_idx, planes)
+    ann = SparseAnnotation(f"phantom-{args.seed}", z_idx, labels.data[:, :, z_idx])
     sidecar, planes_nii = write_sparse_annotation(ann, "annotation_planes.nii.gz",
                                                   labels.spacing)
     _write_atomic(os.path.join(out, "annotation.json"), sidecar, args.dry_run)

@@ -6,7 +6,7 @@ Grammar::
     preprocess.otsu = true
     preprocess.stretch.p_low = 15
     preprocess.clahe.tiles = 8,8
-    augment.profile = aug2
+    softlabel.profile = soft2
 
 Values parse as booleans (true/false), integers, floats, comma lists of
 numbers, or bare/quoted strings. Command-line flags override file
@@ -68,10 +68,9 @@ def get_typed(cfg: dict, key: str, kind: type, default):
     if key not in cfg:
         return default
     val = cfg[key]
-    if kind is float and isinstance(val, (int, bool)) and not isinstance(val, bool):
+    if kind is float and type(val) is int:
         return float(val)
-    if kind is bool and not isinstance(val, bool):
-        raise ConfigError(f"{key} must be true or false, got {val!r}")
-    if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
-        raise ConfigError(f"{key} must be {kind.__name__}, got {val!r}")
+    if type(val) is not kind:
+        expected = "true or false" if kind is bool else kind.__name__
+        raise ConfigError(f"{key} must be {expected}, got {val!r}")
     return val

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,7 +185,7 @@ def evaluate(pred: LabelVolume, gt: LabelVolume | SparseAnnotation,
         if gt.z_indices[-1] >= pred.dims[2]:
             raise ValidationError("annotated index beyond the prediction extent")
         gt_planes = gt.planes
-        pred_planes = np.stack([pred.data[:, :, z] for z in gt.z_indices], axis=2)
+        pred_planes = pred.data[:, :, gt.z_indices]
         scope = len(gt)
     else:
         if gt.dims != pred.dims:
@@ -306,7 +305,3 @@ def fold_aggregate(reports: list[MetricsReport]) -> FoldAggregate:
             cov = std / mean if mean > 0 else None
             agg.rows.append(AggregateRow(cid, metric, mean, std, cov, len(vals)))
     return agg
-
-
-def aggregate_to_json(agg: FoldAggregate) -> str:
-    return json.dumps(agg.to_json_dict(), indent=2, sort_keys=True) + "\n"

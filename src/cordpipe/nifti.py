@@ -135,18 +135,8 @@ class NiftiHeader:
         return Spacing(float(dx), float(dy), float(dz))
 
 
-def _maybe_gunzip(raw: bytes) -> bytes:
-    if raw[:2] == b"\x1f\x8b":
-        try:
-            return gzip.decompress(raw)
-        except OSError as exc:
-            raise FormatError(f"gzip stream failed to decode: {exc}") from exc
-    return raw
-
-
 def parse_header(raw: bytes) -> NiftiHeader:
-    """Parse and validate the fixed 348-byte header."""
-    raw = _maybe_gunzip(raw)
+    """Parse and validate the fixed 348-byte header of a decompressed stream."""
     if len(raw) < HEADER_SIZE:
         raise TruncatedPayloadError(f"stream of {len(raw)} bytes is shorter than a header")
 
@@ -179,6 +169,9 @@ def parse_header(raw: bytes) -> NiftiHeader:
         raise UnsupportedDatatypeError(f"datatype code {dt} not in supported set {sorted(_DTYPES)}")
     if fields["bitpix"] != _DTYPES[dt][1]:
         raise FormatError(f"bitpix {fields['bitpix']} inconsistent with datatype {dt}")
+    dx, dy = fields["pixdim"][1:3]
+    if not (0 < dx < np.inf and 0 < dy < np.inf):
+        raise FormatError(f"pixdim[1:3] must be positive and finite, got {(dx, dy)}")
 
     return NiftiHeader(
         dim=tuple(int(d) for d in fields["dim"]),
@@ -220,7 +213,11 @@ def read_nifti(raw: bytes, labels: bool = False, channel: str = MAGNITUDE):
     ``labels=True`` enforces an integer datatype, no intensity scaling
     and class ids within 0..4.
     """
-    raw = _maybe_gunzip(raw)
+    if raw[:2] == b"\x1f\x8b":
+        try:
+            raw = gzip.decompress(raw)
+        except OSError as exc:
+            raise FormatError(f"gzip stream failed to decode: {exc}") from exc
     hdr = parse_header(raw)
     arr = _read_payload(raw, hdr)
     spacing = hdr.spacing
@@ -337,10 +334,6 @@ class SparseAnnotation:
     def plane_dims(self) -> tuple[int, int]:
         return self.planes.shape[:2]
 
-    def plane_for(self, z: int) -> np.ndarray:
-        k = self.z_indices.index(z)
-        return self.planes[:, :, k]
-
 
 def write_sparse_annotation(ann: SparseAnnotation, planes_filename: str,
                             spacing: Spacing) -> tuple[bytes, bytes]:
@@ -398,7 +391,6 @@ def densify(ann: SparseAnnotation, z_extent: int,
     h, w = ann.plane_dims
     data = np.zeros((h, w, z_extent), dtype=np.uint8)
     mask = np.zeros(z_extent, dtype=bool)
-    for k, z in enumerate(ann.z_indices):
-        data[:, :, z] = ann.planes[:, :, k]
-        mask[z] = True
+    data[:, :, ann.z_indices] = ann.planes
+    mask[ann.z_indices] = True
     return LabelVolume(data, spacing), mask

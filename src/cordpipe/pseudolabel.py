@@ -10,11 +10,11 @@ exchanges NIfTI files.
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import subprocess
 import tempfile
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,10 +69,6 @@ class MockPredictor(SlicePredictor):
         if missing:
             raise ValidationError(f"mock predictor centers missing classes {sorted(missing)}")
         self.centers = {int(c): (float(m), float(p)) for c, (m, p) in centers.items()}
-
-    @classmethod
-    def from_intensity_model(cls, intensities: dict) -> "MockPredictor":
-        return cls(intensities)
 
     @classmethod
     def fit(cls, magnitude: ScalarVolume, phase: ScalarVolume,
@@ -211,15 +207,21 @@ def stack_slices(plane_stacks: dict[int, RegionStack] | list[tuple[int, RegionSt
     return RegionStack(wm, gm, lesion)
 
 
-def _resolve_threads(requested: int | None) -> int:
+def thread_map(fn, items, threads: int | None) -> list:
+    """``[fn(x) for x in items]``, in input order, on up to ``threads``
+    threads; the ``CORDPIPE_THREADS`` environment variable caps the count.
+    """
     cap = os.environ.get("CORDPIPE_THREADS")
-    n = requested if requested and requested > 0 else 1
+    n = threads if threads and threads > 0 else 1
     if cap is not None:
         try:
             n = min(n, max(1, int(cap)))
         except ValueError:
             raise ValidationError(f"CORDPIPE_THREADS is not an integer: {cap!r}")
-    return n
+    if n == 1:
+        return [fn(x) for x in items]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(fn, items))
 
 
 def predict_volume(predictor: SlicePredictor, magnitude: ScalarVolume,
@@ -236,23 +238,18 @@ def predict_volume(predictor: SlicePredictor, magnitude: ScalarVolume,
         raise DimensionError("magnitude and phase volumes disagree on dims")
     z_extent = magnitude.dims[2]
 
-    def run(z: int) -> tuple[int, RegionStack]:
+    def run(z: int) -> RegionStack:
         m = magnitude.data[:, :, z]
         p = None if phase is None else phase.data[:, :, z]
         if tta is not None:
-            return z, predict_with_tta(predictor, m, p, tta)
+            return predict_with_tta(predictor, m, p, tta)
         out = predictor.predict(m, p)
         if out.shape != m.shape:
             raise DimensionError(f"predictor returned shape {out.shape} for slice {z}")
-        return z, out
+        return out
 
-    n_threads = _resolve_threads(threads)
-    if n_threads > 1 and predictor.thread_safe:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = dict(pool.map(run, range(z_extent)))
-    else:
-        results = dict(run(z) for z in range(z_extent))
-    return stack_slices(results, z_extent)
+    results = thread_map(run, range(z_extent), threads if predictor.thread_safe else 1)
+    return stack_slices(dict(enumerate(results)), z_extent)
 
 
 def jitter_score(labels: LabelVolume) -> dict[int, float | None]:

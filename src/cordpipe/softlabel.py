@@ -1,7 +1,7 @@
 """Boundary-uncertainty soft targets from hard labels.
 
 Boundary margins come from morphological gradients (dilation minus
-erosion) with per-class square kernels, computed per axial slice.
+erosion) with per-class square kernels within each axial slice.
 Inside a class's margin the target drops from 1 to the class weight
 alpha; outside any margin the targets stay exactly 0 or 1.
 
@@ -27,7 +27,6 @@ from .volume import (
     LESION_WM,
     LabelVolume,
     SoftLabelVolume,
-    Spacing,
 )
 
 
@@ -78,26 +77,24 @@ _HARDEN_PRIORITY = (LESION_GM, LESION_WM, HEALTHY_GM, HEALTHY_WM)
 
 
 def boundary_margin(mask: np.ndarray, k: int) -> np.ndarray:
-    """Morphological gradient of a binary plane: dilation minus erosion.
+    """Morphological gradient of a binary plane or (H, W, Z) volume:
+    dilation minus erosion.
 
-    Uses a k x k square structuring element with a zero-padded exterior,
-    so erosion shrinks at the plane border.
+    Uses a k x k square structuring element within each axial plane and
+    a zero-padded exterior, so erosion shrinks at the plane border.
     """
     _check_kernel(k)
     mask = np.asarray(mask).astype(bool)
-    if mask.ndim != 2:
-        raise ValidationError(f"margin expects a 2D plane, got shape {mask.shape}")
-    se = np.ones((k, k), dtype=bool)
-    dil = ndimage.binary_dilation(mask, structure=se, border_value=0)
-    ero = ndimage.binary_erosion(mask, structure=se, border_value=0)
+    if mask.ndim not in (2, 3):
+        raise ValidationError(f"margin expects a 2D plane or 3D volume, got shape {mask.shape}")
+    size = (k, k, 1)[:mask.ndim]
+    dil = ndimage.maximum_filter(mask, size=size, mode="constant", cval=0)
+    ero = ndimage.minimum_filter(mask, size=size, mode="constant", cval=0)
     return (dil & ~ero).astype(np.uint8)
 
 
-def soften_plane(labels: np.ndarray, profile: SoftProfile) -> np.ndarray:
-    """Soft targets for one label plane; returns (4, H, W) float32."""
-    labels = np.asarray(labels)
-    if labels.ndim != 2:
-        raise ValidationError(f"expected a 2D label plane, got shape {labels.shape}")
+def _soft_channels(labels: np.ndarray, profile: SoftProfile) -> np.ndarray:
+    """(4,) + labels.shape float32 soft targets for a plane or volume."""
     bg = labels == BACKGROUND
     out = np.zeros((len(FOREGROUND_CLASSES),) + labels.shape, dtype=np.float32)
     for cid in FOREGROUND_CLASSES:
@@ -113,13 +110,17 @@ def soften_plane(labels: np.ndarray, profile: SoftProfile) -> np.ndarray:
     return out
 
 
+def soften_plane(labels: np.ndarray, profile: SoftProfile) -> np.ndarray:
+    """Soft targets for one label plane; returns (4, H, W) float32."""
+    labels = np.asarray(labels)
+    if labels.ndim != 2:
+        raise ValidationError(f"expected a 2D label plane, got shape {labels.shape}")
+    return _soft_channels(labels, profile)
+
+
 def soften(labels: LabelVolume, profile: SoftProfile) -> SoftLabelVolume:
-    """Soft targets for a volume, computed slice by slice."""
-    h, w, z = labels.dims
-    channels = np.zeros((len(FOREGROUND_CLASSES), h, w, z), dtype=np.float32)
-    for zi in range(z):
-        channels[:, :, :, zi] = soften_plane(labels.data[:, :, zi], profile)
-    return SoftLabelVolume(channels, labels.spacing)
+    """Soft targets for a volume; margins stay within each axial slice."""
+    return SoftLabelVolume(_soft_channels(labels.data, profile), labels.spacing)
 
 
 def harden(soft: SoftLabelVolume, threshold: float = 0.5) -> LabelVolume:
@@ -138,9 +139,3 @@ def harden(soft: SoftLabelVolume, threshold: float = 0.5) -> LabelVolume:
     ids = np.asarray(_HARDEN_PRIORITY, dtype=np.uint8)[best]
     ids[best_val < threshold] = BACKGROUND
     return LabelVolume(ids, soft.spacing)
-
-
-def soften_array(labels: np.ndarray, spacing: Spacing,
-                 profile: SoftProfile) -> SoftLabelVolume:
-    """Convenience wrapper accepting a raw (H, W, Z) label array."""
-    return soften(LabelVolume(labels, spacing), profile)

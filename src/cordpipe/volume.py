@@ -26,7 +26,6 @@ LESION_WM = 3
 LESION_GM = 4
 
 FOREGROUND_CLASSES = (HEALTHY_WM, HEALTHY_GM, LESION_WM, LESION_GM)
-ALL_CLASSES = (BACKGROUND,) + FOREGROUND_CLASSES
 
 CLASS_NAMES = {
     BACKGROUND: "background",
@@ -127,9 +126,6 @@ class LabelVolume:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    def class_mask(self, class_id: int) -> np.ndarray:
-        return self.data == class_id
-
 
 @dataclass(eq=False)
 class SoftLabelVolume:
@@ -188,20 +184,6 @@ def patch1(px: int, py: int) -> PatchSpec:
     return PatchSpec(px, py, 144, name="patch1")
 
 
-def linear_index(dims: tuple[int, int, int], x: int, y: int, z: int) -> int:
-    """Map (x, y, z) to the serialized voxel offset (x fastest)."""
-    h, w, _ = dims
-    return x + h * (y + w * z)
-
-
-def decode_index(dims: tuple[int, int, int], idx: int) -> tuple[int, int, int]:
-    """Inverse of :func:`linear_index`."""
-    h, w, _ = dims
-    x = idx % h
-    rest = idx // h
-    return x, rest % w, rest // w
-
-
 def new_scalar_volume(dims, spacing: Spacing, fill: float = 0.0,
                       channel: str = MAGNITUDE) -> ScalarVolume:
     """Allocate a constant-filled volume."""
@@ -209,11 +191,6 @@ def new_scalar_volume(dims, spacing: Spacing, fill: float = 0.0,
     if not np.isfinite(fill):
         raise ValidationError(f"fill value must be finite, got {fill!r}")
     return ScalarVolume(np.full((h, w, z), fill, dtype=np.float32), spacing, channel)
-
-
-def new_label_volume(dims, spacing: Spacing) -> LabelVolume:
-    h, w, z = _check_dims(dims)
-    return LabelVolume(np.zeros((h, w, z), dtype=np.uint8), spacing)
 
 
 def extract_patch(vol, origin, spec: PatchSpec, pad_value=None):

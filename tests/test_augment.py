@@ -171,11 +171,3 @@ def test_warped_output_reproducible_from_seed():
     t1 = sample_transform(AUG3, seed=11, plane_shape=PLANE)
     t2 = sample_transform(AUG3, seed=11, plane_shape=PLANE)
     assert warp_image(plane, t1).tobytes() == warp_image(plane, t2).tobytes()
-
-
-def test_profile_by_name_lookup():
-    from cordpipe import profile_by_name
-    assert profile_by_name("aug2") is AUG2
-    assert profile_by_name("NONE").name == "none"
-    with pytest.raises(ConfigError):
-        profile_by_name("aug9")

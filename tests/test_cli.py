@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import struct
 import sys
 
 import numpy as np
@@ -338,3 +339,38 @@ def test_stack_tta_flips_from_config(tmp_path):
                "--phase", phs_p, "--fit-labels", lab_p, "--tta",
                "--config", str(cfg), "--out", str(out)])
     assert rc == 0
+
+
+def _slice_dir(d, probs, name):
+    d.mkdir()
+    for zi in range(probs.shape[3]):
+        _write(d / name.format(zi), ScalarVolume(probs[:, :, :, zi], ISO))
+    return str(d)
+
+
+def test_stack_slice_index_is_last_digit_run(tmp_path):
+    # "fold2_slice_003.nii" is slice 3, not 2003
+    probs = np.random.default_rng(4).random((6, 6, 3, 4)).astype(np.float32)
+    plain = _slice_dir(tmp_path / "plain", probs, "slice_{:03d}.nii")
+    named = _slice_dir(tmp_path / "named", probs, "fold2_slice_{:03d}.nii")
+    assert main(["stack", plain, "--out", str(tmp_path / "a.nii")]) == 0
+    assert main(["stack", named, "--out", str(tmp_path / "b.nii")]) == 0
+    assert (tmp_path / "a.nii").read_bytes() == (tmp_path / "b.nii").read_bytes()
+
+
+def test_stack_slice_dir_ignores_stray_files(tmp_path):
+    probs = np.random.default_rng(5).random((6, 6, 3, 4)).astype(np.float32)
+    d = _slice_dir(tmp_path / "slices", probs, "slice_{:04d}.nii")
+    assert main(["stack", d, "--out", str(tmp_path / "a.nii")]) == 0
+    (tmp_path / "slices" / "README.txt").write_text("predictions from fold 0\n")
+    assert main(["stack", d, "--out", str(tmp_path / "b.nii")]) == 0
+    assert (tmp_path / "a.nii").read_bytes() == (tmp_path / "b.nii").read_bytes()
+
+
+def test_bad_pixdim_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.nii"
+    raw = bytearray(write_nifti(LabelVolume(np.zeros((2, 2, 2), np.uint8), ISO)))
+    struct.pack_into("<f", raw, 80, 0.0)  # pixdim[1]
+    bad.write_bytes(bytes(raw))
+    assert main(["evaluate", str(bad), str(bad)]) == 2
+    assert "kind=FormatError" in capsys.readouterr().err

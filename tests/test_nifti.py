@@ -19,6 +19,7 @@ from cordpipe import (
 )
 from cordpipe.errors import (
     BadMagicError,
+    FormatError,
     LabelRangeError,
     SidecarError,
     TruncatedPayloadError,
@@ -198,6 +199,15 @@ def test_parse_header_bitpix_consistency():
     with pytest.raises(Exception) as exc:
         parse_header(bytes(raw))
     assert "bitpix" in str(exc.value)
+
+
+@pytest.mark.parametrize("offset", [80, 84])  # pixdim[1], pixdim[2]
+@pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf")])
+def test_bad_pixdim_is_format_error(offset, value):
+    raw = bytearray(write_nifti(ScalarVolume(np.zeros((2, 2, 2), np.float32), ISO)))
+    struct.pack_into("<f", raw, offset, value)
+    with pytest.raises(FormatError, match="pixdim"):
+        read_nifti(bytes(raw))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cordpipe import (
     SOFT1,
@@ -157,6 +160,18 @@ def test_soften_deterministic():
     a = soften(labels, SOFT1)
     b = soften(labels, SOFT1)
     assert a.channels.tobytes() == b.channels.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=3, max_dims=3, max_side=12),
+                  elements=st.integers(0, 4)))
+def test_volume_soften_equals_stacked_planes(data):
+    # margins never reach across slices: the volume is its planes, stacked
+    for profile in (SOFT1, SOFT2, SOFT3):
+        want = np.stack([soften_plane(data[:, :, z], profile)
+                         for z in range(data.shape[2])], axis=-1)
+        got = soften(LabelVolume(data, ISO), profile).channels
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from cordpipe import (
     set_axial_slice,
 )
 from cordpipe.errors import DimensionError, ValidationError
-from cordpipe.volume import decode_index, linear_index
 
 ISO = Spacing.isotropic()
 
@@ -125,20 +124,6 @@ def test_axial_slice_corpus_scale_iteration():
     vol = new_scalar_volume((2, 2, 43719), ISO)
     count = sum(1 for z in range(vol.dims[2]) if axial_slice(vol, z).shape == (2, 2))
     assert count == 43719
-
-
-def test_index_bijection():
-    dims = (5, 7, 9)
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        x = int(rng.integers(0, dims[0]))
-        y = int(rng.integers(0, dims[1]))
-        z = int(rng.integers(0, dims[2]))
-        assert decode_index(dims, linear_index(dims, x, y, z)) == (x, y, z)
-    # the linearization really is x-fastest
-    assert linear_index(dims, 1, 0, 0) == 1
-    assert linear_index(dims, 0, 1, 0) == dims[0]
-    assert linear_index(dims, 0, 0, 1) == dims[0] * dims[1]
 
 
 def test_named_patch_profiles():
