@@ -142,7 +142,9 @@ def _cmd_preprocess(args) -> int:
         bins = args.clahe_bins if args.clahe_bins is not None else \
             get_typed(cfg, "preprocess.clahe.bins", int, None)
         if tiles is not None:
-            tiles = tuple(int(v) for v in tiles)
+            if len(tiles) != 2 or not all(type(v) is int for v in tiles):
+                raise ConfigError(f"preprocess.clahe.tiles must be two integers, got {tiles!r}")
+            tiles = tuple(tiles)
         if vol.data.min() < 0 or vol.data.max() > 1:
             vol = minmax_rescale(vol)
         vol = clahe_slicewise(vol, ClaheConfig(**_given(tiles=tiles, clip_limit=clip, bins=bins)))

@@ -7,7 +7,10 @@ foreground voxels with at least one background 6-neighbor under a
 zero-padded exterior (so volume-border voxels count as surface);
 distances run between voxel centers; percentiles interpolate linearly
 between order statistics. Undefined values are carried as ``None`` and
-excluded from means rather than imputed.
+excluded from means rather than imputed. HD95 is computed inside the
+bounding box of the two masks, which is exact because every voxel
+outside it is background, so the zero-padded surfaces and the distances
+between in-box voxel centers are the same as on the full grid.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ def hd95(g: np.ndarray, p: np.ndarray, spacing: Spacing) -> float | None:
     if g_empty or p_empty:
         return None
 
+    box = ndimage.find_objects((g | p).view(np.uint8))[0]
+    g, p = g[box], p[box]
     sampling = spacing.as_tuple()[:g.ndim]
     gs, ps = surface_mask(g), surface_mask(p)
     d_gp = _directed_distances(gs, ps, sampling)
@@ -190,6 +195,10 @@ def evaluate(pred: LabelVolume, gt: LabelVolume | SparseAnnotation,
     else:
         if gt.dims != pred.dims:
             raise DimensionError(f"gt dims {gt.dims} vs pred dims {pred.dims}")
+        if gt.spacing != pred.spacing:
+            raise ValidationError(
+                f"gt spacing {gt.spacing.as_tuple()} vs pred spacing {pred.spacing.as_tuple()}"
+            )
         gt_planes = gt.data
         pred_planes = pred.data
         scope = pred.dims[2]

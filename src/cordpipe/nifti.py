@@ -131,7 +131,7 @@ class NiftiHeader:
     @property
     def spacing(self) -> Spacing:
         dx, dy = self.pixdim[1], self.pixdim[2]
-        dz = self.pixdim[3] if self.dim[0] >= 3 and self.pixdim[3] > 0 else 1.0
+        dz = self.pixdim[3] if self.dim[0] >= 3 else 1.0
         return Spacing(float(dx), float(dy), float(dz))
 
 
@@ -169,9 +169,9 @@ def parse_header(raw: bytes) -> NiftiHeader:
         raise UnsupportedDatatypeError(f"datatype code {dt} not in supported set {sorted(_DTYPES)}")
     if fields["bitpix"] != _DTYPES[dt][1]:
         raise FormatError(f"bitpix {fields['bitpix']} inconsistent with datatype {dt}")
-    dx, dy = fields["pixdim"][1:3]
-    if not (0 < dx < np.inf and 0 < dy < np.inf):
-        raise FormatError(f"pixdim[1:3] must be positive and finite, got {(dx, dy)}")
+    steps = fields["pixdim"][1:nd + 1]
+    if not all(0 < s < np.inf for s in steps):
+        raise FormatError(f"pixdim[1:{nd + 1}] must be positive and finite, got {steps}")
 
     return NiftiHeader(
         dim=tuple(int(d) for d in fields["dim"]),

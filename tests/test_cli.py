@@ -374,3 +374,38 @@ def test_bad_pixdim_exits_2(tmp_path, capsys):
     bad.write_bytes(bytes(raw))
     assert main(["evaluate", str(bad), str(bad)]) == 2
     assert "kind=FormatError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [0.0, float("inf")])
+def test_bad_pixdim_z_exits_2(tmp_path, value, capsys):
+    bad = tmp_path / "bad.nii"
+    raw = bytearray(write_nifti(LabelVolume(np.zeros((2, 2, 2), np.uint8), ISO)))
+    struct.pack_into("<f", raw, 88, value)
+    bad.write_bytes(bytes(raw))
+    assert main(["evaluate", str(bad), str(bad)]) == 2
+    assert "kind=FormatError" in capsys.readouterr().err
+
+
+def test_evaluate_dense_spacing_mismatch_exits_1(tmp_path, capsys):
+    data = np.zeros((4, 4, 3), np.uint8)
+    data[1:3, 1:3, :] = 1
+    pred = _write(tmp_path / "pred.nii", LabelVolume(data, Spacing(0.5, 0.5, 2.0)))
+    gt = _write(tmp_path / "gt.nii", LabelVolume(data, Spacing(0.5, 0.5, 1.0)))
+    assert main(["evaluate", pred, gt]) == 1
+    err = capsys.readouterr().err
+    assert "kind=ValidationError" in err
+    assert "(0.5, 0.5, 1.0)" in err and "(0.5, 0.5, 2.0)" in err
+
+
+@pytest.mark.parametrize("tiles", ["8,", "8,8,8"])
+def test_preprocess_malformed_clahe_tiles_exits_1(tmp_path, tiles, capsys):
+    rng = np.random.default_rng(6)
+    in_path = _write(tmp_path / "in.nii",
+                     ScalarVolume(rng.random((8, 8, 2), dtype=np.float32), ISO))
+    cfg = tmp_path / "clahe.cfg"
+    cfg.write_text(f"preprocess.clahe.tiles = {tiles}\n")
+    rc = main(["preprocess", in_path, "--out", str(tmp_path / "o.nii"),
+               "--clahe", "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "kind=ConfigError" in err and "preprocess.clahe.tiles" in err

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cordpipe import (
     LabelVolume,
@@ -148,6 +151,66 @@ def test_hd95_spacing_scaling_law():
         h1 = hd95(g, p, Spacing.isotropic(0.075))
         h2 = hd95(g, p, Spacing.isotropic(0.150))
         assert h2 == 2.0 * h1
+
+
+_STEPS = st.sampled_from([0.075, 0.3, 1.0]) | st.floats(0.05, 3.0)
+_SPACINGS = st.builds(Spacing, _STEPS, _STEPS, _STEPS)
+
+
+@st.composite
+def _mask(draw, shape):
+    """A single voxel or a random fill of a sub-box, so masks range from
+    one voxel to the whole grid and often touch the volume border."""
+    m = np.zeros(shape, bool)
+    lo = [draw(st.integers(0, s - 1)) for s in shape]
+    if draw(st.booleans()):
+        m[tuple(lo)] = True
+    else:
+        box = tuple(slice(a, draw(st.integers(a + 1, s))) for a, s in zip(lo, shape))
+        m[box] = draw(hnp.arrays(bool, m[box].shape))
+    return m
+
+
+@st.composite
+def _mask_pairs(draw):
+    ndim = draw(st.sampled_from([2, 3]))
+    shape = draw(hnp.array_shapes(min_dims=ndim, max_dims=ndim, max_side=9))
+    return draw(_mask(shape)), draw(_mask(shape))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mask_pairs(), _SPACINGS)
+def test_hd95_property_matches_brute_force(masks, spacing):
+    g, p = masks
+    got = hd95(g, p, spacing)
+    want = brute_hd95(g, p, spacing.as_tuple())
+    if want is None:
+        assert got is None
+    else:
+        assert abs(got - want) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=3, max_dims=3, max_side=7),
+                  elements=st.integers(0, 4)),
+       st.data(), _SPACINGS)
+def test_sparse_hd95_is_mean_of_plane_brute_force(pred_data, data, spacing):
+    h, w, z = pred_data.shape
+    z_idx = sorted(data.draw(st.sets(st.integers(0, z - 1), min_size=1)))
+    planes = data.draw(hnp.arrays(np.uint8, (h, w, len(z_idx)), elements=st.integers(0, 4)))
+    rep = evaluate(LabelVolume(pred_data, spacing), SparseAnnotation("v", z_idx, planes))
+    for cid in (1, 2, 3, 4):
+        vals = []
+        for k, zk in enumerate(z_idx):
+            g, p = planes[:, :, k] == cid, pred_data[:, :, zk] == cid
+            v = brute_hd95(g, p, spacing.as_tuple()) if g.any() or p.any() else None
+            if v is not None:
+                vals.append(v)
+        got = rep.per_class[cid].hd95_mm
+        if not vals:
+            assert got is None
+        else:
+            assert abs(got - sum(vals) / len(vals)) <= 1e-9
 
 
 def test_surface_matches_loop_oracle():

@@ -201,7 +201,7 @@ def test_parse_header_bitpix_consistency():
     assert "bitpix" in str(exc.value)
 
 
-@pytest.mark.parametrize("offset", [80, 84])  # pixdim[1], pixdim[2]
+@pytest.mark.parametrize("offset", [80, 84, 88])  # pixdim[1], pixdim[2], pixdim[3]
 @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf")])
 def test_bad_pixdim_is_format_error(offset, value):
     raw = bytearray(write_nifti(ScalarVolume(np.zeros((2, 2, 2), np.float32), ISO)))
