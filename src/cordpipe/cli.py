@@ -26,6 +26,7 @@ from .metrics import evaluate, fold_aggregate, report_to_csv
 from .nifti import (
     SparseAnnotation,
     gzip_nifti,
+    parse_sidecar,
     read_nifti,
     read_sparse_annotation,
     write_nifti,
@@ -58,8 +59,11 @@ from .volume import CLASS_NAMES, FOREGROUND_CLASSES, ScalarVolume, Spacing
 
 
 def _read_file(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_atomic(path: str, data: bytes, dry_run: bool = False) -> None:
@@ -86,10 +90,7 @@ def _write_volume(path: str, vol, dry_run: bool = False) -> None:
 
 
 def _load_volume(path: str, labels: bool = False, channel: str = "magnitude"):
-    try:
-        raw = _read_file(path)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+    raw = _read_file(path)
     try:
         return read_nifti(raw, labels=labels, channel=channel)
     except FormatError as exc:
@@ -141,13 +142,14 @@ def _cmd_preprocess(args) -> int:
             get_typed(cfg, "preprocess.clahe.clip", float, None)
         bins = args.clahe_bins if args.clahe_bins is not None else \
             get_typed(cfg, "preprocess.clahe.bins", int, None)
-        if tiles is not None:
-            if len(tiles) != 2 or not all(type(v) is int for v in tiles):
-                raise ConfigError(f"preprocess.clahe.tiles must be two integers, got {tiles!r}")
-            tiles = tuple(tiles)
+        try:
+            clahe = ClaheConfig(**_given(tiles=tiles, clip_limit=clip, bins=bins))
+        except ConfigError as exc:
+            # ClaheConfig names the field first, e.g. "tiles must be ..."
+            raise ConfigError(f"preprocess.clahe.{exc}") from exc
         if vol.data.min() < 0 or vol.data.max() > 1:
             vol = minmax_rescale(vol)
-        vol = clahe_slicewise(vol, ClaheConfig(**_given(tiles=tiles, clip_limit=clip, bins=bins)))
+        vol = clahe_slicewise(vol, clahe)
 
     if use_zscore:
         vol = zscore_normalize(vol, mask=mask)
@@ -323,16 +325,21 @@ def _cmd_stack(args) -> int:
 # evaluate
 
 
+def _load_sidecar(path: str, ref_dims: tuple[int, int, int]) -> SparseAnnotation:
+    """Read a sidecar and the planes file it names (relative to its folder)."""
+    sidecar = _read_file(path)
+    try:
+        doc = parse_sidecar(sidecar)
+        planes_path = os.path.join(os.path.dirname(os.path.abspath(path)), doc["planes_nifti"])
+        return read_sparse_annotation(sidecar, _read_file(planes_path), ref_dims)
+    except FormatError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _evaluate_one(pred_path: str, gt_path: str, volume_id: str):
     pred = _load_volume(pred_path, labels=True)
     if gt_path.endswith(".json"):
-        sidecar_bytes = _read_file(gt_path)
-        doc = json.loads(sidecar_bytes)
-        planes_path = doc.get("planes_nifti", "")
-        if not os.path.isabs(planes_path):
-            planes_path = os.path.join(os.path.dirname(os.path.abspath(gt_path)),
-                                       planes_path)
-        gt = read_sparse_annotation(sidecar_bytes, _read_file(planes_path), pred.dims)
+        gt = _load_sidecar(gt_path, pred.dims)
     else:
         gt = _load_volume(gt_path, labels=True)
     return evaluate(pred, gt, volume_id=volume_id)

@@ -178,6 +178,8 @@ def evaluate(pred: LabelVolume, gt: LabelVolume | SparseAnnotation,
     and HD95 is the mean of per-plane in-plane surface distances over
     planes where it is defined. DSC_z always runs on the full dense
     prediction, since it measures the prediction's own smoothness.
+    Dense ground truth must have the prediction's spacing; sparse ground
+    truth read from disk must have its in-plane spacing (dx, dy).
     """
     sparse = isinstance(gt, SparseAnnotation)
     if sparse:
@@ -189,6 +191,11 @@ def evaluate(pred: LabelVolume, gt: LabelVolume | SparseAnnotation,
             )
         if gt.z_indices[-1] >= pred.dims[2]:
             raise ValidationError("annotated index beyond the prediction extent")
+        if gt.spacing is not None and gt.spacing.as_tuple()[:2] != pred.spacing.as_tuple()[:2]:
+            raise ValidationError(
+                f"annotation in-plane spacing {gt.spacing.as_tuple()[:2]} vs "
+                f"pred in-plane spacing {pred.spacing.as_tuple()[:2]}"
+            )
         gt_planes = gt.planes
         pred_planes = pred.data[:, :, gt.z_indices]
         scope = len(gt)

@@ -2,9 +2,12 @@
 
 Only the single-file layout is produced on write: 348-byte header,
 4-byte extension flag, voxel payload at offset 352, always little-endian.
+``gzip_nifti`` compresses at zlib's default level 6 with a fixed gzip
+header, so reruns give byte-identical ``.nii.gz`` files.
 Reads auto-detect gzip compression and byte order. Supported datatypes
 are uint8 (2), int16 (4) and float32 (16); anything else is rejected
-rather than silently cast.
+rather than silently cast. Files are 2D or 3D; a 4D header (``dim[0] = 4``)
+is read as 3D when it holds a single timepoint (``dim[4] = 1``).
 
 The sparse-annotation sidecar is a JSON document::
 
@@ -43,6 +46,11 @@ from .volume import (
 
 HEADER_SIZE = 348
 SINGLE_FILE_VOX_OFFSET = 352
+
+# zlib's default level. Label, soft-label and region volumes are long
+# constant runs: level 9's longer match search costs several times the
+# time of level 6 and saves little space.
+_GZIP_LEVEL = 6
 
 DT_UINT8 = 2
 DT_INT16 = 4
@@ -161,8 +169,11 @@ def parse_header(raw: bytes) -> NiftiHeader:
         raise BadMagicError(f"unrecognized magic {magic!r}")
 
     nd = fields["dim"][0]
-    if nd not in (2, 3):
-        raise FormatError(f"dim[0] must be 2 or 3, got {nd}")
+    if nd not in (2, 3, 4):
+        raise FormatError(f"dim[0] must be 2, 3 or 4, got {nd}")
+    if nd == 4 and fields["dim"][4] != 1:
+        raise FormatError(f"4D files must hold one timepoint, got dim[4] = {fields['dim'][4]}")
+    nd = min(nd, 3)  # a single-timepoint 4D file is read as 3D
 
     dt = fields["datatype"]
     if dt not in _DTYPES:
@@ -297,20 +308,31 @@ def write_nifti(vol, datatype: int | None = None) -> bytes:
 
 
 def gzip_nifti(raw: bytes) -> bytes:
-    """Deterministically gzip an encoded stream (mtime pinned to 0)."""
+    """Deterministically gzip an encoded stream at compression level 6.
+
+    The gzip header is fixed: mtime 0, no file name, OS byte 255
+    (unknown). The stream decodes to ``raw`` exactly. Earlier versions
+    compressed at level 9, so their ``.nii.gz`` bytes differ from these
+    while the decoded NIfTI bytes are the same.
+    """
     buf = io.BytesIO()
-    with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0) as fh:
+    with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=_GZIP_LEVEL, mtime=0) as fh:
         fh.write(raw)
     return buf.getvalue()
 
 
 @dataclass(eq=False)
 class SparseAnnotation:
-    """Sparsely annotated axial slices: indices plus their label planes."""
+    """Sparsely annotated axial slices: indices plus their label planes.
+
+    ``spacing`` is the voxel size of the planes file when read from disk;
+    ``evaluate`` then checks its in-plane part against the prediction's.
+    """
 
     volume_id: str
     z_indices: list[int]
     planes: np.ndarray  # (H, W, K) uint8, plane k annotates z_indices[k]
+    spacing: Spacing | None = None
 
     def __post_init__(self):
         self.planes = np.asarray(self.planes, dtype=np.uint8)
@@ -347,23 +369,42 @@ def write_sparse_annotation(ann: SparseAnnotation, planes_filename: str,
     return (json.dumps(doc, indent=2).encode() + b"\n", write_nifti(planes_vol))
 
 
+def parse_sidecar(json_bytes: bytes) -> dict:
+    """Decode and validate a sidecar document, without its planes file.
+
+    Returns ``{"volume_id": str, "z_indices": [int, ...], "planes_nifti":
+    str}``; anything else is a ``SidecarError``.
+    """
+    try:
+        doc = json.loads(json_bytes)
+    except ValueError as exc:
+        raise SidecarError(f"sidecar is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SidecarError(f"sidecar must be a JSON object, got {type(doc).__name__}")
+    for key in ("volume_id", "z_indices", "planes_nifti"):
+        if key not in doc:
+            raise SidecarError(f"sidecar missing key {key!r}")
+    z_indices = doc["z_indices"]
+    if not isinstance(z_indices, list) or any(type(z) is not int for z in z_indices):
+        raise SidecarError(f"z_indices must be a list of integers, got {z_indices!r}")
+    if len(set(z_indices)) != len(z_indices):
+        raise SidecarError("duplicate z index in sidecar")
+    if not isinstance(doc["planes_nifti"], str) or not doc["planes_nifti"]:
+        raise SidecarError(f"planes_nifti must be a file name, got {doc['planes_nifti']!r}")
+    return {"volume_id": str(doc["volume_id"]), "z_indices": z_indices,
+            "planes_nifti": doc["planes_nifti"]}
+
+
 def read_sparse_annotation(json_bytes: bytes, planes_bytes: bytes,
                            ref_dims: tuple[int, int, int]) -> SparseAnnotation:
     """Decode sidecar JSON plus its companion planes file.
 
     Validated against the reference volume: indices within [0, Z),
-    plane shape equal to (H, W).
+    plane shape equal to (H, W). The result carries the planes file's
+    spacing.
     """
-    try:
-        doc = json.loads(json_bytes)
-    except json.JSONDecodeError as exc:
-        raise SidecarError(f"sidecar is not valid JSON: {exc}") from exc
-    for key in ("volume_id", "z_indices", "planes_nifti"):
-        if key not in doc:
-            raise SidecarError(f"sidecar missing key {key!r}")
-    z_indices = [int(z) for z in doc["z_indices"]]
-    if len(set(z_indices)) != len(z_indices):
-        raise SidecarError("duplicate z index in sidecar")
+    doc = parse_sidecar(json_bytes)
+    z_indices = doc["z_indices"]
     h, w, z_extent = ref_dims
     if any(not 0 <= z < z_extent for z in z_indices):
         raise SidecarError(f"z index outside [0, {z_extent})")
@@ -375,8 +416,9 @@ def read_sparse_annotation(json_bytes: bytes, planes_bytes: bytes,
         )
     if planes_vol.dims[2] != len(z_indices):
         raise SidecarError("plane count does not match the index list")
-    return SparseAnnotation(str(doc["volume_id"]), sorted(z_indices),
-                            planes_vol.data[:, :, np.argsort(z_indices)])
+    return SparseAnnotation(doc["volume_id"], sorted(z_indices),
+                            planes_vol.data[:, :, np.argsort(z_indices)],
+                            planes_vol.spacing)
 
 
 def densify(ann: SparseAnnotation, z_extent: int,

@@ -42,9 +42,15 @@ class ClaheConfig:
     bins: int = 256
 
     def __post_init__(self):
-        tx, ty = self.tiles
-        if tx < 1 or ty < 1:
-            raise ConfigError(f"tile counts must be >= 1, got {self.tiles}")
+        # Messages start with the field name; the CLI prefixes its config section.
+        tiles = self.tiles
+        if (not isinstance(tiles, (tuple, list)) or len(tiles) != 2
+                or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                           for v in tiles)):
+            raise ConfigError(f"tiles must be two integers, got {tiles!r}")
+        if min(tiles) < 1:
+            raise ConfigError(f"tiles must be >= 1, got {tiles}")
+        object.__setattr__(self, "tiles", (int(tiles[0]), int(tiles[1])))
         if not 0 < self.clip_limit <= 1:
             raise ConfigError(f"clip_limit must be in (0, 1], got {self.clip_limit}")
         if self.bins < 2:

@@ -409,3 +409,28 @@ def test_preprocess_malformed_clahe_tiles_exits_1(tmp_path, tiles, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "kind=ConfigError" in err and "preprocess.clahe.tiles" in err
+
+
+@pytest.mark.parametrize("text", ["{bad", "[1, 2]",
+                                  '{"volume_id": "v", "z_indices": [0.5], "planes_nifti": "p.nii"}'])
+def test_evaluate_malformed_sidecar_exits_2(tmp_path, text, capsys):
+    pred = _write(tmp_path / "pred.nii", LabelVolume(np.zeros((4, 4, 3), np.uint8), ISO))
+    ann = tmp_path / "ann.json"
+    ann.write_text(text)
+    assert main(["evaluate", pred, str(ann)]) == 2
+    err = capsys.readouterr().err
+    assert "kind=SidecarError" in err and str(ann) in err
+
+
+def test_evaluate_sparse_spacing_mismatch_exits_1(tmp_path, capsys):
+    data = np.zeros((4, 4, 3), np.uint8)
+    data[1:3, 1:3, :] = 1
+    pred = _write(tmp_path / "pred.nii", LabelVolume(data, Spacing(0.075, 0.075, 0.075)))
+    ann = SparseAnnotation("v", [1], data[:, :, 1:2])
+    sidecar, planes_nii = write_sparse_annotation(ann, "planes.nii", Spacing(0.5, 0.5, 0.075))
+    (tmp_path / "ann.json").write_bytes(sidecar)
+    (tmp_path / "planes.nii").write_bytes(planes_nii)
+    assert main(["evaluate", pred, str(tmp_path / "ann.json")]) == 1
+    err = capsys.readouterr().err
+    assert "kind=ValidationError" in err
+    assert "(0.5, 0.5)" in err and "0.075" in err

@@ -1,6 +1,7 @@
 import gzip
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from cordpipe.errors import (
     UnsupportedDatatypeError,
     ValidationError,
 )
-from cordpipe.nifti import DT_INT16, HEADER_SIZE, parse_header
+from cordpipe.nifti import DT_INT16, HEADER_SIZE, parse_header, parse_sidecar
 
 from oracles import reference_nifti_header
 
@@ -100,6 +101,19 @@ def test_gzip_and_plain_decode_identically():
     assert np.array_equal(plain.data, zipped.data)
     # stdlib gzip output decodes the same way
     assert np.array_equal(read_nifti(gzip.compress(raw)).data, plain.data)
+
+
+def test_gzip_nifti_is_deterministic_level_6():
+    raw = write_nifti(_random_scalar(np.random.default_rng(9)))
+    zipped = gzip_nifti(raw)
+    assert gzip_nifti(raw) == zipped
+    assert zipped[:3] == b"\x1f\x8b\x08"        # gzip magic, deflate
+    assert zipped[3] == 0                           # no FNAME (or other) flag
+    assert zipped[4:8] == b"\x00\x00\x00\x00"  # mtime 0
+    assert zipped[9] == 255                         # OS unknown, not the host's
+    assert gzip.decompress(zipped) == raw
+    deflate = zlib.compressobj(6, zlib.DEFLATED, -zlib.MAX_WBITS)
+    assert zipped[10:-8] == deflate.compress(raw) + deflate.flush()
 
 
 def test_minimal_wellformed_file():
@@ -210,6 +224,39 @@ def test_bad_pixdim_is_format_error(offset, value):
         read_nifti(bytes(raw))
 
 
+def _with_dims(vol, dims):
+    raw = bytearray(write_nifti(vol))
+    struct.pack_into("<8h", raw, 40, *dims)
+    return bytes(raw)
+
+
+def test_single_timepoint_4d_file_reads_as_3d():
+    vol = _random_scalar(np.random.default_rng(10), dims=(4, 3, 2))
+    back = read_nifti(_with_dims(vol, (4, 4, 3, 2, 1, 1, 1, 1)))
+    plain = read_nifti(write_nifti(vol))
+    assert back.dims == (4, 3, 2)
+    assert back.spacing == plain.spacing
+    assert np.array_equal(back.data, plain.data)
+
+
+def test_single_timepoint_4d_checks_only_spatial_pixdim():
+    raw = bytearray(_with_dims(ScalarVolume(np.zeros((2, 2, 2), np.float32), ISO),
+                               (4, 2, 2, 2, 1, 1, 1, 1)))
+    struct.pack_into("<f", raw, 92, 0.0)  # pixdim[4]: time step, not a voxel size
+    assert read_nifti(bytes(raw)).dims == (2, 2, 2)
+    struct.pack_into("<f", raw, 88, 0.0)  # pixdim[3]
+    with pytest.raises(FormatError, match="pixdim"):
+        read_nifti(bytes(raw))
+
+
+@pytest.mark.parametrize("dims", [(4, 2, 2, 1, 2, 1, 1, 1), (4, 2, 2, 1, 0, 1, 1, 1),
+                                  (5, 2, 2, 1, 1, 1, 1, 1)])
+def test_multi_timepoint_or_5d_file_is_format_error(dims):
+    raw = _with_dims(ScalarVolume(np.zeros((2, 2, 1), np.float32), ISO), dims)
+    with pytest.raises(FormatError, match="dim"):
+        read_nifti(raw)
+
+
 # ---------------------------------------------------------------------------
 # sparse annotation sidecar
 
@@ -281,3 +328,25 @@ def test_plane_shape_mismatch_rejected():
     sidecar, planes = write_sparse_annotation(ann, "p.nii", ISO)
     with pytest.raises(SidecarError):
         read_sparse_annotation(sidecar, planes, (4, 4, 8))
+
+
+def test_read_sidecar_keeps_planes_spacing():
+    ann = _annotation(np.random.default_rng(11), [0, 2])
+    aniso = Spacing(0.5, 0.25, 2.0)
+    back = read_sparse_annotation(*write_sparse_annotation(ann, "p.nii", aniso), (4, 4, 3))
+    assert back.spacing == Spacing(0.5, 0.25, 2.0)
+
+
+@pytest.mark.parametrize("text", [b"{bad", b"[1, 2]", b"\xff\xfe{",
+                                  b'{"volume_id": "v", "z_indices": [1.5], "planes_nifti": "p"}',
+                                  b'{"volume_id": "v", "z_indices": ["1"], "planes_nifti": "p"}',
+                                  b'{"volume_id": "v", "z_indices": [true], "planes_nifti": "p"}',
+                                  b'{"volume_id": "v", "z_indices": 3, "planes_nifti": "p"}',
+                                  b'{"volume_id": "v", "z_indices": [1], "planes_nifti": 7}',
+                                  b'{"volume_id": "v", "z_indices": [1]}'])
+def test_malformed_sidecar_document_is_sidecar_error(text):
+    with pytest.raises(SidecarError):
+        parse_sidecar(text)
+    planes = write_nifti(LabelVolume(np.zeros((4, 4, 1), np.uint8), ISO))
+    with pytest.raises(SidecarError):
+        read_sparse_annotation(text, planes, (4, 4, 8))

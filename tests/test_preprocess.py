@@ -223,6 +223,16 @@ def test_clahe_config_validation():
         ClaheConfig(bins=1)
 
 
+@pytest.mark.parametrize("tiles", [(8, 8, 8), (8,), (8.5, 8), (True, 8), 8, "88"])
+def test_clahe_config_tiles_not_two_integers(tiles):
+    with pytest.raises(ConfigError, match="tiles must be two integers"):
+        ClaheConfig(tiles=tiles)
+
+
+def test_clahe_config_tiles_normalized_to_int_tuple():
+    assert ClaheConfig(tiles=[np.int64(4), 2]).tiles == (4, 2)
+
+
 # ---------------------------------------------------------------------------
 # percentile stretch
 
