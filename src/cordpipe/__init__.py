@@ -26,11 +26,9 @@ from .volume import (
     extract_patch,
     new_scalar_volume,
     patch1,
-    set_axial_slice,
 )
 from .nifti import (
     SparseAnnotation,
-    densify,
     gzip_nifti,
     read_nifti,
     read_sparse_annotation,

@@ -2,12 +2,16 @@
 
 Only the single-file layout is produced on write: 348-byte header,
 4-byte extension flag, voxel payload at offset 352, always little-endian.
+``_LAYOUT`` declares the offset and struct format of every header field
+that is read or written; parsing and packing both go through it.
 ``gzip_nifti`` compresses at zlib's default level 6 with a fixed gzip
 header, so reruns give byte-identical ``.nii.gz`` files.
 Reads auto-detect gzip compression and byte order. Supported datatypes
 are uint8 (2), int16 (4) and float32 (16); anything else is rejected
 rather than silently cast. Files are 2D or 3D; a 4D header (``dim[0] = 4``)
 is read as 3D when it holds a single timepoint (``dim[4] = 1``).
+Every decode failure, including a truncated or corrupt gzip stream, is
+a ``FormatError``.
 
 The sparse-annotation sidecar is a JSON document::
 
@@ -23,6 +27,7 @@ import gzip
 import io
 import json
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,58 +66,30 @@ _DTYPES = {
     DT_INT16: (np.dtype(np.int16), 16),
     DT_FLOAT32: (np.dtype(np.float32), 32),
 }
-_CODES = {np.dtype(np.uint8): DT_UINT8,
-          np.dtype(np.int16): DT_INT16,
-          np.dtype(np.float32): DT_FLOAT32}
 
-# (struct format, field name) in on-disk order; formats are prefixed with
-# the detected byte order at parse time. Offsets: dim @40, datatype @70,
-# bitpix @72, pixdim @76, vox_offset @108, scl @112/116, magic @344.
-_FIELDS = [
-    ("i", "sizeof_hdr"),
-    ("10s", "data_type"),
-    ("18s", "db_name"),
-    ("i", "extents"),
-    ("h", "session_error"),
-    ("c", "regular"),
-    ("B", "dim_info"),
-    ("8h", "dim"),
-    ("f", "intent_p1"),
-    ("f", "intent_p2"),
-    ("f", "intent_p3"),
-    ("h", "intent_code"),
-    ("h", "datatype"),
-    ("h", "bitpix"),
-    ("h", "slice_start"),
-    ("8f", "pixdim"),
-    ("f", "vox_offset"),
-    ("f", "scl_slope"),
-    ("f", "scl_inter"),
-    ("h", "slice_end"),
-    ("B", "slice_code"),
-    ("B", "xyzt_units"),
-    ("f", "cal_max"),
-    ("f", "cal_min"),
-    ("f", "slice_duration"),
-    ("f", "toffset"),
-    ("i", "glmax"),
-    ("i", "glmin"),
-    ("80s", "descrip"),
-    ("24s", "aux_file"),
-    ("h", "qform_code"),
-    ("h", "sform_code"),
-    ("f", "quatern_b"),
-    ("f", "quatern_c"),
-    ("f", "quatern_d"),
-    ("f", "qoffset_x"),
-    ("f", "qoffset_y"),
-    ("f", "qoffset_z"),
-    ("4f", "srow_x"),
-    ("4f", "srow_y"),
-    ("4f", "srow_z"),
-    ("16s", "intent_name"),
-    ("4s", "magic"),
-]
+# The header layout: name -> (byte offset, struct format) for every field
+# cordpipe reads or writes. ``parse_header`` unpacks these in the detected
+# byte order and ``_pack_header`` packs them little-endian; every other
+# header byte is written as zero and ignored on read.
+_LAYOUT = {
+    "sizeof_hdr": (0, "i"),
+    "regular": (38, "c"),
+    "dim": (40, "8h"),
+    "datatype": (70, "h"),
+    "bitpix": (72, "h"),
+    "pixdim": (76, "8f"),
+    "vox_offset": (108, "f"),
+    "scl_slope": (112, "f"),
+    "scl_inter": (116, "f"),
+    "xyzt_units": (123, "B"),
+    "magic": (344, "4s"),
+}
+
+
+def _unpack(raw: bytes, order: str, name: str):
+    offset, fmt = _LAYOUT[name]
+    val = struct.unpack_from(order + fmt, raw, offset)
+    return val if len(val) > 1 else val[0]
 
 
 @dataclass
@@ -148,21 +125,13 @@ def parse_header(raw: bytes) -> NiftiHeader:
     if len(raw) < HEADER_SIZE:
         raise TruncatedPayloadError(f"stream of {len(raw)} bytes is shorter than a header")
 
-    if struct.unpack_from("<i", raw, 0)[0] == HEADER_SIZE:
+    if _unpack(raw, "<", "sizeof_hdr") == HEADER_SIZE:
         order = "<"
-    elif struct.unpack_from(">i", raw, 0)[0] == HEADER_SIZE:
+    elif _unpack(raw, ">", "sizeof_hdr") == HEADER_SIZE:
         order = ">"
     else:
         raise FormatError("sizeof_hdr is not 348 in either byte order")
-
-    fields = {}
-    off = 0
-    for fmt, name in _FIELDS:
-        size = struct.calcsize(fmt)
-        val = struct.unpack_from(order + fmt, raw, off)
-        fields[name] = val if len(val) > 1 else val[0]
-        off += size
-    assert off == HEADER_SIZE
+    fields = {name: _unpack(raw, order, name) for name in _LAYOUT}
 
     magic = fields["magic"]
     if magic not in (b"n+1\x00", b"ni1\x00"):
@@ -183,6 +152,8 @@ def parse_header(raw: bytes) -> NiftiHeader:
     steps = fields["pixdim"][1:nd + 1]
     if not all(0 < s < np.inf for s in steps):
         raise FormatError(f"pixdim[1:{nd + 1}] must be positive and finite, got {steps}")
+    if not np.isfinite(fields["vox_offset"]):
+        raise FormatError(f"vox_offset must be finite, got {fields['vox_offset']}")
 
     return NiftiHeader(
         dim=tuple(int(d) for d in fields["dim"]),
@@ -227,7 +198,7 @@ def read_nifti(raw: bytes, labels: bool = False, channel: str = MAGNITUDE):
     if raw[:2] == b"\x1f\x8b":
         try:
             raw = gzip.decompress(raw)
-        except OSError as exc:
+        except (OSError, EOFError, zlib.error) as exc:
             raise FormatError(f"gzip stream failed to decode: {exc}") from exc
     hdr = parse_header(raw)
     arr = _read_payload(raw, hdr)
@@ -252,19 +223,23 @@ def read_nifti(raw: bytes, labels: bool = False, channel: str = MAGNITUDE):
 
 
 def _pack_header(shape, spacing: Spacing, datatype: int) -> bytes:
-    dtype, bitpix = _DTYPES[datatype]
+    fields = {
+        "sizeof_hdr": HEADER_SIZE,
+        "regular": b"r",
+        "dim": (3, *shape, 1, 1, 1, 1),
+        "datatype": datatype,
+        "bitpix": _DTYPES[datatype][1],
+        "pixdim": (1.0, spacing.dx, spacing.dy, spacing.dz, 0, 0, 0, 0),
+        "vox_offset": float(SINGLE_FILE_VOX_OFFSET),
+        "scl_slope": 1.0,
+        "scl_inter": 0.0,
+        "xyzt_units": 2,  # millimeters
+        "magic": b"n+1\x00",
+    }
     buf = bytearray(HEADER_SIZE)
-    struct.pack_into("<i", buf, 0, HEADER_SIZE)
-    struct.pack_into("<c", buf, 38, b"r")
-    struct.pack_into("<8h", buf, 40, 3, shape[0], shape[1], shape[2], 1, 1, 1, 1)
-    struct.pack_into("<h", buf, 70, datatype)
-    struct.pack_into("<h", buf, 72, bitpix)
-    struct.pack_into("<8f", buf, 76, 1.0, spacing.dx, spacing.dy, spacing.dz, 0, 0, 0, 0)
-    struct.pack_into("<f", buf, 108, float(SINGLE_FILE_VOX_OFFSET))
-    struct.pack_into("<f", buf, 112, 1.0)  # scl_slope
-    struct.pack_into("<f", buf, 116, 0.0)  # scl_inter
-    struct.pack_into("<B", buf, 123, 2)    # xyzt_units: millimeters
-    struct.pack_into("<4s", buf, 344, b"n+1\x00")
+    for name, value in fields.items():
+        offset, fmt = _LAYOUT[name]
+        struct.pack_into("<" + fmt, buf, offset, *(value if isinstance(value, tuple) else (value,)))
     return bytes(buf)
 
 
@@ -419,20 +394,3 @@ def read_sparse_annotation(json_bytes: bytes, planes_bytes: bytes,
     return SparseAnnotation(doc["volume_id"], sorted(z_indices),
                             planes_vol.data[:, :, np.argsort(z_indices)],
                             planes_vol.spacing)
-
-
-def densify(ann: SparseAnnotation, z_extent: int,
-            spacing: Spacing) -> tuple[LabelVolume, np.ndarray]:
-    """Expand sparse planes to a dense volume plus an annotated-z mask.
-
-    Unannotated slices are background; the boolean mask records which
-    slices carry real annotations.
-    """
-    if any(z >= z_extent for z in ann.z_indices):
-        raise SidecarError(f"annotation index beyond z extent {z_extent}")
-    h, w = ann.plane_dims
-    data = np.zeros((h, w, z_extent), dtype=np.uint8)
-    mask = np.zeros(z_extent, dtype=bool)
-    data[:, :, ann.z_indices] = ann.planes
-    mask[ann.z_indices] = True
-    return LabelVolume(data, spacing), mask

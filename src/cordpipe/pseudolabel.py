@@ -232,21 +232,17 @@ def predict_volume(predictor: SlicePredictor, magnitude: ScalarVolume,
 
     Slices are independent work units; with a thread-safe predictor they
     may run concurrently, and assembly by z index keeps the result
-    identical to the serial order either way.
+    identical to the serial order either way. Without ``tta`` each slice
+    is predicted once, through the identity-only TTA path.
     """
     if phase is not None and phase.dims != magnitude.dims:
         raise DimensionError("magnitude and phase volumes disagree on dims")
     z_extent = magnitude.dims[2]
+    cfg = TtaConfig(("identity",)) if tta is None else tta
 
     def run(z: int) -> RegionStack:
-        m = magnitude.data[:, :, z]
         p = None if phase is None else phase.data[:, :, z]
-        if tta is not None:
-            return predict_with_tta(predictor, m, p, tta)
-        out = predictor.predict(m, p)
-        if out.shape != m.shape:
-            raise DimensionError(f"predictor returned shape {out.shape} for slice {z}")
-        return out
+        return predict_with_tta(predictor, magnitude.data[:, :, z], p, cfg)
 
     results = thread_map(run, range(z_extent), threads if predictor.thread_safe else 1)
     return stack_slices(dict(enumerate(results)), z_extent)

@@ -231,24 +231,6 @@ def axial_slice(vol, z: int) -> np.ndarray:
     return vol.data[:, :, z].copy()
 
 
-def set_axial_slice(vol, z: int, plane: np.ndarray) -> None:
-    """Overwrite the plane at ``z``; the set-then-get round-trip is exact."""
-    _check_z(vol, z)
-    plane = np.asarray(plane)
-    if plane.shape != vol.dims[:2]:
-        raise DimensionError(
-            f"plane shape {plane.shape} does not match volume plane {vol.dims[:2]}"
-        )
-    if isinstance(vol, LabelVolume):
-        if plane.size and plane.max() > LESION_GM:
-            raise ValidationError("plane contains a label id outside 0..4")
-        vol.data[:, :, z] = plane.astype(np.uint8)
-    else:
-        if not np.all(np.isfinite(plane)):
-            raise ValidationError("plane contains non-finite values")
-        vol.data[:, :, z] = plane.astype(np.float32)
-
-
 def _check_z(vol, z: int) -> None:
     if not 0 <= z < vol.dims[2]:
         raise IndexError(f"slice index {z} outside [0, {vol.dims[2]})")

@@ -386,6 +386,17 @@ def test_bad_pixdim_z_exits_2(tmp_path, value, capsys):
     assert "kind=FormatError" in capsys.readouterr().err
 
 
+def test_preprocess_truncated_gzip_exits_2(tmp_path, capsys):
+    vol = ScalarVolume(np.random.default_rng(7).random((8, 8, 2), dtype=np.float32), ISO)
+    gz = gzip_nifti(write_nifti(vol))
+    bad = tmp_path / "half.nii.gz"
+    bad.write_bytes(gz[:len(gz) // 2])
+    rc = main(["preprocess", str(bad), "--stretch", "--out", str(tmp_path / "o.nii.gz")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "kind=FormatError" in err and "half.nii.gz" in err
+
+
 def test_evaluate_dense_spacing_mismatch_exits_1(tmp_path, capsys):
     data = np.zeros((4, 4, 3), np.uint8)
     data[1:3, 1:3, :] = 1

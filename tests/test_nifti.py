@@ -5,13 +5,13 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cordpipe import (
     LabelVolume,
     ScalarVolume,
     Spacing,
     SparseAnnotation,
-    densify,
     gzip_nifti,
     read_nifti,
     read_sparse_annotation,
@@ -257,6 +257,67 @@ def test_multi_timepoint_or_5d_file_is_format_error(dims):
         read_nifti(raw)
 
 
+def test_truncated_gzip_is_format_error():
+    gz = gzip_nifti(write_nifti(_random_scalar(np.random.default_rng(11))))
+    with pytest.raises(FormatError, match="gzip"):
+        read_nifti(gz[:len(gz) // 2])
+
+
+def test_corrupt_deflate_body_is_format_error():
+    gz = gzip_nifti(write_nifti(_random_scalar(np.random.default_rng(12))))
+    corrupt = gz[:10] + b"\x07" + gz[11:]  # final block with the reserved type 3
+    with pytest.raises(FormatError, match="gzip"):
+        read_nifti(corrupt)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_vox_offset_is_format_error(value):
+    raw = bytearray(write_nifti(ScalarVolume(np.zeros((2, 2, 2), np.float32), ISO)))
+    struct.pack_into("<f", raw, 108, value)
+    with pytest.raises(FormatError, match="vox_offset"):
+        read_nifti(bytes(raw))
+
+
+# Start offsets of the header fields the reader interprets, so that the
+# fuzzer overwrites whole field values as well as random bytes.
+_FIELD_STARTS = (0, 40, 42, 44, 46, 48, 70, 72, 80, 84, 88, 108, 112, 116, 344)
+_FUZZ_BASES = (
+    write_nifti(ScalarVolume(np.random.default_rng(13).random((3, 2, 2), np.float32), ISO)),
+    write_nifti(LabelVolume(np.random.default_rng(14).integers(0, 5, (3, 2, 2)), ISO)),
+)
+
+
+@st.composite
+def _mangled_streams(draw):
+    raw = bytearray(draw(st.sampled_from(_FUZZ_BASES)))
+    offsets = st.one_of(st.sampled_from(_FIELD_STARTS), st.integers(0, len(raw) - 1))
+    for offset, patch in draw(st.lists(st.tuples(offsets, st.binary(min_size=1, max_size=4)),
+                                       max_size=4)):
+        raw[offset:offset + len(patch)] = patch
+    if draw(st.booleans()):
+        del raw[draw(st.integers(0, len(raw))):]
+    raw = bytes(raw)
+    wrap = draw(st.sampled_from(["plain", "gzip", "gzip-truncated"]))
+    if wrap == "plain":
+        return raw
+    gz = gzip_nifti(raw)
+    return gz if wrap == "gzip" else gz[:draw(st.integers(0, len(gz) - 1))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mangled_streams())
+def test_fuzzed_streams_decode_or_raise_format_error(raw):
+    for labels in (False, True):
+        try:
+            vol = read_nifti(raw, labels=labels)
+        except FormatError:
+            continue
+        expected = LabelVolume if labels else ScalarVolume
+        assert isinstance(vol, expected)
+        assert min(vol.dims) > 0
+        assert np.all(np.isfinite(vol.data))
+
+
 # ---------------------------------------------------------------------------
 # sparse annotation sidecar
 
@@ -285,21 +346,10 @@ def test_training_and_test_slice_counts():
     assert len(test) == 54
 
 
-def test_empty_annotation_densifies_to_background():
+def test_empty_annotation_is_accepted():
     ann = SparseAnnotation("v", [], np.zeros((4, 4, 0), np.uint8))
-    dense, mask = densify(ann, 6, ISO)
-    assert (dense.data == 0).all()
-    assert not mask.any()
-
-
-def test_densify_places_planes():
-    rng = np.random.default_rng(6)
-    ann = _annotation(rng, [0, 3])
-    dense, mask = densify(ann, 5, ISO)
-    assert np.array_equal(dense.data[:, :, 0], ann.planes[:, :, 0])
-    assert np.array_equal(dense.data[:, :, 3], ann.planes[:, :, 1])
-    assert (dense.data[:, :, 1] == 0).all()
-    assert list(np.flatnonzero(mask)) == [0, 3]
+    assert len(ann) == 0
+    assert ann.plane_dims == (4, 4)
 
 
 def test_index_at_z_extent_rejected():

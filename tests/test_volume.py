@@ -11,7 +11,6 @@ from cordpipe import (
     extract_patch,
     new_scalar_volume,
     patch1,
-    set_axial_slice,
 )
 from cordpipe.errors import DimensionError, ValidationError
 
@@ -107,7 +106,7 @@ def test_label_patch_pads_with_background():
 def test_axial_slice_roundtrip():
     vol = new_scalar_volume((4, 5, 6), ISO)
     plane = np.arange(20, dtype=np.float32).reshape(4, 5)
-    set_axial_slice(vol, 3, plane)
+    vol.data[:, :, 3] = plane
     assert np.array_equal(axial_slice(vol, 3), plane)
 
 
@@ -133,9 +132,3 @@ def test_named_patch_profiles():
     assert (p1.px, p1.py) == (40, 40)
     with pytest.raises(DimensionError):
         PatchSpec(0, 1, 1)
-
-
-def test_set_slice_rejects_bad_labels():
-    vol = LabelVolume(np.zeros((3, 3, 3), np.uint8), ISO)
-    with pytest.raises(ValidationError):
-        set_axial_slice(vol, 0, np.full((3, 3), 9))
