@@ -63,7 +63,7 @@ def _read_file(path: str) -> bytes:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+        raise FormatError(f"cannot read {path}: {exc}", path) from exc
 
 
 def _write_atomic(path: str, data: bytes, dry_run: bool = False) -> None:
@@ -94,7 +94,7 @@ def _load_volume(path: str, labels: bool = False, channel: str = "magnitude"):
     try:
         return read_nifti(raw, labels=labels, channel=channel)
     except FormatError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise type(exc)(f"{path}: {exc}", path) from exc
 
 
 def _err_record(exc: Exception, path: str | None = None) -> str:
@@ -257,7 +257,7 @@ def _slice_index_from_name(name: str) -> int:
 
 
 def _load_slice_dir(path: str) -> tuple[dict[int, RegionStack], Spacing]:
-    """Per-slice region stacks keyed by z, plus the first slice's spacing."""
+    """Per-slice region stacks keyed by z, plus the spacing all slices share."""
     names = sorted(n for n in os.listdir(path) if n.endswith((".nii", ".nii.gz")))
     if not names:
         raise ValidationError(f"no NIfTI slices found in {path}")
@@ -266,6 +266,11 @@ def _load_slice_dir(path: str) -> tuple[dict[int, RegionStack], Spacing]:
     for name in names:
         z = _slice_index_from_name(name)
         vol = _load_volume(os.path.join(path, name))
+        if spacing is not None and vol.spacing != spacing:
+            raise ValidationError(
+                f"{os.path.join(path, name)}: spacing {vol.spacing.as_tuple()} differs from "
+                f"{spacing.as_tuple()} of {os.path.join(path, names[0])}"
+            )
         if vol.dims[2] != 3:
             raise ValidationError(
                 f"{name}: expected 3 probability planes, got {vol.dims[2]}"
@@ -274,7 +279,7 @@ def _load_slice_dir(path: str) -> tuple[dict[int, RegionStack], Spacing]:
             raise ValidationError(f"duplicate slice index {z} in {path}")
         probs = np.clip(vol.data, 0.0, 1.0)
         out[z] = RegionStack(probs[:, :, 0], probs[:, :, 1], probs[:, :, 2])
-        spacing = spacing or vol.spacing
+        spacing = vol.spacing
     return out, spacing
 
 
@@ -311,7 +316,13 @@ def _cmd_stack(args) -> int:
         for d in args.slice_dirs:
             per_slice, dir_spacing = _load_slice_dir(d)
             if not fold_stacks:
-                z_extent, spacing = max(per_slice) + 1, dir_spacing
+                first, count, spacing = d, len(per_slice), dir_spacing
+                z_extent = max(per_slice) + 1
+            elif len(per_slice) != count or dir_spacing != spacing:
+                raise ValidationError(
+                    f"fold {d} has {len(per_slice)} slices at spacing {dir_spacing.as_tuple()}, "
+                    f"fold {first} has {count} at {spacing.as_tuple()}"
+                )
             fold_stacks.append(stack_slices(per_slice, z_extent))
         volume_stack = ensemble(fold_stacks)
 
@@ -333,7 +344,7 @@ def _load_sidecar(path: str, ref_dims: tuple[int, int, int]) -> SparseAnnotation
         planes_path = os.path.join(os.path.dirname(os.path.abspath(path)), doc["planes_nifti"])
         return read_sparse_annotation(sidecar, _read_file(planes_path), ref_dims)
     except FormatError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise type(exc)(f"{path}: {exc}", exc.path or path) from exc
 
 
 def _evaluate_one(pred_path: str, gt_path: str, volume_id: str):
@@ -520,7 +531,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FormatError, OSError) as exc:
-        path = getattr(args, "input", None) or getattr(args, "pred", None)
+        path = (getattr(exc, "path", None) or getattr(args, "input", None)
+                or getattr(args, "pred", None))
         print(_err_record(exc, path), file=sys.stderr)
         return 2
     except (ValidationError, ConfigError) as exc:

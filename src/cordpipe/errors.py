@@ -39,7 +39,12 @@ class TransformError(ValidationError):
 
 
 class FormatError(CordpipeError):
-    """A byte stream does not conform to its file format."""
+    """A byte stream does not conform to its file format. ``path`` names
+    the file the stream came from, when the code that opened it knows."""
+
+    def __init__(self, message: str = "", path: str | None = None):
+        super().__init__(message)
+        self.path = path
 
 
 class BadMagicError(FormatError):

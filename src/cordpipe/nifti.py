@@ -10,6 +10,9 @@ Reads auto-detect gzip compression and byte order. Supported datatypes
 are uint8 (2), int16 (4) and float32 (16); anything else is rejected
 rather than silently cast. Files are 2D or 3D; a 4D header (``dim[0] = 4``)
 is read as 3D when it holds a single timepoint (``dim[4] = 1``).
+Voxel sizes are read in millimetres: the spatial unit code
+(``xyzt_units & 0x07``) may be 0 (unknown, read as mm), 1 (m), 2 (mm)
+or 3 (µm), and any other code is rejected. Writes always use mm.
 Every decode failure, including a truncated or corrupt gzip stream, is
 a ``FormatError``.
 
@@ -86,6 +89,18 @@ _LAYOUT = {
 }
 
 
+# Spatial unit code (xyzt_units & 0x07) -> millimetres per unit.
+_MM_PER_UNIT = {0: 1.0, 1: 1000.0, 2: 1.0, 3: 0.001}
+
+
+def _mm(value: float, unit_code: int) -> float:
+    """A pixdim value in millimetres, rounded to float32 like the header
+    field it came from, so that 75 µm and 0.075 mm read as one spacing.
+    Out of float32 range it becomes inf or 0.0."""
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.float32(value * _MM_PER_UNIT[unit_code]))
+
+
 def _unpack(raw: bytes, order: str, name: str):
     offset, fmt = _LAYOUT[name]
     val = struct.unpack_from(order + fmt, raw, offset)
@@ -105,6 +120,7 @@ class NiftiHeader:
     scl_inter: float
     magic: bytes
     byte_order: str  # "<" or ">"
+    unit_code: int  # spatial unit code, a key of _MM_PER_UNIT
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -115,9 +131,9 @@ class NiftiHeader:
 
     @property
     def spacing(self) -> Spacing:
-        dx, dy = self.pixdim[1], self.pixdim[2]
-        dz = self.pixdim[3] if self.dim[0] >= 3 else 1.0
-        return Spacing(float(dx), float(dy), float(dz))
+        dx, dy = (_mm(p, self.unit_code) for p in self.pixdim[1:3])
+        dz = _mm(self.pixdim[3], self.unit_code) if self.dim[0] >= 3 else 1.0
+        return Spacing(dx, dy, dz)
 
 
 def parse_header(raw: bytes) -> NiftiHeader:
@@ -149,9 +165,13 @@ def parse_header(raw: bytes) -> NiftiHeader:
         raise UnsupportedDatatypeError(f"datatype code {dt} not in supported set {sorted(_DTYPES)}")
     if fields["bitpix"] != _DTYPES[dt][1]:
         raise FormatError(f"bitpix {fields['bitpix']} inconsistent with datatype {dt}")
-    steps = fields["pixdim"][1:nd + 1]
+    unit_code = fields["xyzt_units"] & 0x07
+    if unit_code not in _MM_PER_UNIT:
+        raise FormatError(f"spatial unit code {unit_code} in xyzt_units is not "
+                          f"0 (unknown), 1 (m), 2 (mm) or 3 (um)")
+    steps = tuple(_mm(p, unit_code) for p in fields["pixdim"][1:nd + 1])
     if not all(0 < s < np.inf for s in steps):
-        raise FormatError(f"pixdim[1:{nd + 1}] must be positive and finite, got {steps}")
+        raise FormatError(f"pixdim[1:{nd + 1}] must be positive and finite in mm, got {steps}")
     if not np.isfinite(fields["vox_offset"]):
         raise FormatError(f"vox_offset must be finite, got {fields['vox_offset']}")
 
@@ -165,6 +185,7 @@ def parse_header(raw: bytes) -> NiftiHeader:
         scl_inter=float(fields["scl_inter"]),
         magic=magic,
         byte_order=order,
+        unit_code=unit_code,
     )
 
 

@@ -6,6 +6,16 @@ shipped :class:`MockPredictor` is a deterministic rule-based stand-in so
 the full pipeline runs without model weights, and
 :class:`SubprocessPredictor` wraps any external model as a command that
 exchanges NIfTI files.
+
+:func:`predict_volume` walks a volume in z-chunks of about
+``_CHUNK_VOXELS`` voxels. Each chunk is an (H, W, n) block that goes
+through one TTA loop: flip, ``predict_batch``, un-flip, and a float64
+running sum whose mean is written into preallocated float32 volumes.
+:func:`predict_with_tta` runs a single plane through the same loop as a
+one-slice block. A predictor that declares ``flip_equivariant`` gets
+only the identity pass, which is exact: the float64 mean of n <= 4 equal
+float32 values is that value. :func:`stack_slices` assembles per-slice
+predictions read from disk (slice-dir ``stack``).
 """
 
 from __future__ import annotations
@@ -38,29 +48,61 @@ from .metrics import inter_slice_dice
 
 FLIP_NAMES = ("identity", "flip-x", "flip-y", "flip-xy")
 
+# Voxels per z-chunk of ``predict_volume``: 13 slices of a 192x208 plane.
+# Per-chunk temporaries (float64 TTA sums, the mock predictor's distance
+# grids) are 4 MB each at this size, whatever the volume's z extent.
+_CHUNK_VOXELS = 1 << 19
+
 
 class SlicePredictor(ABC):
     """Maps one axial slice (magnitude plus optional phase) to region
     probability planes. Implementations must be deterministic for fixed
-    inputs and declare whether concurrent calls are safe."""
+    inputs and declare whether concurrent calls are safe.
+
+    ``flip_equivariant`` may be True only if ``predict(flip(x))`` equals
+    ``flip(predict(x))`` bit for bit for every axis flip; TTA then runs
+    the identity pass alone.
+    """
 
     thread_safe: bool = True
+    flip_equivariant: bool = False
 
     @abstractmethod
     def predict(self, magnitude: np.ndarray,
                 phase: np.ndarray | None = None) -> RegionStack:
         ...
 
+    def predict_batch(self, magnitude: np.ndarray,
+                      phase: np.ndarray | None = None) -> RegionStack:
+        """Predict an (H, W, n) block of axial slices at once.
+
+        The default calls :meth:`predict` on each slice and checks the
+        shape of every plane it returns.
+        """
+        h, w, n = magnitude.shape
+        out = [np.empty((h, w, n), np.float32, order="F") for _ in range(3)]
+        for z in range(n):
+            plane = self.predict(magnitude[:, :, z], None if phase is None else phase[:, :, z])
+            if plane.shape != (h, w):
+                raise DimensionError(
+                    f"predictor returned shape {plane.shape} for a slice, expected {(h, w)}"
+                )
+            for o, ch in zip(out, plane.channels()):
+                o[:, :, z] = ch
+        return RegionStack(*out)
+
 
 class MockPredictor(SlicePredictor):
     """Pixel-wise nearest-centroid classifier over (magnitude, phase).
 
     Being a pure per-pixel rule it is exactly equivariant under axis
-    flips, which makes TTA a no-op on its outputs. Centers can come
-    from a phantom intensity model or be fitted from a labeled pair.
+    flips, so TTA runs only its identity pass, and it takes a plane or
+    an (H, W, n) block alike. Centers can come from a phantom intensity
+    model or be fitted from a labeled pair.
     """
 
     thread_safe = True
+    flip_equivariant = True
 
     def __init__(self, centers: dict):
         # centers: class id -> (magnitude mean, phase mean); must cover
@@ -69,6 +111,12 @@ class MockPredictor(SlicePredictor):
         if missing:
             raise ValidationError(f"mock predictor centers missing classes {sorted(missing)}")
         self.centers = {int(c): (float(m), float(p)) for c, (m, p) in centers.items()}
+        if not np.isfinite(list(self.centers.values())).all():
+            raise ValidationError("mock predictor centers must be finite")
+        # Row i maps the i-th smallest class id to its (wm, gm, lesion) values.
+        self._regions = np.array(
+            [(c in (HEALTHY_WM, LESION_WM), c in (HEALTHY_GM, LESION_GM),
+              c in (LESION_WM, LESION_GM)) for c in sorted(self.centers)], np.float32)
 
     @classmethod
     def fit(cls, magnitude: ScalarVolume, phase: ScalarVolume,
@@ -89,14 +137,24 @@ class MockPredictor(SlicePredictor):
         phs = np.zeros_like(mag) if phase is None else np.asarray(phase, dtype=np.float64)
         if phs.shape != mag.shape:
             raise DimensionError("magnitude and phase planes disagree on shape")
-        ids = sorted(self.centers)
-        d2 = np.stack([(mag - self.centers[c][0]) ** 2 + (phs - self.centers[c][1]) ** 2
-                       for c in ids])
-        cls_map = np.asarray(ids)[np.argmin(d2, axis=0)]
-        wm = np.isin(cls_map, (HEALTHY_WM, LESION_WM)).astype(np.float32)
-        gm = np.isin(cls_map, (HEALTHY_GM, LESION_GM)).astype(np.float32)
-        lesion = np.isin(cls_map, (LESION_WM, LESION_GM)).astype(np.float32)
-        return RegionStack(wm, gm, lesion)
+        # Running argmin over classes in id order: a strict ``<`` keeps the
+        # first of tied classes, as ``np.argmin`` does, without stacking
+        # one float64 distance grid per class.
+        nearest = np.zeros(mag.shape, np.intp)
+        best = None
+        for i, c in enumerate(sorted(self.centers)):
+            m0, p0 = self.centers[c]
+            d2 = (mag - m0) ** 2 + (phs - p0) ** 2
+            if best is None:
+                best = d2
+            else:
+                np.copyto(nearest, i, where=d2 < best)
+                np.minimum(best, d2, out=best)
+        return RegionStack(*(col[nearest] for col in self._regions.T))
+
+    def predict_batch(self, magnitude: np.ndarray,
+                      phase: np.ndarray | None = None) -> RegionStack:
+        return self.predict(magnitude, phase)
 
 
 @dataclass(frozen=True)
@@ -126,32 +184,48 @@ def _flip(plane: np.ndarray, name: str) -> np.ndarray:
     return plane[::-1, ::-1]
 
 
-def predict_with_tta(predictor: SlicePredictor, magnitude: np.ndarray,
-                     phase: np.ndarray | None = None,
-                     cfg: TtaConfig = TtaConfig()) -> RegionStack:
-    """Average predictions over flipped inputs, un-flipping each output.
+def _tta(predictor: SlicePredictor, magnitude: np.ndarray,
+         phase: np.ndarray | None, cfg: TtaConfig, out: list[np.ndarray]) -> None:
+    """Write the TTA mean of an (H, W, n) block into the three float32
+    arrays ``out`` (wm, gm, lesion).
 
     Axis flips are involutions, so the inverse transform is the flip
-    itself.
+    itself. Sums run in float64 in ``cfg.transforms`` order.
     """
-    shape = np.asarray(magnitude).shape
+    shape = magnitude.shape
+    if phase is not None and phase.shape != shape:
+        raise DimensionError(f"magnitude {shape} and phase {phase.shape} disagree on shape")
+    names = ("identity",) if predictor.flip_equivariant else cfg.transforms
     acc = None
-    for name in cfg.transforms:
-        m = _flip(np.asarray(magnitude), name)
-        p = None if phase is None else _flip(np.asarray(phase), name)
-        stack = predictor.predict(m, p)
+    for name in names:
+        stack = predictor.predict_batch(_flip(magnitude, name),
+                                        None if phase is None else _flip(phase, name))
         if stack.shape != shape:
             raise DimensionError(
                 f"predictor returned shape {stack.shape}, expected {shape}"
             )
         planes = [_flip(ch, name) for ch in stack.channels()]
         if acc is None:
-            acc = [ch.astype(np.float64).copy() for ch in planes]
+            acc = [ch.astype(np.float64) for ch in planes]
         else:
             for a, ch in zip(acc, planes):
                 a += ch
-    n = len(cfg.transforms)
-    return RegionStack(*(a / n for a in acc))
+    for o, a in zip(out, acc):
+        o[...] = a / len(names)
+
+
+def predict_with_tta(predictor: SlicePredictor, magnitude: np.ndarray,
+                     phase: np.ndarray | None = None,
+                     cfg: TtaConfig = TtaConfig()) -> RegionStack:
+    """Average predictions of one plane over flipped inputs, un-flipping
+    each output; the plane runs as a one-slice block."""
+    mag = np.asarray(magnitude)
+    if mag.ndim != 2:
+        raise DimensionError(f"predict_with_tta takes one plane, got shape {mag.shape}")
+    out = [np.empty(mag.shape + (1,), np.float32) for _ in range(3)]
+    _tta(predictor, mag[:, :, None], None if phase is None else np.asarray(phase)[:, :, None],
+         cfg, out)
+    return RegionStack(*(o[:, :, 0] for o in out))
 
 
 def ensemble(stacks: list[RegionStack]) -> RegionStack:
@@ -230,22 +304,28 @@ def predict_volume(predictor: SlicePredictor, magnitude: ScalarVolume,
                    threads: int | None = None) -> RegionStack:
     """Run a slice predictor over every axial slice of a volume.
 
-    Slices are independent work units; with a thread-safe predictor they
-    may run concurrently, and assembly by z index keeps the result
-    identical to the serial order either way. Without ``tta`` each slice
-    is predicted once, through the identity-only TTA path.
+    The volume goes through the TTA loop in z-chunks of at most
+    ``_CHUNK_VOXELS`` voxels (at least one slice). Chunks are independent
+    work units; with a thread-safe predictor they may run concurrently,
+    and each writes only its own z range, so the result is identical to
+    the serial order either way. Without ``tta`` each slice is predicted
+    once, through the identity-only TTA path.
     """
     if phase is not None and phase.dims != magnitude.dims:
         raise DimensionError("magnitude and phase volumes disagree on dims")
-    z_extent = magnitude.dims[2]
+    h, w, z_extent = magnitude.dims
     cfg = TtaConfig(("identity",)) if tta is None else tta
+    k = max(1, _CHUNK_VOXELS // (h * w))
+    out = [np.empty((h, w, z_extent), np.float32, order="F") for _ in range(3)]
 
-    def run(z: int) -> RegionStack:
-        p = None if phase is None else phase.data[:, :, z]
-        return predict_with_tta(predictor, magnitude.data[:, :, z], p, cfg)
+    def run(z0: int) -> None:
+        zs = slice(z0, min(z0 + k, z_extent))
+        _tta(predictor, magnitude.data[:, :, zs],
+             None if phase is None else phase.data[:, :, zs], cfg,
+             [o[:, :, zs] for o in out])
 
-    results = thread_map(run, range(z_extent), threads if predictor.thread_safe else 1)
-    return stack_slices(dict(enumerate(results)), z_extent)
+    thread_map(run, range(0, z_extent, k), threads if predictor.thread_safe else 1)
+    return RegionStack(*out)
 
 
 def jitter_score(labels: LabelVolume) -> dict[int, float | None]:

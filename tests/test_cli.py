@@ -445,3 +445,81 @@ def test_evaluate_sparse_spacing_mismatch_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "kind=ValidationError" in err
     assert "(0.5, 0.5)" in err and "0.075" in err
+
+
+def test_error_names_the_failing_merge_input(phantom_dir, tmp_path, capsys):
+    regions = tmp_path / "regions"
+    assert main(["regions", "split", str(phantom_dir / "labels.nii.gz"),
+                 "--out-dir", str(regions)]) == 0
+    capsys.readouterr()
+    missing = str(tmp_path / "no_wm.nii.gz")
+    rc = main(["regions", "merge", "x", "--wm", missing,
+               "--gm", str(regions / "region_gm.nii.gz"),
+               "--lesion", str(regions / "region_lesion.nii.gz"),
+               "--out", str(tmp_path / "m.nii.gz")])
+    assert rc == 2
+    assert f"file={missing} " in capsys.readouterr().err
+
+
+def test_error_names_a_missing_fit_labels_file(phantom_dir, tmp_path, capsys):
+    missing = str(tmp_path / "no_labels.nii.gz")
+    rc = main(["stack", "--predictor", "mock", "--input", str(phantom_dir / "magnitude.nii.gz"),
+               "--phase", str(phantom_dir / "phase.nii.gz"), "--fit-labels", missing,
+               "--out", str(tmp_path / "p.nii.gz")])
+    assert rc == 2
+    assert f"file={missing} " in capsys.readouterr().err
+
+
+def test_error_names_a_missing_sidecar_planes_file(phantom_dir, capsys):
+    planes = phantom_dir / "annotation_planes.nii.gz"
+    planes.unlink()
+    rc = main(["evaluate", str(phantom_dir / "labels.nii.gz"),
+               str(phantom_dir / "annotation.json")])
+    assert rc == 2
+    assert f"file={planes} " in capsys.readouterr().err
+
+
+def test_error_still_falls_back_to_the_main_input(tmp_path, capsys):
+    bad = tmp_path / "bad.nii"
+    bad.write_bytes(b"not a nifti")
+    assert main(["preprocess", str(bad), "--out", str(tmp_path / "o.nii")]) == 2
+    assert f"file={bad} " in capsys.readouterr().err
+
+
+def _fold(d, probs, spacing=ISO, odd=None):
+    """A slice dir; slice ``odd`` gets spacing (0.1, 0.1, 0.1) instead."""
+    d.mkdir()
+    for zi in range(probs.shape[3]):
+        sp = Spacing(0.1, 0.1, 0.1) if zi == odd else spacing
+        _write(d / f"slice_{zi:03d}.nii", ScalarVolume(probs[:, :, :, zi], sp))
+    return str(d)
+
+
+def test_stack_folds_must_agree(tmp_path, capsys):
+    probs = np.random.default_rng(6).random((6, 6, 3, 5)).astype(np.float32)
+    base = _fold(tmp_path / "base", probs)
+    short = _fold(tmp_path / "short", probs[..., :4])
+    coarse = _fold(tmp_path / "coarse", probs, Spacing(0.075, 0.075, 0.15))
+    for other in (short, coarse):
+        capsys.readouterr()
+        assert main(["stack", base, other, "--out", str(tmp_path / "o.nii")]) == 1
+        err = capsys.readouterr().err
+        assert "kind=ValidationError" in err and base in err and other in err
+    assert not (tmp_path / "o.nii").exists()
+
+
+def test_stack_slices_of_one_fold_must_agree(tmp_path, capsys):
+    probs = np.random.default_rng(7).random((6, 6, 3, 4)).astype(np.float32)
+    mixed = _fold(tmp_path / "mixed", probs, odd=2)
+    assert main(["stack", mixed, "--out", str(tmp_path / "o.nii")]) == 1
+    err = capsys.readouterr().err
+    assert "kind=ValidationError" in err and "slice_002.nii" in err
+
+
+def test_unknown_spatial_unit_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.nii"
+    raw = bytearray(write_nifti(LabelVolume(np.zeros((2, 2, 2), np.uint8), ISO)))
+    struct.pack_into("<B", raw, 123, 5)
+    bad.write_bytes(bytes(raw))
+    assert main(["evaluate", str(bad), str(bad)]) == 2
+    assert "kind=FormatError" in capsys.readouterr().err

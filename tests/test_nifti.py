@@ -224,6 +224,53 @@ def test_bad_pixdim_is_format_error(offset, value):
         read_nifti(bytes(raw))
 
 
+def _with_units(vol, unit_code, scale):
+    """``vol`` encoded with its spacing given in another spatial unit."""
+    raw = bytearray(write_nifti(vol))
+    struct.pack_into("<3f", raw, 80, *(s * scale for s in vol.spacing.as_tuple()))
+    struct.pack_into("<B", raw, 123, unit_code)
+    return bytes(raw)
+
+
+def test_micrometre_and_millimetre_files_read_alike():
+    from cordpipe import hd95
+
+    rng = np.random.default_rng(12)
+    sp = Spacing(0.075, 0.075, 0.3)
+    gt = LabelVolume((rng.random((12, 10, 6)) > 0.6).astype(np.uint8), sp)
+    pred = LabelVolume((rng.random((12, 10, 6)) > 0.6).astype(np.uint8), sp)
+    mm_gt, mm_pred = (read_nifti(write_nifti(v), labels=True) for v in (gt, pred))
+    for code in (3, 3 | 0x08):  # um, and um with a time unit (seconds) set
+        um_gt, um_pred = (read_nifti(_with_units(v, code, 1000.0), labels=True)
+                          for v in (gt, pred))
+        assert um_gt.spacing == mm_gt.spacing
+        assert um_gt.spacing.dx == np.float32(0.075)
+        assert hd95(um_gt.data == 1, um_pred.data == 1, um_gt.spacing) == \
+            hd95(mm_gt.data == 1, mm_pred.data == 1, mm_gt.spacing)
+
+
+@pytest.mark.parametrize("code, scale", [(0, 1.0), (1, 0.001), (2, 1.0)])
+def test_metre_and_unknown_units_read_as_mm(code, scale):
+    vol = ScalarVolume(np.zeros((2, 2, 2), np.float32), Spacing(0.5, 0.25, 2.0))
+    back = read_nifti(_with_units(vol, code, scale))
+    assert back.spacing == Spacing(0.5, 0.25, 2.0)
+
+
+@pytest.mark.parametrize("code", [4, 5, 6, 7, 7 | 0x18])
+def test_unknown_spatial_unit_is_format_error(code):
+    vol = ScalarVolume(np.zeros((2, 2, 2), np.float32), ISO)
+    with pytest.raises(FormatError, match="unit"):
+        read_nifti(_with_units(vol, code, 1.0))
+
+
+@pytest.mark.parametrize("code, value", [(1, 1e36), (3, 1e-44)])
+def test_spacing_out_of_range_in_mm_is_format_error(code, value):
+    raw = bytearray(_with_units(ScalarVolume(np.zeros((2, 2, 2), np.float32), ISO), code, 1.0))
+    struct.pack_into("<f", raw, 80, value)
+    with pytest.raises(FormatError, match="pixdim"):
+        read_nifti(bytes(raw))
+
+
 def _with_dims(vol, dims):
     raw = bytearray(write_nifti(vol))
     struct.pack_into("<8h", raw, 40, *dims)

@@ -1,12 +1,16 @@
+import itertools
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cordpipe import (
     MockPredictor,
     PhantomConfig,
     RegionStack,
+    ScalarVolume,
     Spacing,
     SubprocessPredictor,
     TtaConfig,
@@ -19,7 +23,8 @@ from cordpipe import (
     stack_slices,
 )
 from cordpipe.errors import DimensionError, ValidationError
-from cordpipe.pseudolabel import SlicePredictor, _flip
+from cordpipe import pseudolabel
+from cordpipe.pseudolabel import FLIP_NAMES, SlicePredictor, _flip
 
 ISO = Spacing.isotropic()
 
@@ -213,6 +218,146 @@ def test_mock_predictor_fit_recovers_phantom():
 def test_mock_predictor_missing_class_center():
     with pytest.raises(ValidationError):
         MockPredictor({0: (0, 0), 1: (1, 1)})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_mock_predictor_rejects_non_finite_center(bad):
+    centers = {0: (0.0, 0.5), 1: (0.4, 0.2), 2: (0.6, 0.8), 3: (0.85, bad), 4: (0.95, 0.9)}
+    with pytest.raises(ValidationError):
+        MockPredictor(centers)
+
+
+def test_mock_predictor_matches_argmin_reference():
+    # quantized inputs and centers make exact distance ties common; the
+    # first class in id order wins them, as np.argmin picks
+    rng = np.random.default_rng(80)
+    centers = {0: (0.0, 0.5), 1: (0.5, 0.0), 2: (0.5, 1.0), 3: (1.0, 0.5),
+               4: (0.5, 0.5), 7: (0.25, 0.25)}
+    mag = rng.integers(0, 5, (9, 7, 3)) / 4
+    phs = rng.integers(0, 5, (9, 7, 3)) / 4
+    ids = sorted(centers)
+    d2 = np.stack([(mag - centers[c][0]) ** 2 + (phs - centers[c][1]) ** 2 for c in ids])
+    cls_map = np.asarray(ids)[np.argmin(d2, axis=0)]
+    got = MockPredictor(centers).predict_batch(mag, phs)
+    assert np.array_equal(got.wm, np.isin(cls_map, (1, 3)))
+    assert np.array_equal(got.gm, np.isin(cls_map, (2, 4)))
+    assert np.array_equal(got.lesion, np.isin(cls_map, (3, 4)))
+
+
+# ---------------------------------------------------------------------------
+# chunked volume prediction
+
+
+class MixPredictor(SlicePredictor):
+    """Not flip-equivariant, and its outputs are not 0/1, so the float64
+    TTA mean and its rounding to float32 are exercised."""
+
+    def predict(self, magnitude, phase=None):
+        h, w = magnitude.shape
+        pos = (np.arange(h)[:, None] * 0.37 + np.arange(w)[None, :] * 0.11) % 1
+        p = np.zeros_like(magnitude) if phase is None else phase
+        wm = (magnitude * 0.6 + pos * 0.4).astype(np.float32)
+        gm = (np.abs(magnitude - p) * 0.5 + pos * 0.25).astype(np.float32)
+        return RegionStack(wm, gm, (wm * gm).astype(np.float32))
+
+
+TTA_SUBSETS = [None] + [
+    TtaConfig(("identity", *extra))
+    for n in range(4) for extra in itertools.combinations(FLIP_NAMES[1:], n)
+]
+
+
+def _volumes(h, w, z, seed):
+    rng = np.random.default_rng(seed)
+    mag = ScalarVolume(rng.random((h, w, z), dtype=np.float32), ISO)
+    phs = ScalarVolume(rng.random((h, w, z), dtype=np.float32), ISO, "phase")
+    return mag, phs
+
+
+def _per_slice_reference(predictor, mag, phs, tta):
+    cfg = TtaConfig(("identity",)) if tta is None else tta
+    planes = {z: predict_with_tta(predictor, mag.data[:, :, z],
+                                  None if phs is None else phs.data[:, :, z], cfg)
+              for z in range(mag.dims[2])}
+    return stack_slices(planes, mag.dims[2])
+
+
+def _same_bytes(a, b):
+    return all(x.dtype == y.dtype == np.float32 and x.tobytes("F") == y.tobytes("F")
+               for x, y in zip(a.channels(), b.channels()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 6), w=st.integers(1, 6), z=st.integers(1, 9),
+       chunk_slices=st.integers(0, 10), slack=st.integers(0, 5),
+       tta=st.sampled_from(TTA_SUBSETS), with_phase=st.booleans(),
+       predictor=st.sampled_from([PatternPredictor(), MixPredictor()]),
+       seed=st.integers(0, 2**16))
+def test_predict_volume_equals_stacked_per_slice_tta(h, w, z, chunk_slices, slack, tta,
+                                                     with_phase, predictor, seed):
+    mag, phs = _volumes(h, w, z, seed)
+    phs = phs if with_phase else None
+    # chunks of chunk_slices planes, and at least one; the slack below one
+    # plane must not matter
+    voxels = max(1, chunk_slices * h * w + min(slack, h * w - 1))
+    with mock.patch.object(pseudolabel, "_CHUNK_VOXELS", voxels):
+        got = predict_volume(predictor, mag, phs, tta=tta)
+    assert _same_bytes(got, _per_slice_reference(predictor, mag, phs, tta))
+
+
+def test_flip_equivariant_mock_matches_full_tta():
+    class PlainMock(MockPredictor):
+        flip_equivariant = False
+
+    mag, phs, labels = generate(PhantomConfig.fitted((32, 32, 8), seed=5))
+    centers = MockPredictor.fit(mag, phs, labels).centers
+    for tta in (TtaConfig(), TtaConfig(("identity", "flip-xy"))):
+        with mock.patch.object(pseudolabel, "_CHUNK_VOXELS", 3 * 32 * 32):
+            fast = predict_volume(MockPredictor(centers), mag, phs, tta=tta)
+            full = predict_volume(PlainMock(centers), mag, phs, tta=tta)
+        assert _same_bytes(fast, full)
+
+
+def test_flip_equivariant_runs_identity_pass_only():
+    calls = []
+
+    class CountingMock(MockPredictor):
+        def predict_batch(self, magnitude, phase=None):
+            calls.append(magnitude.shape)
+            return super().predict_batch(magnitude, phase)
+
+    mag, phs = _volumes(16, 16, 5, seed=9)
+    pred = CountingMock(_mock().centers)
+    with mock.patch.object(pseudolabel, "_CHUNK_VOXELS", 2 * 16 * 16):
+        predict_volume(pred, mag, phs, tta=TtaConfig())
+    assert calls == [(16, 16, 2), (16, 16, 2), (16, 16, 1)]
+
+
+class WrongBatchShapePredictor(MixPredictor):
+    def predict_batch(self, magnitude, phase=None):
+        return super().predict_batch(magnitude[:-1], None if phase is None else phase[:-1])
+
+
+@pytest.mark.parametrize("tta", [None, TtaConfig()])
+def test_predict_batch_wrong_shape_is_dimension_error(tta):
+    mag, phs = _volumes(5, 4, 3, seed=81)
+    with pytest.raises(DimensionError):
+        predict_volume(WrongBatchShapePredictor(), mag, phs, tta=tta)
+    with pytest.raises(DimensionError):
+        predict_with_tta(WrongBatchShapePredictor(), mag.data[:, :, 0], phs.data[:, :, 0])
+    with pytest.raises(DimensionError):
+        predict_volume(WrongShapePredictor(), mag, phs, tta=tta)
+
+
+def test_predict_volume_threaded_matches_serial_across_chunks(monkeypatch):
+    mag, phs = _volumes(7, 6, 11, seed=82)
+    monkeypatch.setattr(pseudolabel, "_CHUNK_VOXELS", 2 * 7 * 6)
+    for predictor in (MixPredictor(), _mock()):
+        serial = predict_volume(predictor, mag, phs, tta=TtaConfig(), threads=1)
+        threaded = predict_volume(predictor, mag, phs, tta=TtaConfig(), threads=4)
+        assert _same_bytes(serial, threaded)
+        assert _same_bytes(serial, _per_slice_reference(predictor, mag, phs, TtaConfig()))
+
 
 
 # ---------------------------------------------------------------------------
