@@ -531,8 +531,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FormatError, OSError) as exc:
-        path = (getattr(exc, "path", None) or getattr(args, "input", None)
-                or getattr(args, "pred", None))
+        path = (getattr(exc, "path", None) or getattr(exc, "filename", None)
+                or getattr(args, "input", None) or getattr(args, "pred", None))
         print(_err_record(exc, path), file=sys.stderr)
         return 2
     except (ValidationError, ConfigError) as exc:

@@ -3,6 +3,14 @@ stretching and z-score normalization.
 
 All operators are pure functions of their inputs. CLAHE runs per axial
 slice even on 3D volumes; the other operators act on the whole grid.
+
+CLAHE builds the tile grid, each pixel's four corner tiles and its
+bilinear weights once per volume. Each slice then takes all tile
+histograms with one ``bincount``, clips and waterfills them as one batch
+and reads the four corner LUTs with flat gathers. The arithmetic, and so
+every output byte, is that of the per-tile loop it replaced; a test pins
+it bit for bit to the loop oracle ``loop_clahe_plane`` in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -123,76 +131,82 @@ def apply_mask(vol: ScalarVolume, mask: np.ndarray, fill: float = 0.0) -> Scalar
     return ScalarVolume(out, vol.spacing, vol.channel)
 
 
-def _clip_and_redistribute(hist: np.ndarray, clip: int) -> np.ndarray:
+def _clip_and_redistribute(hist: np.ndarray, clip) -> np.ndarray:
     """Clip histogram bins at ``clip`` and spread the excess uniformly.
 
-    Redistribution waterfills the excess as evenly as possible over bins
-    with room under the ceiling, so the total count is preserved and no
-    bin ends above the clip. The clip cannot sit below the uniform level
-    (total/bins), otherwise no redistribution could ever fit.
+    ``hist`` is one histogram or a stack of shape ``(..., nbins)``, and
+    ``clip`` a scalar or one ceiling per histogram. Redistribution
+    waterfills the excess as evenly as possible over bins with room under
+    the ceiling, so the total count is preserved and no bin ends above
+    the clip. The clip cannot sit below the uniform level (total/bins),
+    otherwise no redistribution could ever fit. Each histogram runs the
+    same integer rounds as it would alone: a stack is only a batch.
     """
-    nbins = hist.size
-    total = int(hist.sum())
-    clip = max(int(clip), -(-total // nbins))
-    out = np.minimum(hist, clip).astype(np.int64)
-    excess = total - int(out.sum())
-    while excess > 0:
-        open_bins = np.flatnonzero(out < clip)
-        share = excess // open_bins.size
-        if share == 0:
-            out[open_bins[:excess]] += 1
-            break
-        add = np.minimum(clip - out[open_bins], share)
-        out[open_bins] += add
-        excess -= int(add.sum())
-    return out
+    hist = np.asarray(hist)
+    nbins = hist.shape[-1]
+    out = hist.reshape(-1, nbins).astype(np.int64)
+    total = out.sum(axis=1)
+    clip = np.broadcast_to(np.asarray(clip).astype(np.int64), hist.shape[:-1]).reshape(-1)
+    clip = np.maximum(clip, -(-total // nbins))
+    np.minimum(out, clip[:, None], out=out)
+    excess = total - out.sum(axis=1)
+    while (rows := np.flatnonzero(excess > 0)).size:
+        sub, ceil, left = out[rows], clip[rows, None], excess[rows]
+        open_bins = sub < ceil
+        # the clip is at least the uniform level, so a row with excess has an open bin
+        share = left // open_bins.sum(axis=1)
+        add = np.minimum(ceil - sub, share[:, None])  # 0 on full bins
+        last = share == 0
+        if last.any():
+            # fewer units than open bins: +1 to the first ``excess`` of them
+            rank = np.cumsum(open_bins[last], axis=1)
+            add[last] = open_bins[last] & (rank <= left[last, None])
+        out[rows] = sub + add
+        excess[rows] = left - add.sum(axis=1)
+    return out.reshape(hist.shape)
 
 
 def _tile_edges(extent: int, count: int) -> np.ndarray:
     return np.linspace(0, extent, count + 1).round().astype(int)
 
 
-def clahe_plane(plane: np.ndarray, cfg: ClaheConfig) -> np.ndarray:
-    """Contrast-limited adaptive histogram equalization of one slice.
+def _clahe(data: np.ndarray, cfg: ClaheConfig) -> np.ndarray:
+    """CLAHE of every plane ``data[:, :, z]``, as float32 of the same shape.
 
-    Per-tile histograms over [0, 1] are clipped at
-    ``clip_limit * tile_pixels``, the excess is redistributed uniformly,
-    and each pixel maps through the clipped CDFs of its four surrounding
-    tiles with bilinear weights. Input must already lie in [0, 1].
+    The tile grid, the bilinear weights and the corner tiles of every
+    pixel depend only on the plane shape, so they are built once. Each
+    slice then takes one ``bincount`` over ``tile * nbins + bin``, one
+    batched waterfill over all tiles and four flat LUT gathers. Slices
+    run one at a time, so the working set is a few plane-sized arrays.
     """
-    plane = np.asarray(plane, dtype=np.float64)
-    if plane.ndim != 2:
-        raise DimensionError(f"expected a 2D plane, got shape {plane.shape}")
-    h, w = plane.shape
+    h, w, _ = data.shape
     tx, ty = cfg.tiles
     if tx > h or ty > w:
         raise ConfigError(f"tile grid {cfg.tiles} exceeds plane shape {(h, w)}")
-    if plane.min() < 0 or plane.max() > 1:
+    lo, hi = data.min(), data.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValidationError("CLAHE input must be finite")
+    if lo < 0 or hi > 1:
         raise ValidationError("CLAHE input must be pre-normalized to [0, 1]")
 
     nbins = cfg.bins
-    binned = np.minimum((plane * nbins).astype(np.int64), nbins - 1)
-
     xe = _tile_edges(h, tx)
     ye = _tile_edges(w, ty)
-    luts = np.empty((tx, ty, nbins), dtype=np.float64)
-    centers_x = np.empty(tx)
-    centers_y = np.empty(ty)
-    for i in range(tx):
-        centers_x[i] = (xe[i] + xe[i + 1] - 1) / 2.0
-        for j in range(ty):
-            centers_y[j] = (ye[j] + ye[j + 1] - 1) / 2.0
-            tile = binned[xe[i]:xe[i + 1], ye[j]:ye[j + 1]]
-            npix = tile.size
-            if npix == 0:
-                raise ConfigError(f"tile grid {cfg.tiles} produces an empty tile")
-            hist = np.bincount(tile.ravel(), minlength=nbins)
-            clip = max(1, int(np.ceil(cfg.clip_limit * npix)))
-            hist = _clip_and_redistribute(hist, clip)
-            luts[i, j] = np.cumsum(hist) / npix
+    sx, sy = np.diff(xe), np.diff(ye)
+    npix = (sx[:, None] * sy[None, :]).ravel()
+    if (npix == 0).any():
+        raise ConfigError(f"tile grid {cfg.tiles} produces an empty tile")
+    clip = np.maximum(1, np.ceil(cfg.clip_limit * npix).astype(np.int64))
+    # Per-pixel arrays take the memory order of a plane (x-fastest for a
+    # volume read from NIfTI), so every per-slice operation is contiguous.
+    order = "F" if data.strides[0] < data.strides[1] else "C"
+    tile_bin = np.asarray((np.repeat(np.arange(tx), sx)[:, None] * ty
+                           + np.repeat(np.arange(ty), sy)[None, :]) * nbins, order=order)
 
     # Bilinear blend of tile mappings; positions beyond the outermost tile
     # centers clamp to the edge tile.
+    centers_x = (xe[:-1] + xe[1:] - 1) / 2.0
+    centers_y = (ye[:-1] + ye[1:] - 1) / 2.0
     gx = np.arange(h, dtype=np.float64)
     gy = np.arange(w, dtype=np.float64)
     ix = np.clip(np.searchsorted(centers_x, gx, side="right") - 1, 0, tx - 1)
@@ -207,23 +221,49 @@ def clahe_plane(plane: np.ndarray, cfg: ClaheConfig) -> np.ndarray:
     fy = np.where(span_y > 0, (gy - centers_y[iy]) / np.where(span_y > 0, span_y, 1), 0.0)
     fy = np.clip(fy, 0.0, 1.0)
 
+    # Weight factors are multiplied in the order of the per-pixel formula
+    # (1-fx)(1-fy)v00 + (1-fx)fy v01 + fx(1-fy)v10 + fx fy v11, so the
+    # float64 products, and with them the output bytes, are unchanged.
     fxg = fx[:, None]
     fyg = fy[None, :]
-    v00 = luts[ix[:, None], iy[None, :], binned]
-    v01 = luts[ix[:, None], iy1[None, :], binned]
-    v10 = luts[ix1[:, None], iy[None, :], binned]
-    v11 = luts[ix1[:, None], iy1[None, :], binned]
-    out = ((1 - fxg) * (1 - fyg) * v00 + (1 - fxg) * fyg * v01
-           + fxg * (1 - fyg) * v10 + fxg * fyg * v11)
-    return np.clip(out, 0.0, 1.0).astype(np.float32)
+    weights = [np.asarray(wgt, order=order) for wgt in
+               ((1 - fxg) * (1 - fyg), (1 - fxg) * fyg, fxg * (1 - fyg), fxg * fyg)]
+    corners = [np.asarray((a[:, None] * ty + b[None, :]) * nbins, order=order)
+               for a, b in ((ix, iy), (ix, iy1), (ix1, iy), (ix1, iy1))]
+
+    out = np.empty_like(data, dtype=np.float32)
+    term = np.empty_like(weights[0])
+    for z in range(data.shape[2]):
+        scaled = np.multiply(data[:, :, z], nbins, dtype=np.float64)
+        binned = np.minimum(scaled.astype(np.int64), nbins - 1)
+        hist = np.bincount((tile_bin + binned).ravel(order), minlength=tx * ty * nbins)
+        hist = _clip_and_redistribute(hist.reshape(tx * ty, nbins), clip)
+        luts = (np.cumsum(hist, axis=1) / npix[:, None]).ravel()
+        acc = weights[0] * luts[corners[0] + binned]
+        for wgt, corner in zip(weights[1:], corners[1:]):
+            acc += np.multiply(wgt, luts[corner + binned], out=term)
+        out[:, :, z] = np.clip(acc, 0.0, 1.0, out=acc)
+    return out
+
+
+def clahe_plane(plane: np.ndarray, cfg: ClaheConfig) -> np.ndarray:
+    """Contrast-limited adaptive histogram equalization of one slice.
+
+    Per-tile histograms over [0, 1] are clipped at
+    ``clip_limit * tile_pixels``, the excess is redistributed uniformly,
+    and each pixel maps through the clipped CDFs of its four surrounding
+    tiles with bilinear weights. Input must already lie in [0, 1]. The
+    plane runs as a one-slice :func:`clahe_slicewise`.
+    """
+    plane = np.asarray(plane, dtype=np.float64)
+    if plane.ndim != 2:
+        raise DimensionError(f"expected a 2D plane, got shape {plane.shape}")
+    return _clahe(plane[:, :, None], cfg)[:, :, 0]
 
 
 def clahe_slicewise(vol: ScalarVolume, cfg: ClaheConfig) -> ScalarVolume:
     """Apply :func:`clahe_plane` independently to every axial slice."""
-    out = np.empty_like(vol.data)
-    for z in range(vol.dims[2]):
-        out[:, :, z] = clahe_plane(vol.data[:, :, z], cfg)
-    return ScalarVolume(out, vol.spacing, vol.channel)
+    return ScalarVolume(_clahe(vol.data, cfg), vol.spacing, vol.channel)
 
 
 def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),

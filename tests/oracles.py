@@ -203,6 +203,89 @@ def global_hist_equalize(plane: np.ndarray, nbins: int) -> np.ndarray:
     return out
 
 
+def loop_clahe_plane(plane: np.ndarray, tiles: tuple[int, int], clip_limit: float,
+                     nbins: int) -> np.ndarray:
+    """Zuiderveld CLAHE of one plane, one tile and one pixel at a time.
+
+    Tile edges are the rounded uniform split of each axis; tile
+    histograms are clipped at ``max(1, ceil(clip_limit * tile_pixels))``
+    (raised to the uniform level if below it), and the excess is
+    waterfilled one round at a time: an equal share to every bin under
+    the clip, capped at the clip, and once the excess is smaller than the
+    number of open bins, +1 to the first of them. Pixels blend the CDFs
+    of the four nearest tile centers bilinearly, clamped at the edges.
+    """
+    plane = np.asarray(plane, dtype=np.float64)
+    h, w = plane.shape
+    tx, ty = tiles
+    xe = [int(v) for v in np.linspace(0, h, tx + 1).round()]
+    ye = [int(v) for v in np.linspace(0, w, ty + 1).round()]
+
+    def to_bin(v):
+        return min(int(v * nbins), nbins - 1)
+
+    luts = {}
+    for i in range(tx):
+        for j in range(ty):
+            counts = [0] * nbins
+            npix = 0
+            for x in range(xe[i], xe[i + 1]):
+                for y in range(ye[j], ye[j + 1]):
+                    counts[to_bin(plane[x, y])] += 1
+                    npix += 1
+            clip = max(1, math.ceil(clip_limit * npix), -(-npix // nbins))
+            excess = sum(max(c - clip, 0) for c in counts)
+            counts = [min(c, clip) for c in counts]
+            while excess > 0:
+                open_bins = [b for b in range(nbins) if counts[b] < clip]
+                share = excess // len(open_bins)
+                if share == 0:
+                    for b in open_bins[:excess]:
+                        counts[b] += 1
+                    break
+                for b in open_bins:
+                    add = min(clip - counts[b], share)
+                    counts[b] += add
+                    excess -= add
+            cdf, run = [], 0
+            for c in counts:
+                run += c
+                cdf.append(run / npix)
+            luts[i, j] = cdf
+
+    cx = [(xe[i] + xe[i + 1] - 1) / 2.0 for i in range(tx)]
+    cy = [(ye[j] + ye[j + 1] - 1) / 2.0 for j in range(ty)]
+
+    def lower(centers, g):
+        """Last tile whose center is <= g (the first tile before any)."""
+        k = 0
+        for n, c in enumerate(centers):
+            if c <= g:
+                k = n
+        return k
+
+    def frac(centers, k0, k1, g):
+        span = centers[k1] - centers[k0]
+        if span <= 0:
+            return 0.0
+        return min(max((g - centers[k0]) / span, 0.0), 1.0)
+
+    out = np.empty((h, w), dtype=np.float32)
+    for x in range(h):
+        i0 = lower(cx, x)
+        i1 = min(i0 + 1, tx - 1)
+        fx = frac(cx, i0, i1, float(x))
+        for y in range(w):
+            j0 = lower(cy, y)
+            j1 = min(j0 + 1, ty - 1)
+            fy = frac(cy, j0, j1, float(y))
+            b = to_bin(plane[x, y])
+            v = ((1 - fx) * (1 - fy) * luts[i0, j0][b] + (1 - fx) * fy * luts[i0, j1][b]
+                 + fx * (1 - fy) * luts[i1, j0][b] + fx * fy * luts[i1, j1][b])
+            out[x, y] = min(max(v, 0.0), 1.0)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # NIfTI header reference builder
 

@@ -479,6 +479,12 @@ def test_error_names_a_missing_sidecar_planes_file(phantom_dir, capsys):
     assert f"file={planes} " in capsys.readouterr().err
 
 
+def test_error_names_a_missing_slice_dir(tmp_path, capsys):
+    missing = str(tmp_path / "no_such_dir")
+    assert main(["stack", missing, "--out", str(tmp_path / "x.nii")]) == 2
+    assert f"file={missing} " in capsys.readouterr().err
+
+
 def test_error_still_falls_back_to_the_main_input(tmp_path, capsys):
     bad = tmp_path / "bad.nii"
     bad.write_bytes(b"not a nifti")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cordpipe import (
     ClaheConfig,
@@ -23,7 +24,7 @@ from cordpipe.errors import (
 )
 from cordpipe.preprocess import _clip_and_redistribute
 
-from oracles import exhaustive_otsu_bin, global_hist_equalize
+from oracles import exhaustive_otsu_bin, global_hist_equalize, loop_clahe_plane
 
 ISO = Spacing.isotropic()
 
@@ -204,6 +205,55 @@ def test_clip_below_uniform_level_still_terminates():
     assert out.max() <= 17
 
 
+def test_clip_batched_equals_row_by_row():
+    rng = np.random.default_rng(20)
+    for nbins in (2, 7, 64, 256):
+        npix = rng.integers(1, 3000, 12)
+        hist = np.stack([rng.multinomial(n, rng.dirichlet(np.ones(nbins) * 0.05)) for n in npix])
+        clip = rng.integers(1, npix + 1)
+        clip[:3] = 1  # below the uniform level: several waterfill rounds
+        got = _clip_and_redistribute(hist, clip)
+        assert got.shape == hist.shape
+        for row, c, out in zip(hist, clip, got):
+            assert np.array_equal(out, _clip_and_redistribute(row, c))
+        scalar = _clip_and_redistribute(hist.reshape(3, 4, nbins), 5)
+        for row, out in zip(hist, scalar.reshape(12, nbins)):
+            assert np.array_equal(out, _clip_and_redistribute(row, 5))
+
+
+@st.composite
+def _clahe_cases(draw):
+    h, w = draw(st.integers(1, 39)), draw(st.integers(1, 39))
+    tiles = (draw(st.integers(1, h)), draw(st.integers(1, w)))
+    if draw(st.booleans()):
+        tiles = (h, w)
+    cfg = ClaheConfig(tiles=tiles, bins=draw(st.integers(2, 256)),
+                      clip_limit=draw(st.floats(1e-4, 1.0)))
+    z = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "half", "levels"]))
+    if kind == "uniform":
+        data = rng.random((h, w, z))
+    elif kind == "half":
+        # saturated halves pile every count into two bins
+        data = np.zeros((h, w, z))
+        data[h // 2:] = 1.0
+    else:
+        data = rng.choice([0.0, 0.25, 0.5, 1.0], (h, w, z))
+    return data.astype(np.float32), cfg
+
+
+@settings(max_examples=80, deadline=None)
+@given(_clahe_cases())
+def test_clahe_matches_loop_oracle(case):
+    data, cfg = case
+    out = clahe_slicewise(_vol(data), cfg).data
+    for z in range(data.shape[2]):
+        want = loop_clahe_plane(data[:, :, z], cfg.tiles, cfg.clip_limit, cfg.bins)
+        assert out[:, :, z].tobytes() == want.tobytes()
+        assert clahe_plane(data[:, :, z], cfg).tobytes() == want.tobytes()
+
+
 def test_clahe_tile_larger_than_slice_rejected():
     with pytest.raises(ConfigError):
         clahe_plane(np.zeros((4, 4)), ClaheConfig(tiles=(8, 8)))
@@ -212,6 +262,16 @@ def test_clahe_tile_larger_than_slice_rejected():
 def test_clahe_requires_normalized_input():
     with pytest.raises(ValidationError):
         clahe_plane(np.full((8, 8), 2.0), ClaheConfig(tiles=(1, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clahe_rejects_non_finite_input(bad):
+    plane = np.full((8, 8), 0.5)
+    plane[3, 4] = bad
+    with pytest.raises(ValidationError):
+        clahe_plane(plane, ClaheConfig(tiles=(2, 2)))
+    with pytest.raises(ValidationError):
+        clahe_slicewise(_vol(np.stack([np.zeros((8, 8)), plane], axis=2)), ClaheConfig(tiles=(2, 2)))
 
 
 def test_clahe_config_validation():
