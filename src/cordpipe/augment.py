@@ -8,6 +8,9 @@ fully reproducible from (profile, seed).
 
 Warping uses inverse mapping: bilinear interpolation for images,
 nearest neighbor for labels (which therefore never invents class ids).
+One draw is mapped once (one inverse map, one set of bilinear corners)
+and every plane of a pair samples from that map; the bytes are those of
+a per-pixel loop, pinned to the oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -122,16 +125,15 @@ def sample_transform(profile: AugProfile, seed: int | None = None,
                      plane_shape: tuple[int, int] | None = None) -> SampledTransform:
     """Draw one transform uniformly within the profile ranges.
 
-    The identity profile skips sampling and returns an exact identity.
-    ``plane_shape`` converts the translation fraction into voxels and
-    normalizes the perspective coefficients; it is required for any
-    profile that uses those parameters.
+    A profile whose ranges are all zero (scale exactly 1) skips sampling
+    and returns an exact identity, whatever its name. ``plane_shape``
+    converts the translation fraction into voxels and normalizes the
+    perspective coefficients; it is required for any profile that uses
+    those parameters.
     """
-    if profile.name == "none" or (
-        profile.translation_frac == 0 and profile.rotation_deg == 0
-        and profile.scale == (1.0, 1.0) and profile.shear_deg == (0.0, 0.0)
-        and profile.perspective == 0
-    ):
+    if (profile.translation_frac == 0 and profile.rotation_deg == 0
+            and profile.scale == (1.0, 1.0) and profile.shear_deg == (0.0, 0.0)
+            and profile.perspective == 0):
         return SampledTransform(np.eye(3), (0.0, 0.0), 0.0, 1.0, 0.0, (0.0, 0.0), seed)
 
     rng = np.random.default_rng(seed)
@@ -184,56 +186,54 @@ def _inverse_coords(t: SampledTransform, shape: tuple[int, int]):
     return src_x, src_y
 
 
-def warp_image(plane: np.ndarray, t: SampledTransform, fill: float = 0.0) -> np.ndarray:
-    """Inverse-map with bilinear interpolation; out-of-bounds takes fill."""
-    plane = np.asarray(plane, dtype=np.float32)
-    if plane.ndim != 2:
-        raise DimensionError(f"expected 2D plane, got shape {plane.shape}")
-    if t.is_identity:
-        return plane.copy()
-    h, w = plane.shape
-    src_x, src_y = _inverse_coords(t, plane.shape)
-
-    x0 = np.floor(src_x)
-    y0 = np.floor(src_y)
-    fx = src_x - x0
-    fy = src_y - y0
-    out = np.zeros_like(plane, dtype=np.float64)
-    for dx, dy, wgt in ((0, 0, (1 - fx) * (1 - fy)), (0, 1, (1 - fx) * fy),
-                        (1, 0, fx * (1 - fy)), (1, 1, fx * fy)):
-        xi = x0 + dx
-        yi = y0 + dy
-        inside = (xi >= 0) & (xi < h) & (yi >= 0) & (yi < w)
-        vals = np.full(plane.shape, float(fill))
-        vals[inside] = plane[xi[inside].astype(np.intp), yi[inside].astype(np.intp)]
-        out += wgt * vals
-    return out.astype(np.float32)
-
-
-def warp_labels(plane: np.ndarray, t: SampledTransform,
-                fill: int = BACKGROUND) -> np.ndarray:
-    """Inverse-map with nearest-neighbor lookup; never invents new ids."""
-    plane = np.asarray(plane)
-    if plane.ndim != 2:
-        raise DimensionError(f"expected 2D plane, got shape {plane.shape}")
-    if t.is_identity:
-        return plane.copy()
-    h, w = plane.shape
-    src_x, src_y = _inverse_coords(t, plane.shape)
-    xi = np.rint(src_x).astype(np.int64)
-    yi = np.rint(src_y).astype(np.int64)
+def _flat_index(xi, yi, shape):
+    """C-order flat index of each (xi, yi); h*w, the fill slot, outside."""
+    h, w = shape
     inside = (xi >= 0) & (xi < h) & (yi >= 0) & (yi < w)
-    out = np.full(plane.shape, fill, dtype=plane.dtype)
-    out[inside] = plane[xi[inside], yi[inside]]
-    return out
+    return np.where(inside, xi * w + yi, h * w).astype(np.intp)
 
 
-def warp_pair(image_planes, label_plane: np.ndarray,
-              t: SampledTransform):
-    """Warp magnitude/phase planes and their label plane with one draw."""
-    shapes = {np.asarray(p).shape for p in image_planes}
-    shapes.add(np.asarray(label_plane).shape)
+def _warp(images, labels, t, fill, label_fill):
+    """Map ``t`` once and sample every image plane bilinearly (float32)
+    and the label plane, if any, by nearest neighbor in its own dtype."""
+    planes = [np.asarray(p, dtype=np.float32) for p in images]
+    labels = None if labels is None else np.asarray(labels)
+    shapes = {p.shape for p in planes + [labels] if p is not None}
     if len(shapes) != 1:
         raise DimensionError(f"planes disagree on shape: {sorted(shapes)}")
-    warped_images = [warp_image(p, t) for p in image_planes]
-    return warped_images, warp_labels(label_plane, t)
+    (shape,) = shapes
+    if len(shape) != 2:
+        raise DimensionError(f"expected 2D plane, got shape {shape}")
+    if t.is_identity:
+        return [p.copy() for p in planes], None if labels is None else labels.copy()
+    src_x, src_y = _inverse_coords(t, shape)
+    x0, y0 = np.floor(src_x), np.floor(src_y)
+    fx, fy = src_x - x0, src_y - y0
+    corners = [(wgt, _flat_index(x0 + dx, y0 + dy, shape)) for dx, dy, wgt in (
+        (0, 0, (1 - fx) * (1 - fy)), (0, 1, (1 - fx) * fy),
+        (1, 0, fx * (1 - fy)), (1, 1, fx * fy))] if planes else []
+    warped = []
+    for p in planes:
+        flat, out = np.append(p.ravel(), np.float64(fill)), np.zeros(shape)
+        for wgt, index in corners:
+            out += wgt * flat[index]
+        warped.append(out.astype(np.float32))
+    if labels is not None:
+        flat = np.append(labels.ravel(), np.full(1, label_fill, labels.dtype))
+        labels = flat[_flat_index(np.rint(src_x), np.rint(src_y), shape)]
+    return warped, labels
+
+
+def warp_image(plane: np.ndarray, t: SampledTransform, fill: float = 0.0) -> np.ndarray:
+    """Inverse-map with bilinear interpolation; out-of-bounds takes fill."""
+    return _warp([plane], None, t, fill, BACKGROUND)[0][0]
+
+
+def warp_labels(plane: np.ndarray, t: SampledTransform, fill: int = BACKGROUND) -> np.ndarray:
+    """Inverse-map with nearest-neighbor lookup; never invents new ids."""
+    return _warp([], plane, t, 0.0, fill)[1]
+
+
+def warp_pair(image_planes, label_plane: np.ndarray, t: SampledTransform):
+    """Warp magnitude/phase planes and their label plane with one draw."""
+    return _warp(image_planes, np.asarray(label_plane), t, 0.0, BACKGROUND)

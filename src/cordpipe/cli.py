@@ -244,13 +244,16 @@ def _cmd_regions(args) -> int:
 # stack
 
 
-def _slice_index_from_name(name: str) -> int:
-    stem = name
+def _nifti_stem(name: str) -> str:
+    """``name`` without its .nii.gz or .nii suffix (unchanged if it has neither)."""
     for suffix in (".nii.gz", ".nii"):
-        if stem.endswith(suffix):
-            stem = stem[: -len(suffix)]
-            break
-    runs = re.findall(r"\d+", stem)
+        if name.endswith(suffix):
+            return name[: -len(suffix)]
+    return name
+
+
+def _slice_index_from_name(name: str) -> int:
+    runs = re.findall(r"\d+", _nifti_stem(name))
     if not runs:
         raise ValidationError(f"cannot parse slice index from file name {name!r}")
     return int(runs[-1])
@@ -361,7 +364,11 @@ def _nifti_stems(path: str) -> dict[str, str]:
     for name in sorted(os.listdir(path)):
         if not name.endswith((".nii", ".nii.gz")):
             continue
-        stem = name[:-7] if name.endswith(".nii.gz") else name[:-4]
+        stem = _nifti_stem(name)
+        if stem in out:
+            raise ValidationError(
+                f"{out[stem]} and {os.path.join(path, name)} both hold volume {stem!r}"
+            )
         out[stem] = os.path.join(path, name)
     return out
 

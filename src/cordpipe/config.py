@@ -15,7 +15,7 @@ values.
 
 from __future__ import annotations
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 
 
 def _parse_scalar(text: str):
@@ -59,8 +59,13 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"config {path} is not UTF-8 text: {exc}", path) from exc
+    return parse_config_text(text)
 
 
 def get_typed(cfg: dict, key: str, kind: type, default):

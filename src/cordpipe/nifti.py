@@ -273,13 +273,13 @@ def write_nifti(vol, datatype: int | None = None) -> bytes:
     if isinstance(vol, LabelVolume):
         if datatype not in (None, DT_UINT8):
             raise ValidationError("label volumes are written as uint8")
-        payload = vol.data.astype(np.uint8)
+        payload = vol.data.astype(np.uint8, copy=False)
         datatype = DT_UINT8
     elif isinstance(vol, ScalarVolume):
         if not np.all(np.isfinite(vol.data)):
             raise ValidationError("cannot write non-finite intensities")
         if datatype is None or datatype == DT_FLOAT32:
-            payload = vol.data.astype(np.float32)
+            payload = vol.data.astype(np.float32, copy=False)
             datatype = DT_FLOAT32
         elif datatype == DT_INT16:
             rounded = np.rint(vol.data)
@@ -288,19 +288,16 @@ def write_nifti(vol, datatype: int | None = None) -> bytes:
             info = np.iinfo(np.int16)
             if vol.data.min() < info.min or vol.data.max() > info.max:
                 raise ValidationError("intensities exceed the int16 range")
-            payload = vol.data.astype(np.int16)
+            payload = vol.data.astype(np.int16, copy=False)
         else:
             raise UnsupportedDatatypeError(f"cannot write datatype code {datatype}")
     else:
         raise ValidationError(f"cannot serialize object of type {type(vol).__name__}")
 
     hdr = _pack_header(vol.dims, vol.spacing, datatype)
-    out = io.BytesIO()
-    out.write(hdr)
-    out.write(b"\x00\x00\x00\x00")  # no extensions
     little = payload.dtype.newbyteorder("<")
-    out.write(payload.astype(little, copy=False).flatten(order="F").tobytes())
-    return out.getvalue()
+    data = payload.astype(little, copy=False).tobytes(order="F")
+    return b"".join((hdr, b"\x00\x00\x00\x00", data))  # no extensions
 
 
 def gzip_nifti(raw: bytes) -> bytes:

@@ -41,7 +41,7 @@ class RegionStack:
         if self.wm.ndim not in (2, 3):
             raise DimensionError(f"region stack must be 2D or 3D, got {self.wm.ndim}D")
         for name, ch in (("wm", self.wm), ("gm", self.gm), ("lesion", self.lesion)):
-            if ch.size and (ch.min() < 0 or ch.max() > 1):
+            if ch.size and not (ch.min() >= 0 and ch.max() <= 1):  # NaN fails too
                 raise ValidationError(f"region channel {name} outside [0, 1]")
 
     @property

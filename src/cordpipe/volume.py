@@ -145,7 +145,7 @@ class SoftLabelVolume:
                 f"soft label volume needs shape (4, H, W, Z), got {self.channels.shape}"
             )
         _check_dims(self.channels.shape[1:])
-        if self.channels.size and (self.channels.min() < 0 or self.channels.max() > 1):
+        if self.channels.size and not (self.channels.min() >= 0 and self.channels.max() <= 1):
             raise ValidationError("soft label values must lie in [0, 1]")
 
     @property

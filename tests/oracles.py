@@ -287,6 +287,69 @@ def loop_clahe_plane(plane: np.ndarray, tiles: tuple[int, int], clip_limit: floa
 
 
 # ---------------------------------------------------------------------------
+# in-plane warps
+
+
+def _loop_source_coords(matrix, h: int, w: int):
+    """Yield (x, y, src_x, src_y) for every output pixel of an (h, w) plane.
+
+    Inverse mapping about the plane center, one pixel at a time in
+    float64; a ray whose homogeneous divisor is within 1e-12 of zero
+    diverges and is sent to x = -1e9, outside any plane.
+    """
+    inv = [[float(v) for v in row] for row in np.linalg.inv(np.asarray(matrix, dtype=np.float64))]
+    cx, cy = (h - 1) / 2.0, (w - 1) / 2.0
+    for x in range(h):
+        for y in range(w):
+            xs, ys = x - cx, y - cy
+            u = inv[0][0] * xs + inv[0][1] * ys + inv[0][2]
+            v = inv[1][0] * xs + inv[1][1] * ys + inv[1][2]
+            d = inv[2][0] * xs + inv[2][1] * ys + inv[2][2]
+            if abs(d) < 1e-12:
+                yield x, y, -1e9, v + cy
+            else:
+                yield x, y, u / d + cx, v / d + cy
+
+
+def loop_warp_image(plane: np.ndarray, matrix, fill: float = 0.0) -> np.ndarray:
+    """Bilinear inverse warp, one pixel and one corner at a time.
+
+    Each corner outside the plane contributes ``fill``; the four weighted
+    terms are summed in float64 from 0.0 in the order (0,0), (0,1),
+    (1,0), (1,1) and rounded to float32. The identity matrix returns an
+    exact copy (the general path would turn -0.0 into +0.0).
+    """
+    plane = np.asarray(plane, dtype=np.float32)
+    if np.array_equal(matrix, np.eye(3)):
+        return plane.copy()
+    h, w = plane.shape
+    out = np.empty((h, w), dtype=np.float32)
+    for x, y, sx, sy in _loop_source_coords(matrix, h, w):
+        x0, y0 = math.floor(sx), math.floor(sy)
+        fx, fy = sx - x0, sy - y0
+        acc = 0.0
+        for dx, dy, wgt in ((0, 0, (1 - fx) * (1 - fy)), (0, 1, (1 - fx) * fy),
+                            (1, 0, fx * (1 - fy)), (1, 1, fx * fy)):
+            xi, yi = x0 + dx, y0 + dy
+            inside = 0 <= xi < h and 0 <= yi < w
+            acc += wgt * (float(plane[xi, yi]) if inside else float(fill))
+        out[x, y] = acc
+    return out
+
+
+def loop_warp_labels(plane: np.ndarray, matrix, fill: int = 0) -> np.ndarray:
+    """Nearest-neighbor inverse warp, rounding half to even, one pixel at
+    a time; samples outside the plane take ``fill`` in the plane's dtype."""
+    plane = np.asarray(plane)
+    h, w = plane.shape
+    out = np.empty((h, w), dtype=plane.dtype)
+    for x, y, sx, sy in _loop_source_coords(matrix, h, w):
+        xi, yi = round(sx), round(sy)
+        out[x, y] = plane[xi, yi] if 0 <= xi < h and 0 <= yi < w else fill
+    return out
+
+
+# ---------------------------------------------------------------------------
 # NIfTI header reference builder
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cordpipe import (
     AUG1,
     AUG2,
     AUG3,
     AUG_NONE,
+    AugProfile,
     SampledTransform,
     build_matrix,
     sample_transform,
@@ -14,7 +16,10 @@ from cordpipe import (
     warp_labels,
     warp_pair,
 )
+from cordpipe import augment
 from cordpipe.errors import ConfigError, DimensionError, TransformError
+
+from oracles import loop_warp_image, loop_warp_labels
 
 PLANE = (32, 32)
 
@@ -171,3 +176,84 @@ def test_warped_output_reproducible_from_seed():
     t1 = sample_transform(AUG3, seed=11, plane_shape=PLANE)
     t2 = sample_transform(AUG3, seed=11, plane_shape=PLANE)
     assert warp_image(plane, t1).tobytes() == warp_image(plane, t2).tobytes()
+
+
+def test_profile_named_none_still_warps():
+    # the identity shortcut is decided by the ranges alone, not the name
+    aug1_as_none = AugProfile(AUG1.translation_frac, AUG1.rotation_deg, AUG1.scale,
+                              AUG1.shear_deg, AUG1.perspective, name="none")
+    t = sample_transform(aug1_as_none, seed=5, plane_shape=PLANE)
+    assert not t.is_identity
+    assert t.matrix.tobytes() == sample_transform(AUG1, seed=5, plane_shape=PLANE).matrix.tobytes()
+    zero = AugProfile(0.0, 0.0, (1.0, 1.0), (0.0, 0.0), 0.0, name="unnamed")
+    assert sample_transform(zero, seed=5).is_identity
+
+
+def test_warp_pair_maps_each_draw_once(monkeypatch):
+    calls = []
+    inverse_coords = augment._inverse_coords
+    monkeypatch.setattr(augment, "_inverse_coords",
+                        lambda t, shape: calls.append(shape) or inverse_coords(t, shape))
+    rng = np.random.default_rng(38)
+    planes = [rng.random(PLANE).astype(np.float32) for _ in range(2)]
+    labels = rng.integers(0, 3, PLANE).astype(np.uint8)
+    t = sample_transform(AUG2, seed=7, plane_shape=PLANE)
+    warp_pair(planes, labels, t)
+    assert calls == [PLANE]
+
+
+# matrices whose source coordinates land on half-integers, where rounding
+# and the floor of the bilinear corners are most fragile
+_HALF_STEP_MATRICES = [
+    build_matrix(scale=0.5),
+    build_matrix(scale=2.0),
+    build_matrix(translation=(0.5, -0.5)),
+    build_matrix(translation=(0.5, 1.5), scale=2.0),
+    build_matrix(rotation_deg=90),
+    build_matrix(rotation_deg=180, translation=(0.5, 0.5)),
+    build_matrix(rotation_deg=270, translation=(-1.5, 0.5)),
+    build_matrix(perspective=(0.3, -0.2)),
+    build_matrix(perspective=(-1.5, 2.0), scale=0.3),
+]
+
+
+@st.composite
+def _warp_cases(draw):
+    h, w = draw(st.integers(1, 69)), draw(st.integers(1, 69))
+    if draw(st.booleans()):
+        profile = draw(st.sampled_from([AUG1, AUG2, AUG3, AUG_NONE]))
+        t = sample_transform(profile, seed=draw(st.integers(0, 2**32 - 1)), plane_shape=(h, w))
+    else:
+        t = SampledTransform(draw(st.sampled_from(_HALF_STEP_MATRICES)),
+                             (0, 0), 0.0, 1.0, 0.0, (0, 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = draw(st.sampled_from("CF"))
+    mag = np.asarray(rng.normal(size=(h, w)).astype(np.float32), order=order)
+    mag[rng.random((h, w)) < 0.2] = -0.0
+    phase = rng.random((h + 2, 2 * w)).astype(np.float32)[1:h + 1, ::2]  # strided view
+    dtype = draw(st.sampled_from([np.uint8, np.int64]))
+    labels = np.asarray(rng.integers(0, 6, (h, w)), dtype=dtype, order=order)
+    fill = draw(st.sampled_from([0.0, -1.0, 0.1, 3.5]))
+    return t, mag, phase, labels, fill, draw(st.integers(0, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_warp_cases())
+def test_warps_match_loop_oracle(case):
+    t, mag, phase, labels, fill, label_fill = case
+
+    def same(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    want_mag = loop_warp_image(mag, t.matrix)
+    want_phase = loop_warp_image(phase, t.matrix)
+    want_labels = loop_warp_labels(labels, t.matrix)
+    same(warp_image(mag, t, fill), loop_warp_image(mag, t.matrix, fill))
+    same(warp_labels(labels, t, label_fill), loop_warp_labels(labels, t.matrix, label_fill))
+    same(warp_image(phase, t), want_phase)
+    same(warp_labels(labels, t), want_labels)
+    (got_mag, got_phase), got_labels = warp_pair([mag, phase], labels, t)
+    same(got_mag, want_mag)
+    same(got_phase, want_phase)
+    same(got_labels, want_labels)

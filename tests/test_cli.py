@@ -280,6 +280,20 @@ def test_config_parser_errors_exit_1(tmp_path, capsys):
     assert "ConfigError" in capsys.readouterr().err
 
 
+def test_undecodable_config_exits_2_naming_it(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    in_path = _write(tmp_path / "in.nii",
+                     ScalarVolume(rng.random((4, 4, 2), dtype=np.float32), ISO))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"preprocess.otsu = \xff\xfe true\n")
+    rc = main(["preprocess", in_path, "--out", str(tmp_path / "o.nii"),
+               "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "kind=FormatError" in err and f"file={cfg}" in err
+    assert not (tmp_path / "o.nii").exists()
+
+
 def test_evaluate_batch_directories(tmp_path, capsys):
     rng = np.random.default_rng(9)
     pred_dir = tmp_path / "preds"
@@ -312,6 +326,23 @@ def test_evaluate_batch_no_matches_exits_1(tmp_path, capsys):
     rc = main(["evaluate", str(tmp_path / "a"), str(tmp_path / "b")])
     assert rc == 1
     assert "ValidationError" in capsys.readouterr().err
+
+
+def test_evaluate_batch_same_stem_twice_exits_1(tmp_path, capsys):
+    # a.nii and a.nii.gz in one directory: neither may silently win
+    rng = np.random.default_rng(10)
+    pred_dir, gt_dir = tmp_path / "preds", tmp_path / "gts"
+    pred_dir.mkdir()
+    gt_dir.mkdir()
+    gt = LabelVolume(rng.integers(0, 5, (6, 6, 4)).astype(np.uint8), ISO)
+    _write(gt_dir / "a.nii", gt)
+    _write(pred_dir / "a.nii", gt)
+    _write(pred_dir / "a.nii.gz", LabelVolume(np.zeros((6, 6, 4), np.uint8), ISO), gz=True)
+    rc = main(["evaluate", str(pred_dir), str(gt_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ValidationError" in err
+    assert str(pred_dir / "a.nii") in err and str(pred_dir / "a.nii.gz") in err
 
 
 def test_softlabel_profile_from_config_with_overrides(phantom_dir, tmp_path):

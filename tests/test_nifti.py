@@ -46,6 +46,23 @@ def test_golden_header_matches_reference_builder():
     assert raw[:HEADER_SIZE] == expected
 
 
+@pytest.mark.parametrize("labels", [False, True])
+def test_write_bytes_independent_of_memory_layout(labels):
+    rng = np.random.default_rng(12)
+    if labels:
+        base = rng.integers(0, 5, (6, 5, 4)).astype(np.uint8)
+        make = LabelVolume
+    else:
+        base = rng.random((6, 5, 4), dtype=np.float32)
+        make = ScalarVolume
+    strided = np.zeros((12, 5, 8), base.dtype)
+    strided[::2, :, ::2] = base
+    layouts = [np.ascontiguousarray(base), np.asfortranarray(base), strided[::2, :, ::2]]
+    raws = [write_nifti(make(data, ISO)) for data in layouts]
+    assert raws[0] == raws[1] == raws[2]
+    assert raws[0][HEADER_SIZE + 4:] == base.transpose().tobytes()  # x fastest on disk
+
+
 def test_header_fixture_is_stable():
     import hashlib
     vol = ScalarVolume(np.zeros((4, 4, 2), np.float32), Spacing(0.075, 0.075, 0.075))

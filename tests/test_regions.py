@@ -125,6 +125,16 @@ def test_region_stack_validation():
         RegionStack(np.full((2, 2), 1.5), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("channel", ["wm", "gm", "lesion"])
+def test_region_stack_rejects_nan(channel):
+    # NaN passes both "min < 0" and "max > 1" unnoticed; an all-NaN wm
+    # channel used to merge to healthy white matter
+    planes = {name: np.zeros((2, 2, 2), np.float32) for name in ("wm", "gm", "lesion")}
+    planes[channel][1, 0, 1] = np.nan
+    with pytest.raises(ValidationError):
+        RegionStack(**planes)
+
+
 def test_merge_rejects_planes():
     stack = RegionStack(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))
     with pytest.raises(DimensionError):

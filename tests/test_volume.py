@@ -6,6 +6,7 @@ from cordpipe import (
     LabelVolume,
     PatchSpec,
     ScalarVolume,
+    SoftLabelVolume,
     Spacing,
     axial_slice,
     extract_patch,
@@ -63,6 +64,14 @@ def test_label_range_enforced():
     data[1, 1, 1] = 5
     with pytest.raises(ValidationError):
         LabelVolume(data, ISO)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5])
+def test_soft_label_values_outside_unit_range_rejected(bad):
+    channels = np.zeros((4, 2, 2, 2), np.float32)
+    channels[2, 1, 0, 1] = bad
+    with pytest.raises(ValidationError):
+        SoftLabelVolume(channels, ISO)
 
 
 def test_patch_inbounds_copy(acquisition_volume):
