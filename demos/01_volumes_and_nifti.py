@@ -23,8 +23,7 @@ from cordpipe import (
 rng = np.random.default_rng(7)
 
 vol = ScalarVolume(rng.random((64, 64, 32), dtype=np.float32), Spacing.isotropic())
-print(f"volume dims={vol.dims}, spacing={vol.spacing.as_tuple()} mm, "
-      f"channel={vol.channel}")
+print(f"volume dims={vol.dims}, spacing={vol.spacing.as_tuple()} mm")
 
 plane = axial_slice(vol, 10)
 print(f"axial slice 10 -> plane {plane.shape}, mean intensity {plane.mean():.3f}")

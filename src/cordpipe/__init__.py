@@ -14,8 +14,6 @@ from .volume import (
     HEALTHY_WM,
     LESION_GM,
     LESION_WM,
-    MAGNITUDE,
-    PHASE,
     PATCH5,
     LabelVolume,
     PatchSpec,

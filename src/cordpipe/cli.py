@@ -89,12 +89,22 @@ def _write_volume(path: str, vol, dry_run: bool = False) -> None:
     _write_atomic(path, raw, dry_run)
 
 
-def _load_volume(path: str, labels: bool = False, channel: str = "magnitude"):
+def _load_volume(path: str, labels: bool = False):
     raw = _read_file(path)
     try:
-        return read_nifti(raw, labels=labels, channel=channel)
+        return read_nifti(raw, labels=labels)
     except FormatError as exc:
         raise type(exc)(f"{path}: {exc}", path) from exc
+
+
+def _load_on_grid(path: str, ref_path: str, ref, labels: bool = False):
+    """Load a voxel-wise input that must share the dims and spacing of ``ref``."""
+    vol = _load_volume(path, labels)
+    if vol.dims != ref.dims or vol.spacing != ref.spacing:
+        raise ValidationError(
+            f"{path}: dims {vol.dims} at spacing {vol.spacing.as_tuple()} differ from "
+            f"{ref.dims} at {ref.spacing.as_tuple()} of {ref_path}")
+    return vol
 
 
 def _err_record(exc: Exception, path: str | None = None) -> str:
@@ -122,13 +132,12 @@ def _cmd_preprocess(args) -> int:
     use_clahe = args.clahe or get_typed(cfg, "preprocess.clahe.enabled", bool, False)
     use_zscore = args.zscore or get_typed(cfg, "preprocess.zscore", bool, False)
 
-    vol = _load_volume(args.input, channel=args.channel)
+    vol = _load_volume(args.input)
 
     mask = None
     if use_otsu:
-        mask_src = vol if args.mask_from is None else _load_volume(args.mask_from)
-        if mask_src.dims != vol.dims:
-            raise ValidationError("mask source dims do not match the input volume")
+        mask_src = vol if args.mask_from is None else \
+            _load_on_grid(args.mask_from, args.input, vol)
         mask = otsu_mask(mask_src).mask
         vol = apply_mask(vol, mask, fill=0.0)
 
@@ -181,7 +190,6 @@ def _cmd_softlabel(args) -> int:
     profile = _soft_profile_with_overrides(base, cfg)
     labels = _load_volume(args.input, labels=True)
     soft = soften(labels, profile)
-    os.makedirs(args.out_dir, exist_ok=True)
     for cid in FOREGROUND_CLASSES:
         out = ScalarVolume(soft.class_channel(cid), labels.spacing)
         path = os.path.join(args.out_dir, f"soft_{CLASS_NAMES[cid]}.nii.gz")
@@ -218,7 +226,6 @@ def _cmd_regions(args) -> int:
     if args.mode == "split":
         labels = _load_volume(args.input, labels=True)
         stack = to_regions(labels)
-        os.makedirs(args.out_dir, exist_ok=True)
         for name, grid in (("wm", stack.wm), ("gm", stack.gm), ("lesion", stack.lesion)):
             _write_volume(os.path.join(args.out_dir, f"region_{name}.nii.gz"),
                           ScalarVolume(grid, labels.spacing), args.dry_run)
@@ -230,8 +237,8 @@ def _cmd_regions(args) -> int:
     lesion_thresh = args.lesion_thresh if args.lesion_thresh is not None else \
         get_typed(cfg, "merge.lesion_thresh", float, 0.5)
     wm = _load_volume(args.wm)
-    gm = _load_volume(args.gm)
-    lesion = _load_volume(args.lesion)
+    gm = _load_on_grid(args.gm, args.wm, wm)
+    lesion = _load_on_grid(args.lesion, args.wm, wm)
     stack = RegionStack(wm.data, gm.data, lesion.data)
     merged = merge_regions(stack, wm.spacing, tissue_thresh, lesion_thresh)
     _write_volume(args.out, merged, args.dry_run)
@@ -294,14 +301,15 @@ def _cmd_stack(args) -> int:
     if args.predictor:
         if not args.input:
             raise ValidationError("--predictor mode needs --input <magnitude.nii>")
-        mag = _load_volume(args.input, channel="magnitude")
-        phase = _load_volume(args.phase, channel="phase") if args.phase else None
+        mag = _load_volume(args.input)
+        phase = _load_on_grid(args.phase, args.input, mag) if args.phase else None
         if args.predictor == "mock":
             if not args.fit_labels:
                 raise ValidationError("mock predictor needs --fit-labels <labels.nii>")
             if phase is None:
                 raise ValidationError("mock predictor needs --phase")
-            predictor = MockPredictor.fit(mag, phase, _load_volume(args.fit_labels, labels=True))
+            fit_labels = _load_on_grid(args.fit_labels, args.input, mag, labels=True)
+            predictor = MockPredictor.fit(mag, phase, fit_labels)
         elif args.predictor.startswith("cmd:"):
             predictor = SubprocessPredictor(args.predictor[4:].split(), spacing=mag.spacing)
         else:
@@ -426,7 +434,6 @@ def _cmd_phantom(args) -> int:
         cfg = PhantomConfig.fitted(args.dims, seed=args.seed)
     mag, phs, labels = generate(cfg)
     out = args.out_dir
-    os.makedirs(out, exist_ok=True)
     _write_volume(os.path.join(out, "magnitude.nii.gz"), mag, args.dry_run)
     _write_volume(os.path.join(out, "phase.nii.gz"), phs, args.dry_run)
     _write_volume(os.path.join(out, "labels.nii.gz"), labels, args.dry_run)
@@ -458,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--channel", choices=["magnitude", "phase"], default="magnitude")
     p.add_argument("--otsu", action="store_true", default=None)
     p.add_argument("--mask-from", help="compute the Otsu mask from this magnitude volume")
     p.add_argument("--stretch", action="store_true")

@@ -46,7 +46,6 @@ from .errors import (
 )
 from .volume import (
     LESION_GM,
-    MAGNITUDE,
     LabelVolume,
     ScalarVolume,
     Spacing,
@@ -210,10 +209,11 @@ def _read_payload(raw: bytes, hdr: NiftiHeader) -> np.ndarray:
     return np.asfortranarray(flat.reshape((h, w, z), order="F"))
 
 
-def read_nifti(raw: bytes, labels: bool = False, channel: str = MAGNITUDE):
+def read_nifti(raw: bytes, labels: bool = False):
     """Decode a NIfTI-1 stream into a ScalarVolume or LabelVolume.
 
-    ``labels=True`` enforces an integer datatype, no intensity scaling
+    A magnitude and a phase file decode alike: the caller knows which is
+    which. ``labels=True`` enforces an integer datatype, no intensity scaling
     and class ids within 0..4.
     """
     if raw[:2] == b"\x1f\x8b":
@@ -240,7 +240,7 @@ def read_nifti(raw: bytes, labels: bool = False, channel: str = MAGNITUDE):
         data = data * np.float32(hdr.scl_slope) + np.float32(hdr.scl_inter)
     if not np.all(np.isfinite(data)):
         raise FormatError("payload contains non-finite values")
-    return ScalarVolume(data, spacing, channel)
+    return ScalarVolume(data, spacing)
 
 
 def _pack_header(shape, spacing: Spacing, datatype: int) -> bytes:
@@ -328,19 +328,22 @@ class SparseAnnotation:
     spacing: Spacing | None = None
 
     def __post_init__(self):
-        self.planes = np.asarray(self.planes, dtype=np.uint8)
-        if self.planes.ndim != 3:
-            raise SidecarError(f"planes must be (H, W, K), got shape {self.planes.shape}")
-        if len(self.z_indices) != self.planes.shape[2]:
+        planes = np.asarray(self.planes)
+        if planes.ndim != 3:
+            raise SidecarError(f"planes must be (H, W, K), got shape {planes.shape}")
+        if len(self.z_indices) != planes.shape[2]:
             raise SidecarError(
-                f"{len(self.z_indices)} indices but {self.planes.shape[2]} planes"
+                f"{len(self.z_indices)} indices but {planes.shape[2]} planes"
             )
         if any(b <= a for a, b in zip(self.z_indices, self.z_indices[1:])):
             raise SidecarError("z indices must be strictly increasing and unique")
         if any(z < 0 for z in self.z_indices):
             raise SidecarError("negative z index")
-        if self.planes.size and self.planes.max() > LESION_GM:
+        # Range-checked before the cast to uint8, so no id wraps into a class.
+        if planes.size and (planes.max() > LESION_GM
+                            or planes.dtype != np.uint8 and planes.min() < 0):
             raise LabelRangeError("annotation plane contains an id outside 0..4")
+        self.planes = planes.astype(np.uint8, copy=False)
 
     def __len__(self) -> int:
         return len(self.z_indices)

@@ -26,8 +26,6 @@ from .volume import (
     HEALTHY_WM,
     LESION_GM,
     LESION_WM,
-    MAGNITUDE,
-    PHASE,
     LabelVolume,
     ScalarVolume,
     Spacing,
@@ -205,8 +203,8 @@ def generate(cfg: PhantomConfig,
         phs += rng.normal(0.0, cfg.noise_std, phs.shape)
 
     return (
-        ScalarVolume(mag.astype(np.float32), spacing, MAGNITUDE),
-        ScalarVolume(phs.astype(np.float32), spacing, PHASE),
+        ScalarVolume(mag.astype(np.float32), spacing),
+        ScalarVolume(phs.astype(np.float32), spacing),
         LabelVolume(labels, spacing),
     )
 

@@ -128,7 +128,7 @@ def apply_mask(vol: ScalarVolume, mask: np.ndarray, fill: float = 0.0) -> Scalar
     if not np.isfinite(fill):
         raise ValidationError(f"fill must be finite, got {fill!r}")
     out = np.where(mask > 0, vol.data, np.float32(fill))
-    return ScalarVolume(out, vol.spacing, vol.channel)
+    return ScalarVolume(out, vol.spacing)
 
 
 def _clip_and_redistribute(hist: np.ndarray, clip) -> np.ndarray:
@@ -263,7 +263,7 @@ def clahe_plane(plane: np.ndarray, cfg: ClaheConfig) -> np.ndarray:
 
 def clahe_slicewise(vol: ScalarVolume, cfg: ClaheConfig) -> ScalarVolume:
     """Apply :func:`clahe_plane` independently to every axial slice."""
-    return ScalarVolume(_clahe(vol.data, cfg), vol.spacing, vol.channel)
+    return ScalarVolume(_clahe(vol.data, cfg), vol.spacing)
 
 
 def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),
@@ -284,7 +284,7 @@ def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),
         )
     out = (vol.data.astype(np.float64) - q_low) / (q_high - q_low)
     out = np.clip(out, 0.0, 1.0).astype(np.float32)
-    return ScalarVolume(out, vol.spacing, vol.channel)
+    return ScalarVolume(out, vol.spacing)
 
 
 def zscore_normalize(vol: ScalarVolume, mask: np.ndarray | None = None) -> ScalarVolume:
@@ -297,7 +297,7 @@ def zscore_normalize(vol: ScalarVolume, mask: np.ndarray | None = None) -> Scala
     if std == 0.0:
         raise ZeroVarianceError("normalization scope has zero variance")
     out = ((vol.data.astype(np.float64) - mean) / std).astype(np.float32)
-    return ScalarVolume(out, vol.spacing, vol.channel)
+    return ScalarVolume(out, vol.spacing)
 
 
 def minmax_rescale(vol: ScalarVolume) -> ScalarVolume:
@@ -306,4 +306,4 @@ def minmax_rescale(vol: ScalarVolume) -> ScalarVolume:
     if lo == hi:
         raise DegenerateRangeError("constant volume cannot be rescaled")
     out = ((vol.data - lo) / (hi - lo)).astype(np.float32)
-    return ScalarVolume(out, vol.spacing, vol.channel)
+    return ScalarVolume(out, vol.spacing)

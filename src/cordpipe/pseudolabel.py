@@ -38,8 +38,6 @@ from .volume import (
     HEALTHY_WM,
     LESION_GM,
     LESION_WM,
-    MAGNITUDE,
-    PHASE,
     LabelVolume,
     ScalarVolume,
     Spacing,
@@ -122,6 +120,8 @@ class MockPredictor(SlicePredictor):
     def fit(cls, magnitude: ScalarVolume, phase: ScalarVolume,
             labels: LabelVolume) -> "MockPredictor":
         """Estimate per-class channel means from a labeled volume pair."""
+        if not magnitude.dims == phase.dims == labels.dims:
+            raise DimensionError(f"fit dims differ: {magnitude.dims} {phase.dims} {labels.dims}")
         centers = {}
         for cid in (0, *FOREGROUND_CLASSES):
             sel = labels.data == cid
@@ -362,10 +362,8 @@ class SubprocessPredictor(SlicePredictor):
             phase_path = os.path.join(tmp, "phase.nii")
             out_path = os.path.join(tmp, "out.nii")
             for path, plane in ((mag_path, mag), (phase_path, phs)):
-                vol = ScalarVolume(plane[:, :, None], self.spacing,
-                                   MAGNITUDE if path == mag_path else PHASE)
                 with open(path, "wb") as fh:
-                    fh.write(write_nifti(vol))
+                    fh.write(write_nifti(ScalarVolume(plane[:, :, None], self.spacing)))
             proc = subprocess.run(self.command + [mag_path, phase_path, out_path],
                                   capture_output=True, timeout=self.timeout)
             if proc.returncode != 0:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import ConfigError, DimensionError, ValidationError
 from .volume import (
     HEALTHY_GM,
     HEALTHY_WM,
@@ -74,8 +74,11 @@ def merge_region_arrays(wm: np.ndarray, gm: np.ndarray, lesion: np.ndarray,
     A voxel is background when neither tissue channel reaches
     ``tissue_thresh``; otherwise the stronger tissue wins (ties go to
     gray matter). The lesion flag upgrades tissue voxels only; lesion
-    signal over background is dropped.
+    signal over background is dropped. Both thresholds lie in [0, 1].
     """
+    for name, t in (("tissue_thresh", tissue_thresh), ("lesion_thresh", lesion_thresh)):
+        if not 0 <= t <= 1:  # NaN fails too
+            raise ConfigError(f"merge {name} must lie in [0, 1], got {t!r}")
     tissue_max = np.maximum(wm, gm)
     tissue = np.where(tissue_max < tissue_thresh, 0,
                       np.where(gm >= wm, HEALTHY_GM, HEALTHY_WM))

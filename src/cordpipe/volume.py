@@ -35,9 +35,6 @@ CLASS_NAMES = {
     LESION_GM: "lesion_gm",
 }
 
-MAGNITUDE = "magnitude"
-PHASE = "phase"
-
 # Native acquisition: 75 um isotropic.
 DEFAULT_SPACING_MM = 0.075
 
@@ -79,11 +76,10 @@ def _check_dims(dims) -> tuple[int, int, int]:
 
 @dataclass(eq=False)
 class ScalarVolume:
-    """3D grid of float32 intensities for one channel (magnitude or phase)."""
+    """3D grid of float32 intensities: one magnitude or one phase volume."""
 
     data: np.ndarray
     spacing: Spacing
-    channel: str = MAGNITUDE
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float32)
@@ -92,8 +88,6 @@ class ScalarVolume:
         _check_dims(self.data.shape)
         if not np.all(np.isfinite(self.data)):
             raise ValidationError("scalar volume contains non-finite values")
-        if self.channel not in (MAGNITUDE, PHASE):
-            raise ValidationError(f"unknown channel {self.channel!r}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -112,15 +106,15 @@ class LabelVolume:
         if arr.ndim != 3:
             raise DimensionError(f"label volume must be 3D, got shape {arr.shape}")
         _check_dims(arr.shape)
-        if arr.dtype != np.uint8:
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise ValidationError(f"label data must be integer, got dtype {arr.dtype}")
-            arr = arr.astype(np.uint8, casting="unsafe")
-        if arr.size and arr.max() > LESION_GM:
+        if arr.dtype != np.uint8 and not np.issubdtype(arr.dtype, np.integer):
+            raise ValidationError(f"label data must be integer, got dtype {arr.dtype}")
+        # Range-checked before the cast to uint8, so no id wraps into a class.
+        low = int(arr.min()) if arr.size and arr.dtype != np.uint8 else 0
+        high = int(arr.max()) if arr.size else 0
+        if low < 0 or high > LESION_GM:
             raise ValidationError(
-                f"label volume contains id {int(arr.max())} outside 0..{LESION_GM}"
-            )
-        self.data = arr
+                f"label volume contains id {low if low < 0 else high} outside 0..{LESION_GM}")
+        self.data = arr.astype(np.uint8, copy=False)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -184,13 +178,12 @@ def patch1(px: int, py: int) -> PatchSpec:
     return PatchSpec(px, py, 144, name="patch1")
 
 
-def new_scalar_volume(dims, spacing: Spacing, fill: float = 0.0,
-                      channel: str = MAGNITUDE) -> ScalarVolume:
+def new_scalar_volume(dims, spacing: Spacing, fill: float = 0.0) -> ScalarVolume:
     """Allocate a constant-filled volume."""
     h, w, z = _check_dims(dims)
     if not np.isfinite(fill):
         raise ValidationError(f"fill value must be finite, got {fill!r}")
-    return ScalarVolume(np.full((h, w, z), fill, dtype=np.float32), spacing, channel)
+    return ScalarVolume(np.full((h, w, z), fill, dtype=np.float32), spacing)
 
 
 def extract_patch(vol, origin, spec: PatchSpec, pad_value=None):
@@ -222,7 +215,7 @@ def extract_patch(vol, origin, spec: PatchSpec, pad_value=None):
 
     if is_labels:
         return LabelVolume(out, vol.spacing)
-    return ScalarVolume(out, vol.spacing, vol.channel)
+    return ScalarVolume(out, vol.spacing)
 
 
 def axial_slice(vol, z: int) -> np.ndarray:

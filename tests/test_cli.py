@@ -16,6 +16,7 @@ from cordpipe import (
     generate,
     gzip_nifti,
     read_nifti,
+    to_regions,
     write_nifti,
     write_sparse_annotation,
 )
@@ -560,3 +561,86 @@ def test_unknown_spatial_unit_exits_2(tmp_path, capsys):
     bad.write_bytes(bytes(raw))
     assert main(["evaluate", str(bad), str(bad)]) == 2
     assert "kind=FormatError" in capsys.readouterr().err
+
+
+def test_dry_run_creates_no_output_directory(phantom_dir, tmp_path):
+    labels = str(phantom_dir / "labels.nii.gz")
+    runs = {
+        "softlabel": ["softlabel", labels],
+        "split": ["regions", "split", labels],
+        "phantom": ["phantom", "--dims", "16", "16", "4"],
+    }
+    for name, argv in runs.items():
+        out_dir = tmp_path / "fresh" / name
+        assert main(argv + ["--out-dir", str(out_dir), "--dry-run"]) == 0
+        assert not (tmp_path / "fresh").exists(), name
+
+
+def test_preprocess_has_no_channel_flag(tmp_path):
+    vol = ScalarVolume(np.ones((4, 4, 2), np.float32), ISO)
+    in_path = _write(tmp_path / "in.nii", vol)
+    with pytest.raises(SystemExit) as exc:
+        main(["preprocess", in_path, "--out", str(tmp_path / "o.nii"), "--channel", "phase"])
+    assert exc.value.code == 2
+
+
+@pytest.fixture()
+def grids(tmp_path):
+    """A 32x32x4 phantom at 75 um, with single files moved to another grid."""
+    mag, phs, labels = generate(PhantomConfig.fitted((32, 32, 4), seed=4))
+    coarse = Spacing.isotropic(0.5)
+    _, big_phs, big_labels = generate(PhantomConfig.fitted((40, 40, 4), seed=4))
+    regions = to_regions(labels)
+    files = {
+        "mag": mag, "phase": phs, "labels": labels,
+        "wm": ScalarVolume(regions.wm, ISO), "gm": ScalarVolume(regions.gm, ISO),
+        "lesion": ScalarVolume(regions.lesion, ISO),
+        "coarse_mag": ScalarVolume(mag.data, coarse),
+        "coarse_phase": ScalarVolume(phs.data, coarse),
+        "coarse_labels": LabelVolume(labels.data, coarse),
+        "coarse_gm": ScalarVolume(regions.gm, coarse),
+        "big_phase": big_phs, "big_labels": big_labels,
+    }
+    return {k: _write(tmp_path / f"{k}.nii", v) for k, v in files.items()}
+
+
+@pytest.mark.parametrize("argv, ref, odd", [
+    (["stack", "--predictor", "mock", "--input", "mag", "--phase", "phase",
+      "--fit-labels", "big_labels"], "mag", "big_labels"),
+    (["stack", "--predictor", "mock", "--input", "mag", "--phase", "big_phase",
+      "--fit-labels", "labels"], "mag", "big_phase"),
+    (["stack", "--predictor", "mock", "--input", "mag", "--phase", "coarse_phase",
+      "--fit-labels", "labels"], "mag", "coarse_phase"),
+    (["stack", "--predictor", "mock", "--input", "mag", "--phase", "phase",
+      "--fit-labels", "coarse_labels"], "mag", "coarse_labels"),
+    (["regions", "merge", "--wm", "wm", "--gm", "coarse_gm", "--lesion", "lesion"],
+     "wm", "coarse_gm"),
+    (["preprocess", "mag", "--otsu", "--mask-from", "coarse_mag"], "mag", "coarse_mag"),
+])
+def test_voxelwise_inputs_must_share_one_grid(grids, tmp_path, capsys, argv, ref, odd):
+    out = tmp_path / "o.nii"
+    rc = main([grids.get(a, a) for a in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "kind=ValidationError" in err and grids[ref] in err and grids[odd] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "1.5", "-0.25"])
+def test_merge_threshold_outside_unit_range_exits_1(grids, tmp_path, capsys, value):
+    regions = ["--wm", grids["wm"], "--gm", grids["gm"], "--lesion", grids["lesion"]]
+    cfg = tmp_path / "merge.cfg"
+    cfg.write_text(f"merge.tissue_thresh = {value}\n")
+    runs = [
+        ["regions", "merge", *regions, "--tissue-thresh", value],
+        ["regions", "merge", *regions, "--lesion-thresh", value],
+        ["regions", "merge", *regions, "--config", str(cfg)],
+        ["stack", "--predictor", "mock", "--input", grids["mag"], "--phase", grids["phase"],
+         "--fit-labels", grids["labels"], "--config", str(cfg)],
+    ]
+    out = tmp_path / "o.nii"
+    for argv in runs:
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1, argv
+        assert "kind=ConfigError" in capsys.readouterr().err
+        assert not out.exists()

@@ -464,3 +464,12 @@ def test_malformed_sidecar_document_is_sidecar_error(text):
     planes = write_nifti(LabelVolume(np.zeros((4, 4, 1), np.uint8), ISO))
     with pytest.raises(SidecarError):
         read_sparse_annotation(text, planes, (4, 4, 8))
+
+
+@pytest.mark.parametrize("bad", [-252, 260])
+def test_annotation_ids_outside_range_rejected_before_the_cast(bad):
+    # both are 4 as uint8
+    planes = np.zeros((2, 2, 1), np.int64)
+    planes[1, 1, 0] = bad
+    with pytest.raises(LabelRangeError):
+        SparseAnnotation("v", [0], planes)

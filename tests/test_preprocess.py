@@ -140,7 +140,7 @@ def test_phase_masked_by_magnitude_mask():
     mag[2:4, 2:4, :] = 1.0
     phase = rng.random((6, 6, 4)).astype(np.float32)
     res = otsu_mask(_vol(mag))
-    masked = apply_mask(ScalarVolume(phase, ISO, "phase"), res.mask, fill=0.0)
+    masked = apply_mask(ScalarVolume(phase, ISO), res.mask, fill=0.0)
     assert (masked.data[res.mask == 0] == 0.0).all()
     assert np.array_equal(masked.data[res.mask == 1], phase[res.mask == 1])
 

@@ -270,7 +270,7 @@ TTA_SUBSETS = [None] + [
 def _volumes(h, w, z, seed):
     rng = np.random.default_rng(seed)
     mag = ScalarVolume(rng.random((h, w, z), dtype=np.float32), ISO)
-    phs = ScalarVolume(rng.random((h, w, z), dtype=np.float32), ISO, "phase")
+    phs = ScalarVolume(rng.random((h, w, z), dtype=np.float32), ISO)
     return mag, phs
 
 
@@ -400,3 +400,15 @@ def test_subprocess_predictor_failure_reported(tmp_path):
     pred = SubprocessPredictor([sys.executable, str(script)])
     with pytest.raises(ValidationError):
         pred.predict(np.zeros((4, 4), np.float32))
+
+
+@pytest.mark.parametrize("which", ["phase", "labels"])
+def test_mock_fit_rejects_volumes_on_other_grids(which):
+    mag, phs, labels = generate(PhantomConfig.fitted((32, 32, 4), seed=5))
+    _, big_phs, big_labels = generate(PhantomConfig.fitted((40, 40, 4), seed=5))
+    if which == "phase":
+        phs = big_phs
+    else:
+        labels = big_labels
+    with pytest.raises(DimensionError):
+        MockPredictor.fit(mag, phs, labels)

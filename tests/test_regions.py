@@ -11,7 +11,7 @@ from cordpipe import (
     merge_regions,
     to_regions,
 )
-from cordpipe.errors import DimensionError, ValidationError
+from cordpipe.errors import ConfigError, DimensionError, ValidationError
 from cordpipe.volume import (
     BACKGROUND,
     HEALTHY_GM,
@@ -139,3 +139,16 @@ def test_merge_rejects_planes():
     stack = RegionStack(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))
     with pytest.raises(DimensionError):
         merge_regions(stack, ISO)
+
+
+def test_merge_thresholds_must_lie_in_unit_range():
+    # a NaN tissue threshold used to turn every background voxel into tissue
+    wm = np.array([0.0, 0.2, 1.0], np.float32)
+    zero = np.zeros(3, np.float32)
+    for name in ("tissue_thresh", "lesion_thresh"):
+        for bad in (np.nan, np.inf, -0.1, 1.5):
+            with pytest.raises(ConfigError, match=name):
+                merge_region_arrays(wm, zero, zero, **{name: bad})
+    # the bounds themselves are valid
+    assert merge_region_arrays(wm, zero, zero, tissue_thresh=0.0).tolist() == [2, 1, 1]
+    assert merge_region_arrays(wm, zero, zero, tissue_thresh=1.0).tolist() == [0, 0, 1]

@@ -141,3 +141,18 @@ def test_named_patch_profiles():
     assert (p1.px, p1.py) == (40, 40)
     with pytest.raises(DimensionError):
         PatchSpec(0, 1, 1)
+
+
+def test_scalar_volume_is_data_and_spacing():
+    import dataclasses
+
+    import cordpipe
+    assert [f.name for f in dataclasses.fields(ScalarVolume)] == ["data", "spacing"]
+    assert not hasattr(cordpipe, "MAGNITUDE") and not hasattr(cordpipe, "PHASE")
+
+
+@pytest.mark.parametrize("ids", [[-252, 260, 3], [-252, 0, 3], [0, 260, 3]])
+def test_wide_label_ids_outside_range_rejected_before_the_cast(ids):
+    # -252 and 260 are 4 as uint8: they used to wrap into lesion GM
+    with pytest.raises(ValidationError, match="outside 0..4"):
+        LabelVolume(np.array([[ids]], np.int64), ISO)
