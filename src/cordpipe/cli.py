@@ -52,7 +52,7 @@ from .pseudolabel import (
     stack_slices,
     thread_map,
 )
-from .regions import RegionStack, merge_regions, to_regions
+from .regions import RegionStack, check_thresholds, merge_regions, to_regions
 from .softlabel import PROFILES as SOFT_PROFILES
 from .softlabel import SoftProfile, soften
 from .volume import CLASS_NAMES, FOREGROUND_CLASSES, ScalarVolume, Spacing
@@ -297,6 +297,7 @@ def _cmd_stack(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     tissue_thresh = get_typed(cfg, "merge.tissue_thresh", float, 0.5)
     lesion_thresh = get_typed(cfg, "merge.lesion_thresh", float, 0.5)
+    check_thresholds(tissue_thresh, lesion_thresh)  # before the costly prediction
 
     if args.predictor:
         if not args.input:
@@ -390,7 +391,14 @@ def _cmd_evaluate_batch(args) -> int:
             f"no matching volume names between {args.pred} and {args.gt}"
         )
 
-    reports = thread_map(lambda s: _evaluate_one(preds[s], gts[s], s), stems, args.threads)
+    def score(stem: str):
+        try:
+            return _evaluate_one(preds[stem], gts[stem], stem)
+        except ValidationError as exc:
+            raise type(exc)(f"volume {stem} (pred {preds[stem]}, gt {gts[stem]}): {exc}") \
+                from exc
+
+    reports = thread_map(score, stems, args.threads)
 
     agg = fold_aggregate(reports)
     if args.csv:

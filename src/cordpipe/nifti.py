@@ -339,6 +339,8 @@ class SparseAnnotation:
             raise SidecarError("z indices must be strictly increasing and unique")
         if any(z < 0 for z in self.z_indices):
             raise SidecarError("negative z index")
+        if not np.issubdtype(planes.dtype, np.integer):
+            raise ValidationError(f"label data must be integer, got dtype {planes.dtype}")
         # Range-checked before the cast to uint8, so no id wraps into a class.
         if planes.size and (planes.max() > LESION_GM
                             or planes.dtype != np.uint8 and planes.min() < 0):

@@ -66,6 +66,13 @@ def to_regions(labels: LabelVolume | np.ndarray) -> RegionStack:
     return RegionStack(wm, gm, lesion)
 
 
+def check_thresholds(tissue_thresh: float, lesion_thresh: float) -> None:
+    """Raise ConfigError unless both merge thresholds lie in [0, 1]."""
+    for name, t in (("tissue_thresh", tissue_thresh), ("lesion_thresh", lesion_thresh)):
+        if not 0 <= t <= 1:  # NaN fails too
+            raise ConfigError(f"merge {name} must lie in [0, 1], got {t!r}")
+
+
 def merge_region_arrays(wm: np.ndarray, gm: np.ndarray, lesion: np.ndarray,
                         tissue_thresh: float = 0.5,
                         lesion_thresh: float = 0.5) -> np.ndarray:
@@ -76,9 +83,7 @@ def merge_region_arrays(wm: np.ndarray, gm: np.ndarray, lesion: np.ndarray,
     gray matter). The lesion flag upgrades tissue voxels only; lesion
     signal over background is dropped. Both thresholds lie in [0, 1].
     """
-    for name, t in (("tissue_thresh", tissue_thresh), ("lesion_thresh", lesion_thresh)):
-        if not 0 <= t <= 1:  # NaN fails too
-            raise ConfigError(f"merge {name} must lie in [0, 1], got {t!r}")
+    check_thresholds(tissue_thresh, lesion_thresh)
     tissue_max = np.maximum(wm, gm)
     tissue = np.where(tissue_max < tissue_thresh, 0,
                       np.where(gm >= wm, HEALTHY_GM, HEALTHY_WM))

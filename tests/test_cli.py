@@ -321,6 +321,24 @@ def test_evaluate_batch_directories(tmp_path, capsys):
     assert doc["aggregate"]["healthy_wm"]["dice"]["std"] == 0.0
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_evaluate_batch_error_names_the_volume_and_both_files(tmp_path, capsys, threads):
+    pred_dir, gt_dir = tmp_path / "preds", tmp_path / "gts"
+    pred_dir.mkdir()
+    gt_dir.mkdir()
+    ok = LabelVolume(np.ones((8, 8, 5), np.uint8), ISO)
+    _write(gt_dir / "a.nii", ok)
+    _write(pred_dir / "a.nii", ok)
+    gt_path = _write(gt_dir / "b.nii", ok)
+    pred_path = _write(pred_dir / "b.nii", LabelVolume(np.ones((8, 8, 4), np.uint8), ISO))
+    rc = main(["evaluate", str(pred_dir), str(gt_dir), "--threads", threads])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "kind=DimensionError" in err
+    assert "volume b " in err and pred_path in err and gt_path in err
+    assert "(8, 8, 5)" in err and "(8, 8, 4)" in err
+
+
 def test_evaluate_batch_no_matches_exits_1(tmp_path, capsys):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -644,3 +662,26 @@ def test_merge_threshold_outside_unit_range_exits_1(grids, tmp_path, capsys, val
         assert main(argv + ["--out", str(out)]) == 1, argv
         assert "kind=ConfigError" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["tissue_thresh", "lesion_thresh"])
+def test_stack_rejects_a_bad_threshold_before_loading_or_predicting(
+        grids, tmp_path, capsys, monkeypatch, key):
+    import cordpipe.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("stack did work before validating its thresholds")
+
+    monkeypatch.setattr(cli, "_load_volume", must_not_run)
+    monkeypatch.setattr(cli.MockPredictor, "fit", must_not_run)
+    monkeypatch.setattr(cli, "predict_volume", must_not_run)
+    cfg = tmp_path / "merge.cfg"
+    cfg.write_text(f"merge.{key} = 1.5\n")
+    out = tmp_path / "o.nii"
+    rc = main(["stack", "--predictor", "mock", "--input", grids["mag"], "--phase",
+               grids["phase"], "--fit-labels", grids["labels"], "--config", str(cfg),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "kind=ConfigError" in err and key in err
+    assert not out.exists()

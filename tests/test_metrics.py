@@ -1,18 +1,24 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from cordpipe import (
     LabelVolume,
+    PhantomConfig,
     Spacing,
     SparseAnnotation,
     dice,
     evaluate,
     fold_aggregate,
+    generate,
     hd95,
     inter_slice_dice,
+    perturb_slices,
     report_to_csv,
     surface_mask,
 )
@@ -172,6 +178,13 @@ def _mask(draw, shape):
 
 
 @st.composite
+def _nonempty_mask(draw, shape):
+    m = draw(_mask(shape))
+    m[tuple(draw(st.integers(0, n - 1)) for n in shape)] = True
+    return m
+
+
+@st.composite
 def _mask_pairs(draw):
     ndim = draw(st.sampled_from([2, 3]))
     shape = draw(hnp.array_shapes(min_dims=ndim, max_dims=ndim, max_side=9))
@@ -188,6 +201,78 @@ def test_hd95_property_matches_brute_force(masks, spacing):
         assert got is None
     else:
         assert abs(got - want) <= 1e-9
+
+
+def _counting_edt():
+    """Spy on the exact-transform fallback of the surface distances."""
+    return mock.patch.object(ndimage, "distance_transform_edt",
+                             wraps=ndimage.distance_transform_edt)
+
+
+@st.composite
+def _shifted_pairs(draw):
+    """g, and p = g moved by at most one voxel per axis, with spacings whose
+    ratios keep every such move within the 3-voxel search shell."""
+    ndim = draw(st.sampled_from([2, 3]))
+    shape = draw(hnp.array_shapes(min_dims=ndim, max_dims=ndim, max_side=7))
+    g = np.zeros([n + 2 for n in shape], bool)  # margin: the move never clips
+    g[tuple(slice(1, n + 1) for n in shape)] = draw(_nonempty_mask(shape))
+    move = draw(st.tuples(*[st.integers(-1, 1)] * ndim))
+    base = draw(_STEPS)
+    steps = [base * draw(st.floats(1.0, 1.7)) for _ in range(ndim)] + [base] * (3 - ndim)
+    return g, np.roll(g, move, axis=tuple(range(ndim))), Spacing(*steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shifted_pairs())
+def test_hd95_shell_search_matches_brute_force(case):
+    g, p, spacing = case
+    with _counting_edt() as edt:
+        got = hd95(g, p, spacing)
+    assert edt.call_count == 0
+    assert abs(got - brute_hd95(g, p, spacing.as_tuple())) <= 1e-9
+
+
+@st.composite
+def _far_pairs(draw):
+    """Masks at least 5 voxels apart along the first axis, beyond the search
+    shell at any spacing; p may also hold a copy of g, so that one call mixes
+    shell hits and the exact fallback."""
+    ndim = draw(st.sampled_from([2, 3]))
+    shape = draw(hnp.array_shapes(min_dims=ndim, max_dims=ndim, max_side=6))
+    n, gap = shape[0], 4
+    g = np.zeros((2 * n + gap,) + shape[1:], bool)
+    p = g.copy()
+    g[:n] = draw(_nonempty_mask(shape))
+    p[n + gap:] = draw(_nonempty_mask(shape))
+    if draw(st.booleans()):
+        p[:n] |= g[:n]
+    return g, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(_far_pairs(), _SPACINGS)
+def test_hd95_fallback_beyond_the_shell_matches_brute_force(masks, spacing):
+    g, p = masks
+    with _counting_edt() as edt:
+        got = hd95(g, p, spacing)
+    assert edt.call_count >= 1
+    assert abs(got - brute_hd95(g, p, spacing.as_tuple())) <= 1e-9
+
+
+def test_perturbed_phantom_needs_no_exact_transform_but_a_far_pair_does():
+    _, _, gt = generate(PhantomConfig.fitted((48, 52, 16), seed=3))
+    pred = perturb_slices(gt, max_shift=1, seed=4)
+    with _counting_edt() as edt:
+        rep = evaluate(pred, gt)
+    assert edt.call_count == 0
+    assert rep.per_class[1].hd95_mm > 0
+
+    far = gt.data.copy()
+    far[:2, :2, :2] = 3  # a spurious lesion far from the cord
+    with _counting_edt() as edt:
+        evaluate(LabelVolume(far, gt.spacing), gt)
+    assert edt.call_count >= 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -359,6 +444,53 @@ def test_evaluate_dscz_runs_on_dense_prediction():
     ann = SparseAnnotation("v", [2], data[:, :, 2:3])
     rep = evaluate(_labels(data), ann)
     assert rep.per_class[2].dscz == 1.0
+
+
+def _full_grid_class_metrics(pred, gt, cid):
+    g, p = gt.data == cid, pred.data == cid
+    dscz = inter_slice_dice(pred, cid) if pred.dims[2] >= 2 else None
+    return ClassMetrics(cid, dice(g, p), hd95(g, p, pred.spacing), dscz,
+                        bool(g.any()), bool(p.any()))
+
+
+def test_dense_evaluate_per_class_boxes_match_the_full_grid():
+    gt = np.zeros((10, 9, 7), np.uint8)
+    pred = np.zeros_like(gt)
+    gt[2:6, 2:6, 1:6] = 1
+    pred[3:7, 2:6, 1:5] = 1          # DSC_z transitions into z=1 and out of z=4
+    gt[0:3, 6:9, :] = 2              # touches three volume faces
+    pred[0:2, 6:9, 2:] = 2
+    pred[8:10, 0:2, 3:5] = 3         # present only in the prediction
+    spacing = Spacing(0.075, 0.1, 0.3)
+    pv, gv = LabelVolume(pred, spacing), LabelVolume(gt, spacing)
+    rep = evaluate(pv, gv)
+    for cid in (1, 2, 3, 4):
+        assert rep.per_class[cid] == _full_grid_class_metrics(pv, gv, cid)
+    assert rep.per_class[1].dscz == pytest.approx(3 / 5)  # two 0-transitions of 5
+    assert rep.per_class[3].present_in_pred and not rep.per_class[3].present_in_gt
+    assert rep.per_class[4].dice is None and rep.per_class[4].hd95_mm == 0.0
+
+
+@st.composite
+def _boxed_labels(draw, shape):
+    """Each class filled at random inside its own random sub-box, so class
+    boxes are small, overlap, or touch the border."""
+    data = np.zeros(shape, np.uint8)
+    for cid in (1, 2, 3, 4):
+        if draw(st.booleans()):
+            m = draw(_mask(shape))
+            data[m] = cid
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), hnp.array_shapes(min_dims=3, max_dims=3, max_side=8), _SPACINGS)
+def test_dense_evaluate_property_matches_the_full_grid(data, shape, spacing):
+    pv = LabelVolume(data.draw(_boxed_labels(shape)), spacing)
+    gv = LabelVolume(data.draw(_boxed_labels(shape)), spacing)
+    rep = evaluate(pv, gv)
+    for cid in (1, 2, 3, 4):
+        assert rep.per_class[cid] == _full_grid_class_metrics(pv, gv, cid)
 
 
 def test_fold_aggregate_identical_reports():

@@ -466,6 +466,15 @@ def test_malformed_sidecar_document_is_sidecar_error(text):
         read_sparse_annotation(text, planes, (4, 4, 8))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, bool])
+def test_annotation_planes_must_be_integer_like_label_volumes(dtype):
+    # 3.7 would truncate to class 3 in the cast to uint8
+    planes = np.full((1, 1, 1), 3.7).astype(dtype)
+    for build in (lambda: SparseAnnotation("v", [0], planes), lambda: LabelVolume(planes, ISO)):
+        with pytest.raises(ValidationError, match="label data must be integer"):
+            build()
+
+
 @pytest.mark.parametrize("bad", [-252, 260])
 def test_annotation_ids_outside_range_rejected_before_the_cast(bad):
     # both are 4 as uint8
