@@ -293,11 +293,27 @@ def _load_slice_dir(path: str) -> tuple[dict[int, RegionStack], Spacing]:
     return out, spacing
 
 
+def _predictor_command(text: str) -> list[str]:
+    """Split a ``cmd:`` predictor command the way a POSIX shell would."""
+    import shlex
+
+    try:
+        command = shlex.split(text)
+    except ValueError as exc:
+        raise ConfigError(f"--predictor cmd:{text}: {exc}") from exc
+    if not command or not command[0]:
+        raise ConfigError("--predictor cmd: needs a command to run")
+    return command
+
+
 def _cmd_stack(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     tissue_thresh = get_typed(cfg, "merge.tissue_thresh", float, 0.5)
     lesion_thresh = get_typed(cfg, "merge.lesion_thresh", float, 0.5)
     check_thresholds(tissue_thresh, lesion_thresh)  # before the costly prediction
+    command = None  # checked before any input is read
+    if args.predictor and args.predictor.startswith("cmd:"):
+        command = _predictor_command(args.predictor[4:])
 
     if args.predictor:
         if not args.input:
@@ -312,7 +328,7 @@ def _cmd_stack(args) -> int:
             fit_labels = _load_on_grid(args.fit_labels, args.input, mag, labels=True)
             predictor = MockPredictor.fit(mag, phase, fit_labels)
         elif args.predictor.startswith("cmd:"):
-            predictor = SubprocessPredictor(args.predictor[4:].split(), spacing=mag.spacing)
+            predictor = SubprocessPredictor(command, spacing=mag.spacing)
         else:
             raise ValidationError(f"unknown predictor {args.predictor!r}")
         tta = None

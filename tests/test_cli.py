@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shlex
 import struct
 import sys
 
@@ -260,6 +261,45 @@ def test_stack_subprocess_predictor(tmp_path):
     got = _read_labels(out)
     want_wm = mag.data > 0.3
     assert (got.data[want_wm] == 1).mean() > 0.99
+
+
+def test_stack_subprocess_command_is_split_like_a_shell(tmp_path):
+    seen = tmp_path / "argv.json"
+    script = tmp_path / "echo args.py"
+    script.write_text(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from cordpipe import read_nifti, write_nifti, ScalarVolume\n"
+        f"json.dump(sys.argv[1:-3], open({str(seen)!r}, 'w'))\n"
+        "mag = read_nifti(open(sys.argv[-3], 'rb').read())\n"
+        "out = np.zeros(mag.dims[:2] + (3,), np.float32)\n"
+        "open(sys.argv[-1], 'wb').write(write_nifti(ScalarVolume(out, mag.spacing)))\n"
+    )
+    mag, _, _ = generate(PhantomConfig.fitted((16, 16, 1), seed=4))
+    command = (f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} "
+               "'two words' plain --flag=\"a b\"")
+    rc = main(["stack", "--predictor", f"cmd:{command}", "--input",
+               _write(tmp_path / "mag.nii", mag), "--out", str(tmp_path / "labels.nii")])
+    assert rc == 0
+    assert json.loads(seen.read_text()) == ["two words", "plain", "--flag=a b"]
+
+
+@pytest.mark.parametrize("spec", ["cmd:", "cmd:   ", 'cmd:""', "cmd:'unclosed"])
+def test_stack_rejects_an_empty_or_unparsable_command_before_loading(
+        tmp_path, capsys, monkeypatch, spec):
+    import cordpipe.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("stack read an input before checking the command")
+
+    monkeypatch.setattr(cli, "_load_volume", must_not_run)
+    out = tmp_path / "o.nii"
+    rc = main(["stack", "--predictor", spec, "--input", str(tmp_path / "mag.nii"),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "kind=ConfigError" in err and "cordpipe-pred-" not in err
+    assert not out.exists()
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):

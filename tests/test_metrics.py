@@ -22,6 +22,7 @@ from cordpipe import (
     report_to_csv,
     surface_mask,
 )
+from cordpipe import metrics
 from cordpipe.errors import DimensionError, ValidationError
 from cordpipe.metrics import CSV_COLUMNS, ClassMetrics, MetricsReport
 
@@ -163,6 +164,27 @@ _STEPS = st.sampled_from([0.075, 0.3, 1.0]) | st.floats(0.05, 3.0)
 _SPACINGS = st.builds(Spacing, _STEPS, _STEPS, _STEPS)
 
 
+def _laid_out(mask, layout):
+    """The same values as ``mask`` in another memory layout: C, Fortran, a
+    box of a larger Fortran array (how boxes of ``read_nifti`` data
+    arrive), or a view with a reversed and a strided axis."""
+    if layout == "C":
+        return np.ascontiguousarray(mask)
+    if layout == "F":
+        return np.asfortranarray(mask)
+    if layout == "F-box":
+        inner = (slice(1, -1),) * mask.ndim
+        big = np.ones([n + 2 for n in mask.shape], mask.dtype, order="F")
+        big[inner] = mask
+        return big[inner]
+    view = np.repeat(mask[::-1], 2, axis=-1)[::-1, ..., ::2]
+    assert mask.size < 2 or not (view.flags.c_contiguous or view.flags.f_contiguous)
+    return view
+
+
+_LAYOUTS = st.sampled_from(["C", "F", "F-box", "strided"])
+
+
 @st.composite
 def _mask(draw, shape):
     """A single voxel or a random fill of a sub-box, so masks range from
@@ -260,6 +282,16 @@ def test_hd95_fallback_beyond_the_shell_matches_brute_force(masks, spacing):
     assert abs(got - brute_hd95(g, p, spacing.as_tuple())) <= 1e-9
 
 
+@settings(max_examples=100, deadline=None)
+@given(_mask_pairs() | _far_pairs(), _SPACINGS, _LAYOUTS)
+def test_hd95_is_the_same_in_every_memory_layout(masks, spacing, layout):
+    g, p = masks
+    got = hd95(_laid_out(g, layout), _laid_out(p, layout), spacing)
+    assert got == hd95(g, p, spacing)
+    want = brute_hd95(g, p, spacing.as_tuple())
+    assert got is None if want is None else abs(got - want) <= 1e-9
+
+
 def test_perturbed_phantom_needs_no_exact_transform_but_a_far_pair_does():
     _, _, gt = generate(PhantomConfig.fitted((48, 52, 16), seed=3))
     pred = perturb_slices(gt, max_shift=1, seed=4)
@@ -313,6 +345,56 @@ def test_border_voxels_count_as_surface():
     assert not got[1, 1, 1]
     got[1, 1, 1] = True
     assert got.all()
+
+
+def _erosion_surface(mask):
+    structure = ndimage.generate_binary_structure(mask.ndim, 1)
+    return mask & ~ndimage.binary_erosion(mask, structure, border_value=0)
+
+
+@st.composite
+def _surface_cases(draw):
+    """2D and 3D masks, sides down to one voxel: random, all-ones, empty, or
+    random with every border face touched."""
+    ndim = draw(st.sampled_from([2, 3]))
+    shape = draw(hnp.array_shapes(min_dims=ndim, max_dims=ndim, min_side=1, max_side=8))
+    kind = draw(st.sampled_from(["random", "ones", "empty", "every-face"]))
+    if kind == "ones":
+        mask = np.ones(shape, bool)
+    elif kind == "empty":
+        mask = np.zeros(shape, bool)
+    else:
+        mask = draw(hnp.arrays(bool, shape))
+    if kind == "every-face":
+        for axis, n in enumerate(shape):
+            for end in (0, n - 1):
+                at = [draw(st.integers(0, m - 1)) for m in shape]
+                at[axis] = end
+                mask[tuple(at)] = True
+    return _laid_out(mask, draw(_LAYOUTS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_surface_cases())
+def test_surface_mask_property_matches_erosion_and_loop_definitions(mask):
+    before = mask.copy()
+    got = surface_mask(mask)
+    assert got.dtype == bool and got.shape == mask.shape
+    assert np.array_equal(got, _erosion_surface(mask))
+    assert {tuple(c) for c in np.argwhere(got)} == set(loop_surface(mask))
+    assert np.array_equal(mask, before)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "F-box", "strided"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (1, 1, 1), (1, 4, 3), (3, 1, 4),
+                                   (5, 4, 1), (4, 5, 6)])
+def test_surface_mask_of_full_and_empty_masks(shape, layout):
+    ones = _laid_out(np.ones(shape, bool), layout)
+    want = _erosion_surface(np.ones(shape, bool))
+    assert np.array_equal(surface_mask(ones), want)
+    # only a block at least 3 voxels thick on every axis has an interior
+    assert want.all() == (min(shape) < 3)
+    assert not surface_mask(_laid_out(np.zeros(shape, bool), layout)).any()
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +573,71 @@ def test_dense_evaluate_property_matches_the_full_grid(data, shape, spacing):
     rep = evaluate(pv, gv)
     for cid in (1, 2, 3, 4):
         assert rep.per_class[cid] == _full_grid_class_metrics(pv, gv, cid)
+
+
+def _counting_find_objects():
+    return mock.patch.object(ndimage, "find_objects", wraps=ndimage.find_objects)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), hnp.array_shapes(min_dims=3, max_dims=3, max_side=9), _LAYOUTS)
+def test_class_boxes_property_match_find_objects(data, shape, layout):
+    labels = data.draw(_boxed_labels(shape) | hnp.arrays(
+        np.uint8, shape, elements=st.sampled_from([0, 0, 0, 1, 2, 3, 4])))
+    want = ndimage.find_objects(labels, max_label=4)
+    assert metrics._class_boxes(_laid_out(labels, layout), 4) == want
+
+
+def _corner_voxel(corner):
+    data = np.zeros((5, 6, 4), np.uint8)
+    data[tuple(c * (n - 1) for c, n in zip(corner, data.shape))] = 3
+    return data
+
+
+def _border_only_class():
+    data = np.zeros((6, 7, 5), np.uint8)
+    data[2:4, 2:5, 1:4] = 1
+    data[0, 3, 2] = data[5, 1, 0] = data[4, 0, 4] = data[1, 6, 1] = 2
+    data[3, 3, 0] = data[2, 4, 4] = 2
+    return data
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "F-box", "strided"])
+@pytest.mark.parametrize("data", [
+    np.zeros((4, 5, 3), np.uint8),
+    np.zeros((1, 1, 1), np.uint8),
+    np.full((1, 1, 1), 4, np.uint8),
+    _border_only_class(),
+    *[_corner_voxel(c) for c in np.ndindex(2, 2, 2)],
+], ids=["background", "one-voxel-background", "one-voxel-class",
+        "class-on-border-voxels"] + [f"corner-{c}" for c in np.ndindex(2, 2, 2)])
+def test_class_boxes_match_find_objects_on_edge_cases(data, layout):
+    with _counting_find_objects() as spy:
+        got = metrics._class_boxes(_laid_out(data, layout), 4)
+    assert got == ndimage.find_objects(data, max_label=4)
+    assert spy.call_count == 0
+
+
+def test_dense_evaluate_measures_each_union_box_whole_without_find_objects():
+    spacing = Spacing(0.075, 0.1, 0.3)
+    _, _, gt = generate(PhantomConfig.fitted((40, 44, 12), seed=5))
+    pred = perturb_slices(gt, max_shift=1, seed=6).data.copy()
+    pred[pred == 3] = 0               # lesion_wm absent from the prediction
+    pred[0, 0, 0] = 4                 # and a stray lesion_gm voxel in a corner
+    gv = LabelVolume(np.asfortranarray(gt.data), spacing)
+    pv = LabelVolume(np.asfortranarray(pred), spacing)
+    with _counting_find_objects() as spy, \
+            mock.patch.object(metrics, "_hd95_in_box", wraps=metrics._hd95_in_box) as core:
+        rep = evaluate(pv, gv)
+    assert spy.call_count == 0
+    assert core.call_count == 3       # lesion_wm is in one volume only: HD95 undefined
+    for call in core.call_args_list:  # hd95 got each pair already in its bounding box
+        g, p = call.args[:2]
+        whole = tuple(slice(0, n) for n in g.shape)
+        assert ndimage.find_objects((g | p).view(np.uint8))[0] == whole
+    for cid in (1, 2, 3, 4):
+        assert rep.per_class[cid] == _full_grid_class_metrics(pv, gv, cid)
+    assert rep.per_class[3].hd95_mm is None and rep.per_class[3].present_in_gt
 
 
 def test_fold_aggregate_identical_reports():
