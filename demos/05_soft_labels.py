@@ -16,7 +16,6 @@ from cordpipe import (
     boundary_margin,
     harden,
     soften,
-    soften_plane,
 )
 from cordpipe.volume import LESION_GM
 
@@ -31,12 +30,13 @@ def render(channel):
 
 plane = np.zeros((15, 15), np.uint8)
 plane[5:10, 5:10] = LESION_GM
+labels = LabelVolume(plane[:, :, None], Spacing.isotropic())  # one axial slice
 
 print("hard 5x5 lesion-gm square; margins from dilation minus erosion\n")
 for profile in (SOFT1, SOFT2, SOFT3):
     alpha = profile.weights[LESION_GM]
     k = profile.kernels[LESION_GM]
-    ch = soften_plane(plane, profile)[LESION_GM - 1]
+    ch = soften(labels, profile).class_channel(LESION_GM)[:, :, 0]
     print(f"{profile.name}: alpha={alpha}, kernel={k} "
           f"(o = {alpha}, # = 1.0, . = 0.0)")
     print(render(ch))
@@ -50,7 +50,7 @@ print(f"margin voxels: k=3 -> {int(margin3.sum())}, k=7 -> {int(margin7.sum())} 
 
 # hardening inverts softening where alpha > 0.5; low-confidence lesion
 # weights fall below the threshold and their margins return to background
-soft = soften(LabelVolume(plane[:, :, None], Spacing.isotropic()), SOFT2)
+soft = soften(labels, SOFT2)
 back = harden(soft)
 core = np.zeros_like(plane)
 core[6:9, 6:9] = LESION_GM

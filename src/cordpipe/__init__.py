@@ -67,7 +67,6 @@ from .softlabel import (
     boundary_margin,
     harden,
     soften,
-    soften_plane,
 )
 from .regions import RegionStack, merge_region_arrays, merge_regions, to_regions
 from .metrics import (

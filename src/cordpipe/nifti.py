@@ -4,8 +4,8 @@ Only the single-file layout is produced on write: 348-byte header,
 4-byte extension flag, voxel payload at offset 352, always little-endian.
 ``_LAYOUT`` declares the offset and struct format of every header field
 that is read or written; parsing and packing both go through it.
-``gzip_nifti`` compresses at zlib's default level 6 with a fixed gzip
-header, so reruns give byte-identical ``.nii.gz`` files.
+``gzip_nifti`` compresses at zlib level 1 with a fixed gzip header, so
+reruns give byte-identical ``.nii.gz`` files.
 Reads auto-detect gzip compression and byte order. Supported datatypes
 are uint8 (2), int16 (4) and float32 (16); anything else is rejected
 rather than silently cast. Files are 2D or 3D; a 4D header (``dim[0] = 4``)
@@ -54,10 +54,11 @@ from .volume import (
 HEADER_SIZE = 348
 SINGLE_FILE_VOX_OFFSET = 352
 
-# zlib's default level. Label, soft-label and region volumes are long
-# constant runs: level 9's longer match search costs several times the
-# time of level 6 and saves little space.
-_GZIP_LEVEL = 6
+# zlib's fastest level. On label, soft-label, region and CLAHE volumes
+# it deflates about twice as fast as level 6; a training patch's files
+# grow by ~8% and label volumes stay near 2% of their raw size. Noisy
+# intensity volumes shrink to ~0.9 of their size at any level.
+_GZIP_LEVEL = 1
 
 DT_UINT8 = 2
 DT_INT16 = 4
@@ -301,12 +302,12 @@ def write_nifti(vol, datatype: int | None = None) -> bytes:
 
 
 def gzip_nifti(raw: bytes) -> bytes:
-    """Deterministically gzip an encoded stream at compression level 6.
+    """Deterministically gzip an encoded stream at compression level 1.
 
     The gzip header is fixed: mtime 0, no file name, OS byte 255
     (unknown). The stream decodes to ``raw`` exactly. Earlier versions
-    compressed at level 9, so their ``.nii.gz`` bytes differ from these
-    while the decoded NIfTI bytes are the same.
+    compressed at level 9, then 6, so their ``.nii.gz`` bytes differ
+    from these while the decoded NIfTI bytes are the same.
     """
     buf = io.BytesIO()
     with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=_GZIP_LEVEL, mtime=0) as fh:

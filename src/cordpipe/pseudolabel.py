@@ -13,9 +13,12 @@ through one TTA loop: flip, ``predict_batch``, un-flip, and a float64
 running sum whose mean is written into preallocated float32 volumes.
 :func:`predict_with_tta` runs a single plane through the same loop as a
 one-slice block. A predictor that declares ``flip_equivariant`` gets
-only the identity pass, which is exact: the float64 mean of n <= 4 equal
-float32 values is that value. :func:`stack_slices` assembles per-slice
-predictions read from disk (slice-dir ``stack``).
+only the identity pass, which is exact: its flipped passes would give
+equal values, whose mean is that value. A single pass (identity-only
+TTA, or a flip-equivariant predictor) skips the float64 sum and writes
+the predictor's float32 channels straight into the output volumes.
+:func:`stack_slices` assembles per-slice predictions read from disk
+(slice-dir ``stack``).
 """
 
 from __future__ import annotations
@@ -190,7 +193,8 @@ def _tta(predictor: SlicePredictor, magnitude: np.ndarray,
     arrays ``out`` (wm, gm, lesion).
 
     Axis flips are involutions, so the inverse transform is the flip
-    itself. Sums run in float64 in ``cfg.transforms`` order.
+    itself. Sums run in float64 in ``cfg.transforms`` order; a single
+    pass is written as it is.
     """
     shape = magnitude.shape
     if phase is not None and phase.shape != shape:
@@ -205,6 +209,10 @@ def _tta(predictor: SlicePredictor, magnitude: np.ndarray,
                 f"predictor returned shape {stack.shape}, expected {shape}"
             )
         planes = [_flip(ch, name) for ch in stack.channels()]
+        if len(names) == 1:
+            for o, ch in zip(out, planes):
+                o[...] = ch
+            return
         if acc is None:
             acc = [ch.astype(np.float64) for ch in planes]
         else:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, ValidationError
 from .volume import (
@@ -87,40 +86,53 @@ def boundary_margin(mask: np.ndarray, k: int) -> np.ndarray:
     mask = np.asarray(mask).astype(bool)
     if mask.ndim not in (2, 3):
         raise ValidationError(f"margin expects a 2D plane or 3D volume, got shape {mask.shape}")
-    size = (k, k, 1)[:mask.ndim]
-    dil = ndimage.maximum_filter(mask, size=size, mode="constant", cval=0)
-    ero = ndimage.minimum_filter(mask, size=size, mode="constant", cval=0)
-    return (dil & ~ero).astype(np.uint8)
+    return _margin(mask, k).astype(np.uint8)
 
 
-def _soft_channels(labels: np.ndarray, profile: SoftProfile) -> np.ndarray:
-    """(4,) + labels.shape float32 soft targets for a plane or volume."""
-    bg = labels == BACKGROUND
-    out = np.zeros((len(FOREGROUND_CLASSES),) + labels.shape, dtype=np.float32)
-    for cid in FOREGROUND_CLASSES:
-        mask = labels == cid
-        if not mask.any():
-            continue
-        alpha = np.float32(profile.weights[cid])
-        margin = boundary_margin(mask, profile.kernels[cid]).astype(bool)
-        ch = out[cid - 1]
-        ch[mask & ~margin] = 1.0
-        ch[margin & mask] = alpha
-        ch[margin & ~mask & bg] = alpha
-    return out
+def _margin(mask: np.ndarray, k: int) -> np.ndarray:
+    """Boolean dilation & ~erosion of ``mask`` by a k x k square in axes 0
+    and 1, with ``False`` outside.
 
-
-def soften_plane(labels: np.ndarray, profile: SoftProfile) -> np.ndarray:
-    """Soft targets for one label plane; returns (4, H, W) float32."""
-    labels = np.asarray(labels)
-    if labels.ndim != 2:
-        raise ValidationError(f"expected a 2D label plane, got shape {labels.shape}")
-    return _soft_channels(labels, profile)
+    The square is a k-long segment along axis 0, then one along axis 1.
+    Each pass ORs (dilation) and ANDs (erosion) the k shifted views of a
+    ``False``-padded copy, laid out in the mask's own memory order. The
+    axis-0 pass keeps the padded columns, which stay ``False``, so the
+    axis-1 pass sees the same zero exterior.
+    """
+    r = k // 2
+    h, w = mask.shape[:2]
+    order = "F" if np.isfortran(mask) else "C"
+    padded = np.zeros((h + 2 * r, w + 2 * r) + mask.shape[2:], dtype=bool, order=order)
+    padded[r:r + h, r:r + w] = mask
+    dil = padded[:h].copy(order="K")
+    ero = dil.copy(order="K")
+    for lo in range(1, k):
+        dil |= padded[lo:lo + h]
+        ero &= padded[lo:lo + h]
+    dil2 = dil[:, :w].copy(order="K")
+    ero2 = ero[:, :w].copy(order="K")
+    for lo in range(1, k):
+        dil2 |= dil[:, lo:lo + w]
+        ero2 &= ero[:, lo:lo + w]
+    return dil2 & ~ero2
 
 
 def soften(labels: LabelVolume, profile: SoftProfile) -> SoftLabelVolume:
     """Soft targets for a volume; margins stay within each axial slice."""
-    return SoftLabelVolume(_soft_channels(labels.data, profile), labels.spacing)
+    data = labels.data
+    bg = data == BACKGROUND
+    out = np.zeros((len(FOREGROUND_CLASSES),) + data.shape, dtype=np.float32)
+    for cid in FOREGROUND_CLASSES:
+        mask = data == cid
+        if not mask.any():
+            continue
+        alpha = np.float32(profile.weights[cid])
+        margin = _margin(mask, profile.kernels[cid])
+        ch = out[cid - 1]
+        ch[mask & ~margin] = 1.0
+        ch[margin & mask] = alpha
+        ch[margin & ~mask & bg] = alpha
+    return SoftLabelVolume(out, labels.spacing)
 
 
 def harden(soft: SoftLabelVolume, threshold: float = 0.5) -> LabelVolume:

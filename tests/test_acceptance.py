@@ -42,7 +42,7 @@ from cordpipe import (
     predict_with_tta,
     read_nifti,
     sample_transform,
-    soften_plane,
+    soften,
     to_regions,
     warp_image,
     warp_labels,
@@ -145,7 +145,7 @@ def test_criterion_04_region_roundtrip():
 def test_criterion_05_soft_label_exactness():
     plane = np.zeros((11, 11), np.uint8)
     plane[3:8, 3:8] = LESION_GM
-    ch = soften_plane(plane, SOFT2)[LESION_GM - 1]
+    ch = soften(LabelVolume(plane[:, :, None], ISO), SOFT2).class_channel(LESION_GM)[:, :, 0]
 
     expected = np.zeros((11, 11), np.float32)
     expected[2:9, 2:9] = np.float32(0.4)

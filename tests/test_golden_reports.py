@@ -12,8 +12,19 @@ The files under ``tests/data/chain64`` were written by
 before the erosion-free surfaces and projected class boxes of ``metrics``
 landed. A change that moves any reported digit must say why and rewrite
 them.
+
+``payloads.sha256`` holds the sha256 of the decoded (gunzipped) NIfTI of
+each file written by
+
+    cordpipe softlabel ph/labels.nii.gz --out-dir soft
+    cordpipe regions split ph/labels.nii.gz --out-dir regions
+
+before ``.nii.gz`` files were deflated at level 1 and soft-label margins
+were built from shifted ORs and ANDs.
 """
 
+import gzip
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -22,6 +33,8 @@ from cordpipe.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "chain64"
 REPORTS = ["dense.json", "dense.csv", "sparse.json", "sparse.csv"]
+PAYLOADS = {name: digest for digest, name in (
+    line.split("  ") for line in (GOLDEN / "payloads.sha256").read_text().splitlines())}
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +51,8 @@ def chain(tmp_path_factory):
          "--json", str(d / "dense.json"), "--csv", str(d / "dense.csv")],
         ["evaluate", pseudo, str(ph / "annotation.json"),
          "--json", str(d / "sparse.json"), "--csv", str(d / "sparse.csv")],
+        ["softlabel", str(ph / "labels.nii.gz"), "--out-dir", str(d / "soft")],
+        ["regions", "split", str(ph / "labels.nii.gz"), "--out-dir", str(d / "regions")],
     ):
         assert main(argv) == 0, argv
     return d
@@ -46,3 +61,9 @@ def chain(tmp_path_factory):
 @pytest.mark.parametrize("name", REPORTS)
 def test_chain_report_is_byte_identical_to_the_golden_file(chain, name):
     assert (chain / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOADS))
+def test_chain_payload_decodes_to_the_golden_digest(chain, name):
+    decoded = gzip.decompress((chain / name).read_bytes())
+    assert hashlib.sha256(decoded).hexdigest() == PAYLOADS[name]

@@ -120,7 +120,7 @@ def test_gzip_and_plain_decode_identically():
     assert np.array_equal(read_nifti(gzip.compress(raw)).data, plain.data)
 
 
-def test_gzip_nifti_is_deterministic_level_6():
+def test_gzip_nifti_is_deterministic_level_1():
     raw = write_nifti(_random_scalar(np.random.default_rng(9)))
     zipped = gzip_nifti(raw)
     assert gzip_nifti(raw) == zipped
@@ -129,8 +129,20 @@ def test_gzip_nifti_is_deterministic_level_6():
     assert zipped[4:8] == b"\x00\x00\x00\x00"  # mtime 0
     assert zipped[9] == 255                         # OS unknown, not the host's
     assert gzip.decompress(zipped) == raw
-    deflate = zlib.compressobj(6, zlib.DEFLATED, -zlib.MAX_WBITS)
+    deflate = zlib.compressobj(1, zlib.DEFLATED, -zlib.MAX_WBITS)
     assert zipped[10:-8] == deflate.compress(raw) + deflate.flush()
+
+
+@pytest.mark.parametrize("level", [6, 9])
+def test_older_gzip_levels_decode_like_gzip_nifti(level):
+    # .nii.gz files written at the earlier levels read back to the same volume
+    raw = write_nifti(_random_scalar(np.random.default_rng(10)))
+    older, ours = gzip.compress(raw, compresslevel=level, mtime=0), gzip_nifti(raw)
+    assert older[10:-8] != ours[10:-8]  # another deflate stream
+    assert gzip.decompress(older) == gzip.decompress(ours) == raw
+    a, b = read_nifti(older), read_nifti(ours)
+    assert a.data.tobytes() == b.data.tobytes()
+    assert a.spacing == b.spacing
 
 
 def test_minimal_wellformed_file():

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from cordpipe import (
     SOFT1,
@@ -15,7 +18,6 @@ from cordpipe import (
     boundary_margin,
     harden,
     soften,
-    soften_plane,
 )
 from cordpipe.errors import ConfigError
 from cordpipe.volume import HEALTHY_GM, HEALTHY_WM, LESION_GM, LESION_WM
@@ -23,6 +25,11 @@ from cordpipe.volume import HEALTHY_GM, HEALTHY_WM, LESION_GM, LESION_WM
 from oracles import loop_margin
 
 ISO = Spacing.isotropic()
+
+
+def soften_one(plane, profile):
+    """(4, H, W) soft targets of one label plane, softened as a one-slice volume."""
+    return soften(LabelVolume(plane[:, :, None], ISO), profile).channels[..., 0]
 
 
 def test_profiles_match_published_table():
@@ -74,6 +81,57 @@ def test_margin_matches_loop_oracle_on_random_masks():
                                   loop_margin(mask, k))
 
 
+def _loop_margin_nd(mask, k):
+    """``loop_margin`` of a plane, or of each axial plane of a volume."""
+    if mask.ndim == 2:
+        return loop_margin(mask, k)
+    return np.stack([loop_margin(mask[:, :, z], k) for z in range(mask.shape[2])], axis=-1)
+
+
+@st.composite
+def _margin_cases(draw):
+    """A 2D or 3D boolean mask with sides down to 1 (random, empty, full or
+    touching every border), and a C, Fortran or strided view of it."""
+    ndim = draw(st.sampled_from([2, 3]))
+    shape = draw(hnp.array_shapes(min_dims=ndim, max_dims=ndim, min_side=1, max_side=9))
+    fill = draw(st.sampled_from(["random", "empty", "full", "border"]))
+    if fill == "empty":
+        mask = np.zeros(shape, bool)
+    elif fill == "full":
+        mask = np.ones(shape, bool)
+    else:
+        mask = draw(hnp.arrays(bool, shape))
+        if fill == "border":
+            mask[[0, -1]] = True
+            mask[:, [0, -1]] = True
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "C":
+        view = mask
+    elif layout == "F":
+        view = np.asfortranarray(mask)
+    else:
+        base = np.zeros([2 * n for n in shape], bool)
+        pick = (slice(None, None, 2), slice(None, None, -2)) + (slice(None, None, 2),) * (ndim - 2)
+        base[pick] = mask
+        view = base[pick]
+        assert not view.flags.c_contiguous or view.size <= 1
+    return mask, view
+
+
+_FILTERS = ("maximum_filter", "minimum_filter", "maximum_filter1d", "minimum_filter1d")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_margin_cases(), st.sampled_from([3, 5, 7]))
+def test_margin_matches_loop_oracle_on_any_layout(case, k):
+    mask, view = case
+    with mock.patch.multiple(ndimage, **{f: mock.DEFAULT for f in _FILTERS}) as spies:
+        got = boundary_margin(view, k)
+    assert not any(spy.called for spy in spies.values())
+    assert got.dtype == np.uint8 and got.shape == mask.shape
+    assert np.array_equal(got.astype(bool), _loop_margin_nd(mask, k))
+
+
 def test_margin_even_kernel_rejected():
     with pytest.raises(ConfigError):
         boundary_margin(np.zeros((4, 4), bool), 4)
@@ -96,14 +154,14 @@ def test_margin_monotone_in_kernel():
 
 
 def test_soften_empty_labels():
-    out = soften_plane(np.zeros((6, 6), np.uint8), SOFT2)
+    out = soften_one(np.zeros((6, 6), np.uint8), SOFT2)
     assert (out == 0).all()
 
 
 def test_soften_5x5_lesion_gm_square_soft2():
     plane = np.zeros((11, 11), np.uint8)
     plane[3:8, 3:8] = LESION_GM
-    ch = soften_plane(plane, SOFT2)[LESION_GM - 1]
+    ch = soften_one(plane, SOFT2)[LESION_GM - 1]
 
     # frozen expectation: core 3x3 at 1.0, dilate-erode ring at 0.4, else 0
     expected = np.zeros((11, 11), np.float32)
@@ -122,8 +180,8 @@ def test_soften_5x5_lesion_gm_square_soft2():
 def test_soft1_margins_contain_soft2_margins_on_lesions():
     plane = np.zeros((16, 16), np.uint8)
     plane[5:11, 5:11] = LESION_GM
-    s1 = soften_plane(plane, SOFT1)[LESION_GM - 1]
-    s2 = soften_plane(plane, SOFT2)[LESION_GM - 1]
+    s1 = soften_one(plane, SOFT1)[LESION_GM - 1]
+    s2 = soften_one(plane, SOFT2)[LESION_GM - 1]
     m1 = s1 == np.float32(0.4)
     m2 = s2 == np.float32(0.4)
     assert (m2 <= m1).all()
@@ -168,7 +226,7 @@ def test_soften_deterministic():
 def test_volume_soften_equals_stacked_planes(data):
     # margins never reach across slices: the volume is its planes, stacked
     for profile in (SOFT1, SOFT2, SOFT3):
-        want = np.stack([soften_plane(data[:, :, z], profile)
+        want = np.stack([soften_one(data[:, :, z], profile)
                          for z in range(data.shape[2])], axis=-1)
         got = soften(LabelVolume(data, ISO), profile).channels
         assert got.tobytes() == want.tobytes()
