@@ -38,7 +38,6 @@ from .preprocess import (
     OtsuResult,
     StretchConfig,
     apply_mask,
-    clahe_plane,
     clahe_slicewise,
     minmax_rescale,
     otsu_mask,

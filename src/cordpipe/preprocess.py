@@ -246,23 +246,15 @@ def _clahe(data: np.ndarray, cfg: ClaheConfig) -> np.ndarray:
     return out
 
 
-def clahe_plane(plane: np.ndarray, cfg: ClaheConfig) -> np.ndarray:
-    """Contrast-limited adaptive histogram equalization of one slice.
+def clahe_slicewise(vol: ScalarVolume, cfg: ClaheConfig) -> ScalarVolume:
+    """Contrast-limited adaptive histogram equalization of every axial
+    slice, each on its own.
 
     Per-tile histograms over [0, 1] are clipped at
     ``clip_limit * tile_pixels``, the excess is redistributed uniformly,
     and each pixel maps through the clipped CDFs of its four surrounding
-    tiles with bilinear weights. Input must already lie in [0, 1]. The
-    plane runs as a one-slice :func:`clahe_slicewise`.
+    tiles with bilinear weights. Input must already lie in [0, 1].
     """
-    plane = np.asarray(plane, dtype=np.float64)
-    if plane.ndim != 2:
-        raise DimensionError(f"expected a 2D plane, got shape {plane.shape}")
-    return _clahe(plane[:, :, None], cfg)[:, :, 0]
-
-
-def clahe_slicewise(vol: ScalarVolume, cfg: ClaheConfig) -> ScalarVolume:
-    """Apply :func:`clahe_plane` independently to every axial slice."""
     return ScalarVolume(_clahe(vol.data, cfg), vol.spacing)
 
 
@@ -273,18 +265,33 @@ def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),
     Percentiles use linear interpolation between order statistics; with a
     mask, they are computed over masked-in voxels only, while the mapping
     applies to the whole volume.
+
+    Percentiles do not depend on element order, so the masked scope is
+    gathered in the data's own memory order. The mapping subtracts,
+    divides and clips one float64 copy in place.
     """
-    scope = vol.data if mask is None else vol.data[np.asarray(mask) > 0]
+    data = vol.data
+    if mask is None:
+        scope = data
+    else:
+        mask = np.asarray(mask)
+        if mask.shape != data.shape:
+            raise DimensionError(f"mask shape {mask.shape} != volume dims {vol.dims}")
+        order = "F" if data.flags.f_contiguous and not data.flags.c_contiguous else "C"
+        scope = data.ravel(order)[mask.ravel(order) > 0]
     if scope.size == 0:
         raise ValidationError("percentile scope is empty")
-    q_low, q_high = np.percentile(scope.astype(np.float64), [cfg.p_low, cfg.p_high])
+    q_low, q_high = np.percentile(scope.astype(np.float64), [cfg.p_low, cfg.p_high],
+                                  overwrite_input=True)
     if q_low == q_high:
         raise DegenerateRangeError(
             f"percentiles {cfg.p_low} and {cfg.p_high} both map to {q_low}"
         )
-    out = (vol.data.astype(np.float64) - q_low) / (q_high - q_low)
-    out = np.clip(out, 0.0, 1.0).astype(np.float32)
-    return ScalarVolume(out, vol.spacing)
+    out = data.astype(np.float64)
+    out -= q_low
+    out /= q_high - q_low
+    np.clip(out, 0.0, 1.0, out=out)
+    return ScalarVolume(out.astype(np.float32), vol.spacing)
 
 
 def zscore_normalize(vol: ScalarVolume, mask: np.ndarray | None = None) -> ScalarVolume:

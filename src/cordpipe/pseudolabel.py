@@ -17,6 +17,9 @@ only the identity pass, which is exact: its flipped passes would give
 equal values, whose mean is that value. A single pass (identity-only
 TTA, or a flip-equivariant predictor) skips the float64 sum and writes
 the predictor's float32 channels straight into the output volumes.
+:class:`MockPredictor` walks each block in flat runs of
+``_BLOCK_VOXELS``, so its float64 distance grids are cache-sized scratch
+rather than per-chunk temporaries.
 :func:`stack_slices` assembles per-slice predictions read from disk
 (slice-dir ``stack``).
 """
@@ -50,9 +53,14 @@ from .metrics import inter_slice_dice
 FLIP_NAMES = ("identity", "flip-x", "flip-y", "flip-xy")
 
 # Voxels per z-chunk of ``predict_volume``: 13 slices of a 192x208 plane.
-# Per-chunk temporaries (float64 TTA sums, the mock predictor's distance
-# grids) are 4 MB each at this size, whatever the volume's z extent.
+# Per-chunk temporaries (float32 predictions, float64 TTA sums) are 2 and
+# 4 MB each at this size, whatever the volume's z extent.
 _CHUNK_VOXELS = 1 << 19
+
+# Voxels per flat block of ``MockPredictor.predict``: its float64 scratch
+# (distances, running minimum, float64 copies of both channels) is then
+# ~1.3 MB, which stays in a 4 MB L2 cache.
+_BLOCK_VOXELS = 1 << 15
 
 
 class SlicePredictor(ABC):
@@ -122,38 +130,73 @@ class MockPredictor(SlicePredictor):
     @classmethod
     def fit(cls, magnitude: ScalarVolume, phase: ScalarVolume,
             labels: LabelVolume) -> "MockPredictor":
-        """Estimate per-class channel means from a labeled volume pair."""
+        """Estimate per-class channel means from a labeled volume pair.
+
+        Each class is gathered from C-order copies of the labels and of
+        one intensity volume at a time. A boolean gather yields elements
+        in C order whatever the layout, so every float32 mean is that of
+        ``data[labels == c].mean()``, but reading contiguous memory.
+        """
         if not magnitude.dims == phase.dims == labels.dims:
             raise DimensionError(f"fit dims differ: {magnitude.dims} {phase.dims} {labels.dims}")
-        centers = {}
-        for cid in (0, *FOREGROUND_CLASSES):
-            sel = labels.data == cid
-            if not sel.any():
-                raise ValidationError(f"cannot fit centers: class {cid} absent")
-            centers[cid] = (float(magnitude.data[sel].mean()),
-                            float(phase.data[sel].mean()))
+        ids = np.ascontiguousarray(labels.data).ravel()
+        centers = {cid: [] for cid in (0, *FOREGROUND_CLASSES)}
+        for vol in (magnitude, phase):
+            flat = np.ascontiguousarray(vol.data).ravel()
+            for cid, means in centers.items():
+                sel = ids == cid
+                if not sel.any():
+                    raise ValidationError(f"cannot fit centers: class {cid} absent")
+                means.append(float(flat[sel].mean()))
+            del flat  # one intensity copy at a time
         return cls(centers)
 
     def predict(self, magnitude: np.ndarray,
                 phase: np.ndarray | None = None) -> RegionStack:
-        mag = np.asarray(magnitude, dtype=np.float64)
-        phs = np.zeros_like(mag) if phase is None else np.asarray(phase, dtype=np.float64)
-        if phs.shape != mag.shape:
+        """Classify every pixel of a plane or an (H, W, n) block.
+
+        The input is walked in flat blocks of ``_BLOCK_VOXELS`` in one
+        memory order shared by both channels and the outputs (a channel
+        not contiguous in that order is copied once), so the float64
+        distance grids stay cache-sized. Each element takes the same
+        float64 ops as a whole-array pass: ``(m-m0)**2 + (p-p0)**2`` per
+        class, in class-id order.
+        """
+        mag = np.asarray(magnitude)
+        phs = None if phase is None else np.asarray(phase)
+        if phs is not None and phs.shape != mag.shape:
             raise DimensionError("magnitude and phase planes disagree on shape")
-        # Running argmin over classes in id order: a strict ``<`` keeps the
-        # first of tied classes, as ``np.argmin`` does, without stacking
-        # one float64 distance grid per class.
-        nearest = np.zeros(mag.shape, np.intp)
-        best = None
-        for i, c in enumerate(sorted(self.centers)):
-            m0, p0 = self.centers[c]
-            d2 = (mag - m0) ** 2 + (phs - p0) ** 2
-            if best is None:
-                best = d2
-            else:
-                np.copyto(nearest, i, where=d2 < best)
-                np.minimum(best, d2, out=best)
-        return RegionStack(*(col[nearest] for col in self._regions.T))
+        order = "F" if mag.flags.f_contiguous and not mag.flags.c_contiguous else "C"
+        m = mag.ravel(order)
+        p = None if phs is None else phs.ravel(order)
+        out = [np.empty(mag.shape, np.float32, order=order) for _ in range(3)]
+        flat_out = [o.ravel(order) for o in out]
+        size = min(m.size, _BLOCK_VOXELS)
+        m64, p64 = np.empty(size), np.zeros(size)  # a missing phase reads as zeros
+        d2, term, best = np.empty(size), np.empty(size), np.empty(size)
+        less = np.empty(size, bool)
+        nearest = np.empty(size, np.min_scalar_type(len(self.centers) - 1))  # uint8
+        centers = [self.centers[c] for c in sorted(self.centers)]
+        for s in range(0, m.size, _BLOCK_VOXELS):
+            n = min(_BLOCK_VOXELS, m.size - s)
+            mb, pb, d, t, b, lt, near = (a[:n] for a in (m64, p64, d2, term, best, less, nearest))
+            mb[...] = m[s:s + n]
+            if p is not None:
+                pb[...] = p[s:s + n]
+            # Running argmin over classes in id order: a strict ``<`` keeps
+            # the first of tied classes, as ``np.argmin`` does.
+            near.fill(0)
+            for i, (m0, p0) in enumerate(centers):
+                dist = b if i == 0 else d
+                np.square(np.subtract(mb, m0, out=dist), out=dist)
+                np.add(dist, np.square(np.subtract(pb, p0, out=t), out=t), out=dist)
+                if i:
+                    np.copyto(near, i, where=np.less(d, b, out=lt))
+                    np.minimum(b, d, out=b)
+            for col, o in zip(self._regions.T, flat_out):
+                # every index is in range, so "clip" only skips the bounds check
+                np.take(col, near, out=o[s:s + n], mode="clip")
+        return RegionStack(*out)
 
     def predict_batch(self, magnitude: np.ndarray,
                       phase: np.ndarray | None = None) -> RegionStack:

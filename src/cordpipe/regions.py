@@ -82,13 +82,19 @@ def merge_region_arrays(wm: np.ndarray, gm: np.ndarray, lesion: np.ndarray,
     ``tissue_thresh``; otherwise the stronger tissue wins (ties go to
     gray matter). The lesion flag upgrades tissue voxels only; lesion
     signal over background is dropped. Both thresholds lie in [0, 1].
+
+    The ids are built in uint8 from boolean passes: healthy tissue is
+    ``HEALTHY_WM + (gm >= wm)``, a lesion adds 2, and background zeroes
+    the voxel. NaN compares false, so it takes the same branch of each
+    test as in a per-voxel ``if``.
     """
     check_thresholds(tissue_thresh, lesion_thresh)
-    tissue_max = np.maximum(wm, gm)
-    tissue = np.where(tissue_max < tissue_thresh, 0,
-                      np.where(gm >= wm, HEALTHY_GM, HEALTHY_WM))
-    lesioned = (lesion >= lesion_thresh) & (tissue > 0)
-    return (tissue + 2 * lesioned).astype(np.uint8)
+    wm, gm, lesion = np.broadcast_arrays(wm, gm, lesion)
+    ids = np.greater_equal(gm, wm).view(np.uint8)
+    ids += HEALTHY_WM
+    ids += np.greater_equal(lesion, lesion_thresh).view(np.uint8) * np.uint8(LESION_WM - HEALTHY_WM)
+    ids *= ~np.less(np.maximum(wm, gm), tissue_thresh)
+    return ids
 
 
 def merge_regions(stack: RegionStack, spacing: Spacing,

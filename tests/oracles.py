@@ -350,6 +350,32 @@ def loop_warp_labels(plane: np.ndarray, matrix, fill: int = 0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# nearest-centroid prediction and region merge
+
+
+def argmin_nearest_class(magnitude, phase, centers: dict) -> np.ndarray:
+    """Class id of the nearest (magnitude, phase) center at every pixel.
+
+    One float64 distance grid per class is stacked and ``np.argmin``
+    picks the first of tied classes in id order; a missing phase reads
+    as zeros.
+    """
+    mag = np.asarray(magnitude, dtype=np.float64)
+    phs = np.zeros_like(mag) if phase is None else np.asarray(phase, dtype=np.float64)
+    ids = sorted(centers)
+    d2 = np.stack([(mag - centers[c][0]) ** 2 + (phs - centers[c][1]) ** 2 for c in ids])
+    return np.asarray(ids)[np.argmin(d2, axis=0)]
+
+
+def where_merge(wm, gm, lesion, tissue_thresh: float, lesion_thresh: float) -> np.ndarray:
+    """Region merge through whole-array int64 ``np.where`` passes."""
+    tissue_max = np.maximum(wm, gm)
+    tissue = np.where(tissue_max < tissue_thresh, 0, np.where(gm >= wm, 2, 1))
+    lesioned = (lesion >= lesion_thresh) & (tissue > 0)
+    return (tissue + 2 * lesioned).astype(np.uint8)
+
+
+# ---------------------------------------------------------------------------
 # NIfTI header reference builder
 
 

@@ -20,7 +20,10 @@ each file written by
     cordpipe regions split ph/labels.nii.gz --out-dir regions
 
 before ``.nii.gz`` files were deflated at level 1 and soft-label margins
-were built from shifted ORs and ANDs.
+were built from shifted ORs and ANDs. Its ``pre.nii.gz`` and
+``pseudo.nii.gz`` lines hold the decoded outputs of the ``preprocess``
+and ``stack`` calls above, written before the mock predictor walked its
+input in cache-sized blocks.
 """
 
 import gzip

@@ -8,7 +8,6 @@ from cordpipe import (
     Spacing,
     StretchConfig,
     apply_mask,
-    clahe_plane,
     clahe_slicewise,
     otsu_mask,
     percentile_stretch,
@@ -149,17 +148,23 @@ def test_phase_masked_by_magnitude_mask():
 # CLAHE
 
 
+def _clahe_one_slice(plane, cfg):
+    """CLAHE of one plane, run as a one-slice volume."""
+    return clahe_slicewise(_vol(np.asarray(plane)[:, :, None]), cfg).data[:, :, 0]
+
+
 def test_clahe_constant_slice_makes_constant_output():
     plane = np.full((16, 16), 0.4)
-    out = clahe_plane(plane, ClaheConfig(tiles=(2, 2), clip_limit=0.5, bins=32))
+    out = _clahe_one_slice(plane, ClaheConfig(tiles=(2, 2), clip_limit=0.5, bins=32))
     assert np.unique(out).size == 1
 
 
 def test_clahe_single_tile_equals_global_equalization():
     rng = np.random.default_rng(16)
     for _ in range(5):
-        plane = rng.random((12, 18))
-        got = clahe_plane(plane, ClaheConfig(tiles=(1, 1), clip_limit=1.0, bins=64))
+        # the volume holds float32, so the oracle sees the same rounded plane
+        plane = rng.random((12, 18)).astype(np.float32)
+        got = _clahe_one_slice(plane, ClaheConfig(tiles=(1, 1), clip_limit=1.0, bins=64))
         want = global_hist_equalize(plane, 64)
         assert np.allclose(got, want, atol=1e-7)
 
@@ -167,7 +172,7 @@ def test_clahe_single_tile_equals_global_equalization():
 def test_clahe_output_range():
     rng = np.random.default_rng(17)
     plane = rng.random((20, 20))
-    out = clahe_plane(plane, ClaheConfig(tiles=(4, 4), clip_limit=0.02, bins=128))
+    out = _clahe_one_slice(plane, ClaheConfig(tiles=(4, 4), clip_limit=0.02, bins=128))
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -177,7 +182,7 @@ def test_clahe_volume_matches_per_slice():
     cfg = ClaheConfig(tiles=(2, 2), clip_limit=0.1, bins=32)
     out = clahe_slicewise(vol, cfg)
     for z in range(3):
-        assert np.array_equal(out.data[:, :, z], clahe_plane(vol.data[:, :, z], cfg))
+        assert np.array_equal(out.data[:, :, z], _clahe_one_slice(vol.data[:, :, z], cfg))
 
 
 def test_clip_contract():
@@ -251,27 +256,32 @@ def test_clahe_matches_loop_oracle(case):
     for z in range(data.shape[2]):
         want = loop_clahe_plane(data[:, :, z], cfg.tiles, cfg.clip_limit, cfg.bins)
         assert out[:, :, z].tobytes() == want.tobytes()
-        assert clahe_plane(data[:, :, z], cfg).tobytes() == want.tobytes()
+        assert _clahe_one_slice(data[:, :, z], cfg).tobytes() == want.tobytes()
 
 
 def test_clahe_tile_larger_than_slice_rejected():
     with pytest.raises(ConfigError):
-        clahe_plane(np.zeros((4, 4)), ClaheConfig(tiles=(8, 8)))
+        _clahe_one_slice(np.zeros((4, 4)), ClaheConfig(tiles=(8, 8)))
 
 
 def test_clahe_requires_normalized_input():
     with pytest.raises(ValidationError):
-        clahe_plane(np.full((8, 8), 2.0), ClaheConfig(tiles=(1, 1)))
+        _clahe_one_slice(np.full((8, 8), 2.0), ClaheConfig(tiles=(1, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_clahe_rejects_non_finite_input(bad):
+    # ScalarVolume rejects non-finite data, so the value is put in after
+    # construction to reach the check of CLAHE itself
     plane = np.full((8, 8), 0.5)
-    plane[3, 4] = bad
-    with pytest.raises(ValidationError):
-        clahe_plane(plane, ClaheConfig(tiles=(2, 2)))
-    with pytest.raises(ValidationError):
-        clahe_slicewise(_vol(np.stack([np.zeros((8, 8)), plane], axis=2)), ClaheConfig(tiles=(2, 2)))
+    one = _vol(plane[:, :, None])
+    one.data[3, 4, 0] = bad
+    with pytest.raises(ValidationError, match="CLAHE input must be finite"):
+        clahe_slicewise(one, ClaheConfig(tiles=(2, 2)))
+    two = _vol(np.stack([np.zeros((8, 8)), plane], axis=2))
+    two.data[3, 4, 1] = bad
+    with pytest.raises(ValidationError, match="CLAHE input must be finite"):
+        clahe_slicewise(two, ClaheConfig(tiles=(2, 2)))
 
 
 def test_clahe_config_validation():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cordpipe import (
+    LabelVolume,
     MockPredictor,
     PhantomConfig,
     RegionStack,
@@ -25,6 +26,8 @@ from cordpipe import (
 from cordpipe.errors import DimensionError, ValidationError
 from cordpipe import pseudolabel
 from cordpipe.pseudolabel import FLIP_NAMES, SlicePredictor, _flip
+
+from oracles import argmin_nearest_class
 
 ISO = Spacing.isotropic()
 
@@ -235,13 +238,94 @@ def test_mock_predictor_matches_argmin_reference():
                4: (0.5, 0.5), 7: (0.25, 0.25)}
     mag = rng.integers(0, 5, (9, 7, 3)) / 4
     phs = rng.integers(0, 5, (9, 7, 3)) / 4
-    ids = sorted(centers)
-    d2 = np.stack([(mag - centers[c][0]) ** 2 + (phs - centers[c][1]) ** 2 for c in ids])
-    cls_map = np.asarray(ids)[np.argmin(d2, axis=0)]
+    cls_map = argmin_nearest_class(mag, phs, centers)
     got = MockPredictor(centers).predict_batch(mag, phs)
-    assert np.array_equal(got.wm, np.isin(cls_map, (1, 3)))
-    assert np.array_equal(got.gm, np.isin(cls_map, (2, 4)))
-    assert np.array_equal(got.lesion, np.isin(cls_map, (3, 4)))
+    _assert_regions_of(got, cls_map)
+
+
+def _assert_regions_of(stack, cls_map):
+    assert np.array_equal(stack.wm, np.isin(cls_map, (1, 3)))
+    assert np.array_equal(stack.gm, np.isin(cls_map, (2, 4)))
+    assert np.array_equal(stack.lesion, np.isin(cls_map, (3, 4)))
+
+
+def _laid_out(data, layout):
+    """``data`` with equal values in another memory layout."""
+    if layout == "C":
+        return np.ascontiguousarray(data)
+    if layout == "F":
+        return np.asfortranarray(data)
+    if layout == "reversed":
+        flip = (slice(None, None, -1),) * data.ndim
+        return np.ascontiguousarray(data[flip])[flip]
+    # every other element of a larger buffer
+    wide = np.zeros(data.shape[:-1] + (2 * data.shape[-1],), data.dtype)
+    wide[..., ::2] = data
+    return wide[..., ::2]
+
+
+LAYOUTS = ["C", "F", "reversed", "strided"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(shape=st.lists(st.integers(1, 7), min_size=2, max_size=3).map(tuple),
+       block=st.integers(1, 9), mag_layout=st.sampled_from(LAYOUTS),
+       phase_layout=st.sampled_from(LAYOUTS + [None]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       extra_class=st.booleans(), seed=st.integers(0, 2**16))
+def test_blocked_predict_matches_argmin_reference(shape, block, mag_layout, phase_layout,
+                                                  dtype, extra_class, seed):
+    # blocks of a few voxels, so most draws end on a partial block and
+    # many blocks split planes; quantized values make exact ties common
+    rng = np.random.default_rng(seed)
+    centers = {c: tuple(rng.integers(0, 5, 2) / 4) for c in range(5)}
+    if extra_class:
+        centers[7] = (0.25, 0.25)
+    mag = _laid_out((rng.integers(0, 5, shape) / 4).astype(dtype), mag_layout)
+    phs = None if phase_layout is None else \
+        _laid_out((rng.integers(0, 5, shape) / 4).astype(dtype), phase_layout)
+    with mock.patch.object(pseudolabel, "_BLOCK_VOXELS", block):
+        got = MockPredictor(centers).predict(mag, phs)
+    assert got.shape == shape
+    _assert_regions_of(got, argmin_nearest_class(mag, phs, centers))
+
+
+def test_blocked_predict_matches_argmin_reference_on_a_phantom(monkeypatch):
+    # unquantized float32 channels over many blocks, one of them partial
+    mag, phs, labels = generate(PhantomConfig.fitted((32, 32, 8), seed=5))
+    centers = MockPredictor.fit(mag, phs, labels).centers
+    monkeypatch.setattr(pseudolabel, "_BLOCK_VOXELS", 97)
+    for m, p in ((mag.data, phs.data), (mag.data[:, :, 2], phs.data[:, :, 2]),
+                 (mag.data, None)):
+        got = MockPredictor(centers).predict_batch(m, p) if m.ndim == 3 else \
+            MockPredictor(centers).predict(m, p)
+        _assert_regions_of(got, argmin_nearest_class(m, p, centers))
+
+
+@pytest.mark.parametrize("layouts", [("F", "F", "F"), ("C", "C", "C"), ("F", "C", "F"),
+                                     ("C", "F", "reversed")])
+def test_fit_centers_equal_masked_means_bit_for_bit(layouts):
+    # per-class sums of thousands of float32 values round differently in
+    # another element order, so only a C-order gather gives these bits
+    rng = np.random.default_rng(83)
+    shape = (40, 36, 9)
+    labels = rng.integers(0, 5, shape).astype(np.uint8)
+    mag = rng.random(shape, dtype=np.float32) * 3
+    phs = rng.standard_normal(shape).astype(np.float32)
+    want = {c: (float(mag[labels == c].mean()), float(phs[labels == c].mean()))
+            for c in range(5)}
+    m, p, lab = (_laid_out(a, lay) for a, lay in zip((mag, phs, labels), layouts))
+    got = MockPredictor.fit(ScalarVolume(m, ISO), ScalarVolume(p, ISO),
+                            LabelVolume(lab, ISO)).centers
+    assert got == want
+
+
+def test_fit_rejects_an_absent_class():
+    mag, phs, labels = generate(PhantomConfig.fitted((32, 32, 4), seed=6))
+    data = labels.data.copy()
+    data[data == 3] = 1
+    with pytest.raises(ValidationError, match="class 3 absent"):
+        MockPredictor.fit(mag, phs, LabelVolume(data, ISO))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cordpipe import (
     LabelVolume,
@@ -19,6 +20,8 @@ from cordpipe.volume import (
     LESION_GM,
     LESION_WM,
 )
+
+from oracles import where_merge
 
 ISO = Spacing.isotropic()
 
@@ -62,6 +65,34 @@ def test_merge_matches_scalar_rule_exhaustively():
     got = merge_region_arrays(wm, gm, lesion)
     want = np.array([_scalar_merge(*c) for c in combos], dtype=np.uint8)
     assert np.array_equal(got, want)
+
+
+SPECIALS = [np.nan, np.inf, -np.inf, 0.0, 0.5, 1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+       dtypes=st.tuples(*[st.sampled_from([np.float32, np.float64])] * 3),
+       special_share=st.sampled_from([0.0, 0.3, 1.0]),
+       tissue_thresh=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1),
+       lesion_thresh=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1),
+       seed=st.integers(0, 2**16))
+def test_merge_matches_where_formula(shape, dtypes, special_share, tissue_thresh,
+                                     lesion_thresh, seed):
+    # random, quantized and non-finite probabilities in float32 and
+    # float64, mixed across channels; thresholds at the ends of [0, 1]
+    rng = np.random.default_rng(seed)
+    channels = []
+    for dtype in dtypes:
+        values = rng.random(shape) * 1.2 - 0.1
+        values = np.where(rng.random(shape) < 0.3, np.round(values * 4) / 4, values)
+        special = rng.random(shape) < special_share
+        values[special] = rng.choice(SPECIALS, int(special.sum()))
+        channels.append(values.astype(dtype))
+    got = merge_region_arrays(*channels, tissue_thresh, lesion_thresh)
+    want = where_merge(*channels, tissue_thresh, lesion_thresh)
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_lesion_on_background_dropped():
