@@ -66,6 +66,12 @@ def _read_file(path: str) -> bytes:
         raise FormatError(f"cannot read {path}: {exc}", path) from exc
 
 
+def _umask() -> int:
+    mask = os.umask(0o077)  # the only way to read it; restored at once
+    os.umask(mask)
+    return mask
+
+
 def _write_atomic(path: str, data: bytes, dry_run: bool = False) -> None:
     if dry_run:
         return
@@ -73,6 +79,8 @@ def _write_atomic(path: str, data: bytes, dry_run: bool = False) -> None:
     os.makedirs(dirname, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".cordpipe-tmp-")
     try:
+        # mkstemp creates the file 0600; give it the mode open() would
+        os.chmod(tmp, 0o666 & ~_umask())
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)

@@ -4,8 +4,11 @@ Only the single-file layout is produced on write: 348-byte header,
 4-byte extension flag, voxel payload at offset 352, always little-endian.
 ``_LAYOUT`` declares the offset and struct format of every header field
 that is read or written; parsing and packing both go through it.
-``gzip_nifti`` compresses at zlib level 1 with a fixed gzip header, so
-reruns give byte-identical ``.nii.gz`` files.
+``gzip_nifti`` writes one gzip member with a fixed header and deflates
+at zlib level 1, so reruns give byte-identical ``.nii.gz`` files. A
+payload that is mostly noise, judged by deflating a fixed sample of it,
+is deflated with zlib's run-length strategy (``Z_RLE``) instead, which is
+about twice as fast on noisy float32 intensities at about the same size.
 Reads auto-detect gzip compression and byte order. Supported datatypes
 are uint8 (2), int16 (4) and float32 (16); anything else is rejected
 rather than silently cast. Files are 2D or 3D; a 4D header (``dim[0] = 4``)
@@ -27,7 +30,6 @@ K axial planes are the annotated label planes, in ``z_indices`` order.
 from __future__ import annotations
 
 import gzip
-import io
 import json
 import struct
 import zlib
@@ -57,8 +59,23 @@ SINGLE_FILE_VOX_OFFSET = 352
 # zlib's fastest level. On label, soft-label, region and CLAHE volumes
 # it deflates about twice as fast as level 6; a training patch's files
 # grow by ~8% and label volumes stay near 2% of their raw size. Noisy
-# intensity volumes shrink to ~0.9 of their size at any level.
+# intensity volumes barely shrink at any level, and string matching is
+# wasted on them: they take Z_RLE at this level (see _deflate_strategy).
 _GZIP_LEVEL = 1
+# A payload whose level-1 probe sample keeps more than this share of its
+# bytes is mostly noise. Warped patch intensities keep 0.47-0.58 and
+# phantom magnitude and phase 0.83-0.91; CLAHE output keeps under 0.1 and
+# labels, soft labels and regions at most 0.04.
+_NOISY_SHARE = 0.25
+# The probe deflates _PROBE_WINDOWS windows of _PROBE_WINDOW bytes
+# (64 KiB), at golden-ratio steps through the payload so that they do not
+# line up with rows or slices, which start with background.
+_PROBE_WINDOW = 1 << 10
+_PROBE_WINDOWS = 64
+_GOLDEN = (5**0.5 - 1) / 2
+# ID1 ID2, CM deflate, no flags, mtime 0, XFL 4 (fastest), OS 255 (unknown):
+# the header gzip.GzipFile writes at level 1.
+_GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\xff"
 
 DT_UINT8 = 2
 DT_INT16 = 4
@@ -301,18 +318,40 @@ def write_nifti(vol, datatype: int | None = None) -> bytes:
     return b"".join((hdr, b"\x00\x00\x00\x00", data))  # no extensions
 
 
+def _deflate_strategy(raw: bytes) -> int:
+    """``zlib.Z_RLE`` for a payload that is mostly noise, else the default.
+
+    Deflates a fixed sample of ``raw`` (all of it when short) at level 1
+    and calls the payload noisy when more than ``_NOISY_SHARE`` of the
+    sample is left.
+    """
+    if len(raw) <= _PROBE_WINDOW * _PROBE_WINDOWS:
+        sample = raw
+    else:
+        span = len(raw) - _PROBE_WINDOW
+        starts = (int(span * (k * _GOLDEN % 1.0)) for k in range(1, _PROBE_WINDOWS + 1))
+        sample = b"".join(raw[s:s + _PROBE_WINDOW] for s in starts)
+    deflate = zlib.compressobj(_GZIP_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
+    kept = len(deflate.compress(sample)) + len(deflate.flush())
+    return zlib.Z_RLE if kept > _NOISY_SHARE * len(sample) else zlib.Z_DEFAULT_STRATEGY
+
+
 def gzip_nifti(raw: bytes) -> bytes:
     """Deterministically gzip an encoded stream at compression level 1.
 
-    The gzip header is fixed: mtime 0, no file name, OS byte 255
-    (unknown). The stream decodes to ``raw`` exactly. Earlier versions
-    compressed at level 9, then 6, so their ``.nii.gz`` bytes differ
-    from these while the decoded NIfTI bytes are the same.
+    One gzip member with a fixed header: mtime 0, no file name, XFL 4,
+    OS byte 255 (unknown). The deflate strategy is ``_deflate_strategy``'s:
+    on the default strategy the bytes are those ``gzip.GzipFile`` writes
+    at level 1; a noisy payload is deflated with ``Z_RLE``. The stream
+    decodes to ``raw`` exactly. Earlier versions compressed at level 9,
+    then 6, then 1 with the default strategy throughout, so their
+    ``.nii.gz`` bytes differ from these while the decoded NIfTI bytes are
+    the same.
     """
-    buf = io.BytesIO()
-    with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=_GZIP_LEVEL, mtime=0) as fh:
-        fh.write(raw)
-    return buf.getvalue()
+    deflate = zlib.compressobj(
+        _GZIP_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS, 8, _deflate_strategy(raw))
+    trailer = struct.pack("<II", zlib.crc32(raw), len(raw) & 0xFFFFFFFF)
+    return b"".join((_GZIP_HEADER, deflate.compress(raw), deflate.flush(), trailer))
 
 
 @dataclass(eq=False)

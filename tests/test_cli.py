@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import shlex
+import stat
 import struct
 import sys
 
@@ -53,6 +55,21 @@ def test_phantom_emits_triplet_and_sidecar(phantom_dir):
         assert (phantom_dir / name).exists()
     doc = json.loads((phantom_dir / "annotation.json").read_text())
     assert doc["planes_nifti"] == "annotation_planes.nii.gz"
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077], ids=["022", "077"])
+def test_outputs_get_the_mode_the_umask_allows(tmp_path, mask):
+    old = os.umask(mask)
+    try:
+        assert main(["phantom", "--seed", "1", "--dims", "24", "24", "4",
+                     "--out-dir", str(tmp_path / "ph")]) == 0
+    finally:
+        os.umask(old)
+    files = sorted((tmp_path / "ph").iterdir())
+    assert [f.name for f in files] == ["annotation.json", "annotation_planes.nii.gz",
+                                       "labels.nii.gz", "magnitude.nii.gz", "phase.nii.gz"]
+    for f in files:
+        assert stat.S_IMODE(f.stat().st_mode) == 0o666 & ~mask, f.name
 
 
 def test_phantom_deterministic(tmp_path):

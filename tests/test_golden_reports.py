@@ -23,11 +23,14 @@ before ``.nii.gz`` files were deflated at level 1 and soft-label margins
 were built from shifted ORs and ANDs. Its ``pre.nii.gz`` and
 ``pseudo.nii.gz`` lines hold the decoded outputs of the ``preprocess``
 and ``stack`` calls above, written before the mock predictor walked its
-input in cache-sized blocks.
+input in cache-sized blocks. Its ``ph/`` lines hold the decoded
+``phantom`` outputs, written before noisy payloads were deflated with
+``Z_RLE``.
 """
 
 import gzip
 import hashlib
+import zlib
 from pathlib import Path
 
 import pytest
@@ -70,3 +73,17 @@ def test_chain_report_is_byte_identical_to_the_golden_file(chain, name):
 def test_chain_payload_decodes_to_the_golden_digest(chain, name):
     decoded = gzip.decompress((chain / name).read_bytes())
     assert hashlib.sha256(decoded).hexdigest() == PAYLOADS[name]
+
+
+# The deflate strategy gzip_nifti picks for each .nii.gz of the chain:
+# Z_RLE for the noisy phantom intensities, the default for the rest.
+STRATEGIES = {name: zlib.Z_DEFAULT_STRATEGY for name in PAYLOADS}
+STRATEGIES.update({"ph/magnitude.nii.gz": zlib.Z_RLE, "ph/phase.nii.gz": zlib.Z_RLE})
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_chain_file_is_the_level_1_stream_of_its_strategy(chain, name):
+    zipped = (chain / name).read_bytes()
+    deflate = zlib.compressobj(1, zlib.DEFLATED, -zlib.MAX_WBITS, 8, STRATEGIES[name])
+    decoded = gzip.decompress(zipped)
+    assert zipped[10:-8] == deflate.compress(decoded) + deflate.flush()

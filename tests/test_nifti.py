@@ -1,4 +1,5 @@
 import gzip
+import io
 import json
 import struct
 import zlib
@@ -27,7 +28,13 @@ from cordpipe.errors import (
     UnsupportedDatatypeError,
     ValidationError,
 )
-from cordpipe.nifti import DT_INT16, HEADER_SIZE, parse_header, parse_sidecar
+from cordpipe.nifti import (
+    DT_INT16,
+    HEADER_SIZE,
+    _deflate_strategy,
+    parse_header,
+    parse_sidecar,
+)
 
 from oracles import reference_nifti_header
 
@@ -120,17 +127,99 @@ def test_gzip_and_plain_decode_identically():
     assert np.array_equal(read_nifti(gzip.compress(raw)).data, plain.data)
 
 
-def test_gzip_nifti_is_deterministic_level_1():
-    raw = write_nifti(_random_scalar(np.random.default_rng(9)))
-    zipped = gzip_nifti(raw)
-    assert gzip_nifti(raw) == zipped
+def _level_1_stream(raw, strategy):
+    deflate = zlib.compressobj(1, zlib.DEFLATED, -zlib.MAX_WBITS, 8, strategy)
+    return deflate.compress(raw) + deflate.flush()
+
+
+def _check_gzip_member(zipped, raw):
     assert zipped[:3] == b"\x1f\x8b\x08"        # gzip magic, deflate
     assert zipped[3] == 0                           # no FNAME (or other) flag
     assert zipped[4:8] == b"\x00\x00\x00\x00"  # mtime 0
+    assert zipped[8] == 4                           # XFL: fastest level
     assert zipped[9] == 255                         # OS unknown, not the host's
+    assert zipped[-8:] == struct.pack("<II", zlib.crc32(raw), len(raw) & 0xFFFFFFFF)
     assert gzip.decompress(zipped) == raw
-    deflate = zlib.compressobj(1, zlib.DEFLATED, -zlib.MAX_WBITS)
-    assert zipped[10:-8] == deflate.compress(raw) + deflate.flush()
+
+
+def test_gzip_nifti_is_deterministic_level_1():
+    # label ids in 8-voxel blocks: LZ-compressible, and longer than the probe sample
+    x, y, z = np.indices((64, 64, 24))
+    raw = write_nifti(LabelVolume(((x // 8 + y // 8 + z // 8) % 5).astype(np.uint8), ISO))
+    zipped = gzip_nifti(raw)
+    assert gzip_nifti(raw) == zipped
+    _check_gzip_member(zipped, raw)
+    assert zipped[10:-8] == _level_1_stream(raw, zlib.Z_DEFAULT_STRATEGY)
+    # the bytes gzip.GzipFile writes at level 1
+    buf = io.BytesIO()
+    with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=1, mtime=0) as fh:
+        fh.write(raw)
+    assert zipped == buf.getvalue()
+
+
+def test_gzip_nifti_deflates_noise_with_z_rle():
+    raw = write_nifti(_random_scalar(np.random.default_rng(9), (64, 64, 24)))
+    zipped = gzip_nifti(raw)
+    assert gzip_nifti(raw) == zipped
+    _check_gzip_member(zipped, raw)
+    assert zipped[10:-8] == _level_1_stream(raw, zlib.Z_RLE)
+    assert zipped[10:-8] != _level_1_stream(raw, zlib.Z_DEFAULT_STRATEGY)
+
+
+def test_probe_windows_do_not_line_up_with_slice_starts():
+    # Noise framed by 16 background rows at each edge of every slice, as in
+    # a scan: windows at or near slice starts would see only background.
+    data = np.random.default_rng(13).random((64, 64, 64), dtype=np.float32)
+    data[:, :16, :] = 0.0
+    data[:, 48:, :] = 0.0
+    raw = write_nifti(ScalarVolume(data, ISO))
+    assert len(_level_1_stream(raw, zlib.Z_DEFAULT_STRATEGY)) > 0.25 * len(raw)
+    assert _deflate_strategy(raw) == zlib.Z_RLE
+
+
+def test_probe_reads_a_short_payload_whole():
+    # 48 KiB, shorter than the probe sample: its noisy tail must be seen
+    data = np.zeros((64, 64, 3), np.float32)
+    data[:, :, 1:] = np.random.default_rng(14).random((64, 64, 2), dtype=np.float32)
+    assert _deflate_strategy(write_nifti(ScalarVolume(data, ISO))) == zlib.Z_RLE
+    data[:, :, 1:] = 0.5
+    assert _deflate_strategy(write_nifti(ScalarVolume(data, ISO))) == zlib.Z_DEFAULT_STRATEGY
+
+
+@st.composite
+def _payloads(draw):
+    """An encoded volume of one kind, from one voxel to past the 64 KiB
+    probe sample, and a prefix length from 0 to its whole size."""
+    kind = draw(st.sampled_from(["noise", "constant", "labels", "soft", "noise-zero-filled"]))
+    n = draw(st.integers(1, 24_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "labels":
+        vol = LabelVolume(rng.integers(0, 5, (n, 4, 1)).astype(np.uint8), ISO)
+    else:
+        if kind == "constant":
+            data = np.full(n, draw(st.floats(-1e6, 1e6, width=32)), np.float32)
+        elif kind == "soft":
+            alpha = draw(st.floats(0.0, 1.0, width=32))
+            data = rng.choice(np.array([0.0, alpha, 1.0], np.float32), n)
+        else:
+            data = rng.random(n, dtype=np.float32)
+            if kind == "noise-zero-filled":
+                data[rng.random(n) < draw(st.floats(0.0, 1.0))] = 0.0
+        vol = ScalarVolume(data.reshape(n, 1, 1), ISO)
+    raw = write_nifti(vol)
+    return raw, draw(st.integers(0, len(raw)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_payloads())
+def test_gzip_nifti_roundtrips_every_payload_kind(payload):
+    raw, cut = payload
+    for stream in (raw, raw[:cut]):
+        zipped = gzip_nifti(stream)
+        assert gzip_nifti(stream) == zipped
+        _check_gzip_member(zipped, stream)
+        assert zipped[10:-8] == _level_1_stream(stream, _deflate_strategy(stream))
+    assert read_nifti(gzip_nifti(raw)).data.tobytes() == read_nifti(raw).data.tobytes()
 
 
 @pytest.mark.parametrize("level", [6, 9])
