@@ -11,10 +11,8 @@ from cordpipe import (
     PATCH5,
     ScalarVolume,
     Spacing,
-    axial_slice,
     extract_patch,
     gzip_nifti,
-    new_scalar_volume,
     patch1,
     read_nifti,
     write_nifti,
@@ -25,7 +23,7 @@ rng = np.random.default_rng(7)
 vol = ScalarVolume(rng.random((64, 64, 32), dtype=np.float32), Spacing.isotropic())
 print(f"volume dims={vol.dims}, spacing={vol.spacing.as_tuple()} mm")
 
-plane = axial_slice(vol, 10)
+plane = vol.data[:, :, 10]
 print(f"axial slice 10 -> plane {plane.shape}, mean intensity {plane.mean():.3f}")
 
 print(f"\nnamed patch profiles: slab {PATCH5.as_tuple()}, "
@@ -44,6 +42,3 @@ zipped = gzip_nifti(raw)
 unzipped = read_nifti(zipped)
 print(f"gzip stream ({len(zipped)} bytes) decodes identically: "
       f"{np.array_equal(unzipped.data, vol.data)}")
-
-empty = new_scalar_volume((4, 4, 4), Spacing.isotropic(), fill=1.5)
-print(f"\nconstant-filled volume: all voxels = {float(empty.data[0, 0, 0])}")

@@ -20,9 +20,7 @@ from .volume import (
     ScalarVolume,
     SoftLabelVolume,
     Spacing,
-    axial_slice,
     extract_patch,
-    new_scalar_volume,
     patch1,
 )
 from .nifti import (
@@ -48,14 +46,11 @@ from .augment import (
     AUG1,
     AUG2,
     AUG3,
-    AUG_NONE,
     AugProfile,
     SampledTransform,
     build_matrix,
     sample_transform,
     slice_seed,
-    warp_image,
-    warp_labels,
     warp_pair,
 )
 from .softlabel import (

@@ -54,7 +54,6 @@ class AugProfile:
             raise ConfigError(f"perspective outside [0, 1]: {self.perspective}")
 
 
-AUG_NONE = AugProfile(0.0, 0.0, (1.0, 1.0), (0.0, 0.0), 0.0, name="none")
 AUG1 = AugProfile(0.45, 90.0, (0.7, 1.7), (-35.0, 35.0), 0.35, name="aug1")
 AUG2 = AugProfile(0.45, 180.0, (0.3, 2.0), (-55.0, 55.0), 0.55, name="aug2")
 AUG3 = AugProfile(0.80, 180.0, (0.1, 3.0), (-85.0, 85.0), 0.85, name="aug3")
@@ -193,47 +192,36 @@ def _flat_index(xi, yi, shape):
     return np.where(inside, xi * w + yi, h * w).astype(np.intp)
 
 
-def _warp(images, labels, t, fill, label_fill):
-    """Map ``t`` once and sample every image plane bilinearly (float32)
-    and the label plane, if any, by nearest neighbor in its own dtype."""
-    planes = [np.asarray(p, dtype=np.float32) for p in images]
-    labels = None if labels is None else np.asarray(labels)
-    shapes = {p.shape for p in planes + [labels] if p is not None}
+def warp_pair(image_planes, label_plane: np.ndarray, t: SampledTransform):
+    """Warp magnitude/phase planes and their label plane with one draw.
+
+    ``t`` is mapped once. Each image plane is sampled bilinearly into
+    float32, and a corner outside the plane reads 0.0. The label plane
+    is sampled by nearest neighbor in its own dtype, so it never invents
+    a class id, and a sample outside the plane reads ``BACKGROUND``.
+    Returns ``(planes, labels)``; the identity returns exact copies.
+    """
+    planes = [np.asarray(p, dtype=np.float32) for p in image_planes]
+    labels = np.asarray(label_plane)
+    shapes = {p.shape for p in planes + [labels]}
     if len(shapes) != 1:
         raise DimensionError(f"planes disagree on shape: {sorted(shapes)}")
     (shape,) = shapes
     if len(shape) != 2:
         raise DimensionError(f"expected 2D plane, got shape {shape}")
     if t.is_identity:
-        return [p.copy() for p in planes], None if labels is None else labels.copy()
+        return [p.copy() for p in planes], labels.copy()
     src_x, src_y = _inverse_coords(t, shape)
     x0, y0 = np.floor(src_x), np.floor(src_y)
     fx, fy = src_x - x0, src_y - y0
     corners = [(wgt, _flat_index(x0 + dx, y0 + dy, shape)) for dx, dy, wgt in (
         (0, 0, (1 - fx) * (1 - fy)), (0, 1, (1 - fx) * fy),
-        (1, 0, fx * (1 - fy)), (1, 1, fx * fy))] if planes else []
+        (1, 0, fx * (1 - fy)), (1, 1, fx * fy))]
     warped = []
     for p in planes:
-        flat, out = np.append(p.ravel(), np.float64(fill)), np.zeros(shape)
+        flat, out = np.append(p.ravel(), np.float64(0.0)), np.zeros(shape)
         for wgt, index in corners:
             out += wgt * flat[index]
         warped.append(out.astype(np.float32))
-    if labels is not None:
-        flat = np.append(labels.ravel(), np.full(1, label_fill, labels.dtype))
-        labels = flat[_flat_index(np.rint(src_x), np.rint(src_y), shape)]
-    return warped, labels
-
-
-def warp_image(plane: np.ndarray, t: SampledTransform, fill: float = 0.0) -> np.ndarray:
-    """Inverse-map with bilinear interpolation; out-of-bounds takes fill."""
-    return _warp([plane], None, t, fill, BACKGROUND)[0][0]
-
-
-def warp_labels(plane: np.ndarray, t: SampledTransform, fill: int = BACKGROUND) -> np.ndarray:
-    """Inverse-map with nearest-neighbor lookup; never invents new ids."""
-    return _warp([], plane, t, 0.0, fill)[1]
-
-
-def warp_pair(image_planes, label_plane: np.ndarray, t: SampledTransform):
-    """Warp magnitude/phase planes and their label plane with one draw."""
-    return _warp(image_planes, np.asarray(label_plane), t, 0.0, BACKGROUND)
+    flat = np.append(labels.ravel(), np.full(1, BACKGROUND, labels.dtype))
+    return warped, flat[_flat_index(np.rint(src_x), np.rint(src_y), shape)]

@@ -147,7 +147,7 @@ def _cmd_preprocess(args) -> int:
         mask_src = vol if args.mask_from is None else \
             _load_on_grid(args.mask_from, args.input, vol)
         mask = otsu_mask(mask_src).mask
-        vol = apply_mask(vol, mask, fill=0.0)
+        vol = apply_mask(vol, mask)
 
     if use_stretch:
         vol = percentile_stretch(vol, StretchConfig(**_given(p_low=p_low, p_high=p_high)),
@@ -230,6 +230,13 @@ def _soft_profile_with_overrides(base, cfg):
 
 
 def _cmd_regions(args) -> int:
+    if args.mode == "split":
+        needed = {"input": "INPUT", "out_dir": "--out-dir"}
+    else:
+        needed = {"wm": "--wm", "gm": "--gm", "lesion": "--lesion", "out": "--out"}
+    missing = [flag for dest, flag in needed.items() if getattr(args, dest) is None]
+    if missing:
+        raise ValidationError(f"regions {args.mode} needs {' and '.join(missing)}")
     cfg = load_config(args.config) if args.config else {}
     if args.mode == "split":
         labels = _load_volume(args.input, labels=True)
@@ -274,31 +281,33 @@ def _slice_index_from_name(name: str) -> int:
     return int(runs[-1])
 
 
-def _load_slice_dir(path: str) -> tuple[dict[int, RegionStack], Spacing]:
-    """Per-slice region stacks keyed by z, plus the spacing all slices share."""
+def _load_slice_dir(path: str) -> tuple[dict[int, RegionStack], tuple[int, int], Spacing]:
+    """Per-slice region stacks keyed by z, plus the (H, W) plane dims and
+    the spacing all slices share."""
     names = sorted(n for n in os.listdir(path) if n.endswith((".nii", ".nii.gz")))
     if not names:
         raise ValidationError(f"no NIfTI slices found in {path}")
     out: dict[int, RegionStack] = {}
-    spacing = None
+    first = None
     for name in names:
         z = _slice_index_from_name(name)
         vol = _load_volume(os.path.join(path, name))
-        if spacing is not None and vol.spacing != spacing:
+        first = vol if first is None else first
+        if vol.dims[:2] != first.dims[:2] or vol.spacing != first.spacing:
             raise ValidationError(
-                f"{os.path.join(path, name)}: spacing {vol.spacing.as_tuple()} differs from "
-                f"{spacing.as_tuple()} of {os.path.join(path, names[0])}"
+                f"{os.path.join(path, name)}: plane dims {vol.dims[:2]} at spacing "
+                f"{vol.spacing.as_tuple()} differ from {first.dims[:2]} at "
+                f"{first.spacing.as_tuple()} of {os.path.join(path, names[0])}"
             )
         if vol.dims[2] != 3:
             raise ValidationError(
-                f"{name}: expected 3 probability planes, got {vol.dims[2]}"
+                f"{os.path.join(path, name)}: expected 3 probability planes, got {vol.dims[2]}"
             )
         if z in out:
             raise ValidationError(f"duplicate slice index {z} in {path}")
         probs = np.clip(vol.data, 0.0, 1.0)
         out[z] = RegionStack(probs[:, :, 0], probs[:, :, 1], probs[:, :, 2])
-        spacing = vol.spacing
-    return out, spacing
+    return out, first.dims[:2], first.spacing
 
 
 def _predictor_command(text: str) -> list[str]:
@@ -350,16 +359,20 @@ def _cmd_stack(args) -> int:
             raise ValidationError("stack needs slice directories or --predictor")
         fold_stacks = []
         for d in args.slice_dirs:
-            per_slice, dir_spacing = _load_slice_dir(d)
+            per_slice, plane, dir_spacing = _load_slice_dir(d)
             if not fold_stacks:
-                first, count, spacing = d, len(per_slice), dir_spacing
+                first, count, first_plane, spacing = d, len(per_slice), plane, dir_spacing
                 z_extent = max(per_slice) + 1
-            elif len(per_slice) != count or dir_spacing != spacing:
+            elif (len(per_slice), plane, dir_spacing) != (count, first_plane, spacing):
                 raise ValidationError(
-                    f"fold {d} has {len(per_slice)} slices at spacing {dir_spacing.as_tuple()}, "
-                    f"fold {first} has {count} at {spacing.as_tuple()}"
+                    f"fold {d} has {len(per_slice)} slices of {plane} at spacing "
+                    f"{dir_spacing.as_tuple()}, fold {first} has {count} of {first_plane} "
+                    f"at {spacing.as_tuple()}"
                 )
-            fold_stacks.append(stack_slices(per_slice, z_extent))
+            try:
+                fold_stacks.append(stack_slices(per_slice, z_extent))
+            except ValidationError as exc:
+                raise ValidationError(f"fold {d}: {exc}") from exc
         volume_stack = ensemble(fold_stacks)
 
     labels = merge_regions(volume_stack, spacing, tissue_thresh, lesion_thresh)

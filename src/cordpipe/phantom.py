@@ -71,17 +71,24 @@ DEFAULT_INTENSITIES = {
     LESION_WM: (0.82, 0.45),
     LESION_GM: (0.92, 0.95),
 }
+# Standard deviation of each class's intensities, and of the global
+# noise added on top of them, in both channels.
+CLASS_STD = 0.01
+NOISE_STD = 0.01
 
 
 @dataclass(frozen=True)
 class PhantomConfig:
+    """Geometry and seed of one phantom.
+
+    Intensities are the module constants ``DEFAULT_INTENSITIES``,
+    ``CLASS_STD`` and ``NOISE_STD``.
+    """
+
     dims: tuple[int, int, int] = (64, 64, 64)
     cord_radius: float = 12.0
     butterfly: ButterflyShape = field(default_factory=ButterflyShape)
     lesions: LesionModel = field(default_factory=LesionModel)
-    intensities: dict = field(default_factory=lambda: dict(DEFAULT_INTENSITIES))
-    class_std: float = 0.01
-    noise_std: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -101,7 +108,7 @@ class PhantomConfig:
                 raise ValidationError(f"bad lesion radius range ({lo}, {hi})")
 
     @classmethod
-    def fitted(cls, dims, seed: int = 0, **overrides) -> "PhantomConfig":
+    def fitted(cls, dims, seed: int = 0) -> "PhantomConfig":
         """Default geometry scaled proportionally to the in-plane extent.
 
         Very small planes (below roughly 32 voxels) shrink the lesions to
@@ -111,7 +118,7 @@ class PhantomConfig:
         butterfly = ButterflyShape(4.0 * s, 3.6 * s, 6.6 * s, 4.0 * s, 1.4 * s)
         lesions = LesionModel(1, (2.2 * s, 2.8 * s), 1, (1.3 * s, 1.9 * s))
         return cls(dims=tuple(int(d) for d in dims), cord_radius=12.0 * s,
-                   butterfly=butterfly, lesions=lesions, seed=seed, **overrides)
+                   butterfly=butterfly, lesions=lesions, seed=seed)
 
 
 def _disk(xs, ys, cx, cy, r):
@@ -179,10 +186,10 @@ def _cross_section(cfg: PhantomConfig, rng: np.random.Generator) -> np.ndarray:
     return plane
 
 
-def generate(cfg: PhantomConfig,
-             spacing: Spacing | None = None) -> tuple[ScalarVolume, ScalarVolume, LabelVolume]:
-    """Produce (magnitude, phase, labels), deterministic per cfg.seed."""
-    spacing = spacing or Spacing.isotropic()
+def generate(cfg: PhantomConfig) -> tuple[ScalarVolume, ScalarVolume, LabelVolume]:
+    """Produce (magnitude, phase, labels) at the native 75 um isotropic
+    spacing, deterministic per cfg.seed."""
+    spacing = Spacing.isotropic()
     rng = np.random.default_rng(cfg.seed)
     h, w, z = cfg.dims
 
@@ -191,16 +198,15 @@ def generate(cfg: PhantomConfig,
 
     mag = np.empty((h, w, z), dtype=np.float64)
     phs = np.empty((h, w, z), dtype=np.float64)
-    for cid, (m_mean, p_mean) in cfg.intensities.items():
+    for cid, (m_mean, p_mean) in DEFAULT_INTENSITIES.items():
         sel = labels == cid
         n = int(sel.sum())
         if n == 0:
             continue
-        mag[sel] = rng.normal(m_mean, cfg.class_std, n)
-        phs[sel] = rng.normal(p_mean, cfg.class_std, n)
-    if cfg.noise_std > 0:
-        mag += rng.normal(0.0, cfg.noise_std, mag.shape)
-        phs += rng.normal(0.0, cfg.noise_std, phs.shape)
+        mag[sel] = rng.normal(m_mean, CLASS_STD, n)
+        phs[sel] = rng.normal(p_mean, CLASS_STD, n)
+    mag += rng.normal(0.0, NOISE_STD, mag.shape)
+    phs += rng.normal(0.0, NOISE_STD, phs.shape)
 
     return (
         ScalarVolume(mag.astype(np.float32), spacing),

@@ -116,8 +116,8 @@ def otsu_mask(mag: ScalarVolume) -> OtsuResult:
     return OtsuResult(threshold=threshold, mask=mask, histogram=hist)
 
 
-def apply_mask(vol: ScalarVolume, mask: np.ndarray, fill: float = 0.0) -> ScalarVolume:
-    """Set masked-out voxels to ``fill``, leaving the rest untouched.
+def apply_mask(vol: ScalarVolume, mask: np.ndarray) -> ScalarVolume:
+    """Set masked-out voxels to 0.0, leaving the rest untouched.
 
     The same (magnitude-derived) mask is meant to be applied to both
     channels so that background is uniform in each.
@@ -125,9 +125,7 @@ def apply_mask(vol: ScalarVolume, mask: np.ndarray, fill: float = 0.0) -> Scalar
     mask = np.asarray(mask)
     if mask.shape != vol.dims:
         raise DimensionError(f"mask shape {mask.shape} != volume dims {vol.dims}")
-    if not np.isfinite(fill):
-        raise ValidationError(f"fill must be finite, got {fill!r}")
-    out = np.where(mask > 0, vol.data, np.float32(fill))
+    out = np.where(mask > 0, vol.data, np.float32(0.0))
     return ScalarVolume(out, vol.spacing)
 
 

@@ -295,19 +295,10 @@ def ensemble(stacks: list[RegionStack]) -> RegionStack:
     )
 
 
-def stack_slices(plane_stacks: dict[int, RegionStack] | list[tuple[int, RegionStack]],
-                 z_extent: int) -> RegionStack:
-    """Assemble per-slice region planes into one (H, W, Z) stack.
-
-    Every z in [0, z_extent) must appear exactly once.
+def stack_slices(plane_stacks: dict[int, RegionStack], z_extent: int) -> RegionStack:
+    """Assemble per-slice region planes, keyed by z, into one (H, W, Z)
+    stack. The keys must be exactly the z in [0, z_extent).
     """
-    if not isinstance(plane_stacks, dict):
-        items = list(plane_stacks)
-        seen = [z for z, _ in items]
-        if len(set(seen)) != len(seen):
-            dup = sorted({z for z in seen if seen.count(z) > 1})
-            raise ValidationError(f"duplicate slice index {dup}")
-        plane_stacks = dict(items)
     missing = [z for z in range(z_extent) if z not in plane_stacks]
     if missing:
         raise ValidationError(f"missing slice indices {missing[:8]}")
@@ -399,10 +390,11 @@ class SubprocessPredictor(SlicePredictor):
     wm, gm and lesion probabilities.
     """
 
+    thread_safe = False
+
     command: list[str]
     spacing: Spacing = field(default_factory=Spacing.isotropic)
     timeout: float = 120.0
-    thread_safe: bool = False
 
     def predict(self, magnitude: np.ndarray,
                 phase: np.ndarray | None = None) -> RegionStack:

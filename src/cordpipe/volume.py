@@ -178,32 +178,22 @@ def patch1(px: int, py: int) -> PatchSpec:
     return PatchSpec(px, py, 144, name="patch1")
 
 
-def new_scalar_volume(dims, spacing: Spacing, fill: float = 0.0) -> ScalarVolume:
-    """Allocate a constant-filled volume."""
-    h, w, z = _check_dims(dims)
-    if not np.isfinite(fill):
-        raise ValidationError(f"fill value must be finite, got {fill!r}")
-    return ScalarVolume(np.full((h, w, z), fill, dtype=np.float32), spacing)
-
-
-def extract_patch(vol, origin, spec: PatchSpec, pad_value=None):
+def extract_patch(vol, origin, spec: PatchSpec):
     """Copy a patch of exactly ``spec`` voxels starting at ``origin``.
 
-    Out-of-bounds regions are filled with ``pad_value`` (0 for images,
-    background for labels). The origin may be negative or beyond the
+    Out-of-bounds regions are padded with 0.0 for images and
+    ``BACKGROUND`` for labels. The origin may be negative or beyond the
     volume; padding covers any overhang.
     """
     is_labels = isinstance(vol, LabelVolume)
-    if pad_value is None:
-        pad_value = BACKGROUND if is_labels else 0.0
     ox, oy, oz = (int(v) for v in origin)
     h, w, z = vol.dims
     px, py, pz = spec.as_tuple()
 
     if is_labels:
-        out = np.full((px, py, pz), int(pad_value), dtype=np.uint8)
+        out = np.full((px, py, pz), BACKGROUND, dtype=np.uint8)
     else:
-        out = np.full((px, py, pz), float(pad_value), dtype=np.float32)
+        out = np.zeros((px, py, pz), dtype=np.float32)
 
     # Overlap between the requested box and the volume, in both frames.
     sx0, sx1 = max(ox, 0), min(ox + px, h)
@@ -217,13 +207,3 @@ def extract_patch(vol, origin, spec: PatchSpec, pad_value=None):
         return LabelVolume(out, vol.spacing)
     return ScalarVolume(out, vol.spacing)
 
-
-def axial_slice(vol, z: int) -> np.ndarray:
-    """Return a copy of the (H, W) plane at slice index ``z``."""
-    _check_z(vol, z)
-    return vol.data[:, :, z].copy()
-
-
-def _check_z(vol, z: int) -> None:
-    if not 0 <= z < vol.dims[2]:
-        raise IndexError(f"slice index {z} outside [0, {vol.dims[2]})")

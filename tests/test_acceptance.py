@@ -13,10 +13,10 @@ from cordpipe import (
     AUG1,
     AUG2,
     AUG3,
-    AUG_NONE,
     SOFT1,
     SOFT2,
     SOFT3,
+    AugProfile,
     LabelVolume,
     MockPredictor,
     PhantomConfig,
@@ -44,8 +44,7 @@ from cordpipe import (
     sample_transform,
     soften,
     to_regions,
-    warp_image,
-    warp_labels,
+    warp_pair,
     write_nifti,
 )
 from cordpipe.errors import DegenerateHistogramError
@@ -216,11 +215,13 @@ def test_criterion_08_augmentation_profiles():
             assert abs(t.perspective[1]) <= profile.perspective
 
     rng = np.random.default_rng(108)
-    ident = sample_transform(AUG_NONE, seed=0)
+    zero = AugProfile(0.0, 0.0, (1.0, 1.0), (0.0, 0.0), 0.0, name="zero")
+    ident = sample_transform(zero, seed=0)
     plane = rng.random(plane_shape).astype(np.float32)
     labels_plane = rng.integers(0, 5, plane_shape).astype(np.uint8)
-    assert warp_image(plane, ident).tobytes() == plane.tobytes()
-    assert warp_labels(labels_plane, ident).tobytes() == labels_plane.tobytes()
+    (out,), out_labels = warp_pair([plane], labels_plane, ident)
+    assert out.tobytes() == plane.tobytes()
+    assert out_labels.tobytes() == labels_plane.tobytes()
 
     for seed in range(10_000):
         ids = tuple(sorted(rng.choice(5, size=2, replace=False)))
@@ -228,7 +229,7 @@ def test_criterion_08_augmentation_profiles():
         lp[rng.random(plane_shape) > 0.5] = ids[1]
         lp[rng.random(plane_shape) > 0.8] = ids[0]
         t = sample_transform(AUG2, seed=seed, plane_shape=plane_shape)
-        out = warp_labels(lp, t)
+        _, out = warp_pair([], lp, t)
         assert set(np.unique(out)) <= set(np.unique(lp)) | {0}
     _report(8, True, "10k draws per profile within table bounds; identity "
                      "bit-identical; 10k nearest warps closed over input ids")

@@ -6,14 +6,11 @@ from cordpipe import (
     AUG1,
     AUG2,
     AUG3,
-    AUG_NONE,
     AugProfile,
     SampledTransform,
     build_matrix,
     sample_transform,
     slice_seed,
-    warp_image,
-    warp_labels,
     warp_pair,
 )
 from cordpipe import augment
@@ -22,6 +19,18 @@ from cordpipe.errors import ConfigError, DimensionError, TransformError
 from oracles import loop_warp_image, loop_warp_labels
 
 PLANE = (32, 32)
+
+# All ranges zero: sample_transform maps it to the exact identity.
+ZERO = AugProfile(0.0, 0.0, (1.0, 1.0), (0.0, 0.0), 0.0, name="zero")
+
+
+def _warp_image(plane, t):
+    (out,), _ = warp_pair([plane], np.zeros(plane.shape, np.uint8), t)
+    return out
+
+
+def _warp_labels(labels, t):
+    return warp_pair([], labels, t)[1]
 
 
 def test_profiles_match_published_table():
@@ -42,7 +51,7 @@ def test_profiles_match_published_table():
 
 
 def test_none_profile_is_identity():
-    t = sample_transform(AUG_NONE, seed=123)
+    t = sample_transform(ZERO, seed=123)
     assert np.array_equal(t.matrix, np.eye(3))
     assert t.is_identity
 
@@ -83,9 +92,10 @@ def test_identity_warp_bit_identical():
     rng = np.random.default_rng(30)
     plane = rng.random(PLANE).astype(np.float32)
     labels = rng.integers(0, 5, PLANE).astype(np.uint8)
-    ident = sample_transform(AUG_NONE, seed=0)
-    assert warp_image(plane, ident).tobytes() == plane.tobytes()
-    assert warp_labels(labels, ident).tobytes() == labels.tobytes()
+    ident = sample_transform(ZERO, seed=0)
+    (out,), out_labels = warp_pair([plane], labels, ident)
+    assert out.tobytes() == plane.tobytes()
+    assert out_labels.tobytes() == labels.tobytes()
 
 
 def test_quarter_turn_is_exact_permutation():
@@ -93,7 +103,7 @@ def test_quarter_turn_is_exact_permutation():
     plane = rng.random((9, 9)).astype(np.float32)
     for deg in (90, 180, 270):
         t = SampledTransform(build_matrix(rotation_deg=deg), (0, 0), deg, 1.0, 0.0, (0, 0))
-        out = warp_image(plane, t)
+        out = _warp_image(plane, t)
         assert np.array_equal(np.sort(out.ravel()), np.sort(plane.ravel()))
 
 
@@ -101,7 +111,7 @@ def test_rotation_180_twice_restores_labels():
     rng = np.random.default_rng(32)
     labels = rng.integers(0, 5, (10, 10)).astype(np.uint8)
     t = SampledTransform(build_matrix(rotation_deg=180), (0, 0), 180.0, 1.0, 0.0, (0, 0))
-    assert np.array_equal(warp_labels(warp_labels(labels, t), t), labels)
+    assert np.array_equal(_warp_labels(_warp_labels(labels, t), t), labels)
 
 
 def test_label_warp_never_invents_ids():
@@ -110,7 +120,7 @@ def test_label_warp_never_invents_ids():
         labels = np.zeros(PLANE, np.uint8)
         labels[rng.random(PLANE) > 0.6] = 2
         t = sample_transform(AUG2, seed=seed, plane_shape=PLANE)
-        out = warp_labels(labels, t)
+        out = _warp_labels(labels, t)
         assert set(np.unique(out)) <= {0, 2}
 
 
@@ -123,7 +133,7 @@ def test_foreground_mass_bounded_under_mild_warps():
     for _ in range(25):
         deg = float(rng.uniform(-90, 90))
         t = SampledTransform(build_matrix(rotation_deg=deg), (0, 0), deg, 1.0, 0.0, (0, 0))
-        out = warp_labels(labels, t)
+        out = _warp_labels(labels, t)
         change = abs(int((out > 0).sum()) - base) / base
         assert change < 0.30
 
@@ -135,9 +145,9 @@ def test_warp_pair_shares_one_transform():
     labels = rng.integers(0, 3, PLANE).astype(np.uint8)
     t = sample_transform(AUG1, seed=5, plane_shape=PLANE)
     (wm, wp), wl = warp_pair([mag, phs], labels, t)
-    assert np.array_equal(wm, warp_image(mag, t))
-    assert np.array_equal(wp, warp_image(phs, t))
-    assert np.array_equal(wl, warp_labels(labels, t))
+    assert np.array_equal(wm, _warp_image(mag, t))
+    assert np.array_equal(wp, _warp_image(phs, t))
+    assert np.array_equal(wl, _warp_labels(labels, t))
     assert set(np.unique(wl)) <= set(np.unique(labels)) | {0}
 
 
@@ -146,13 +156,13 @@ def test_warp_pair_identity_unchanged():
     mag = rng.random(PLANE).astype(np.float32)
     phs = rng.random(PLANE).astype(np.float32)
     labels = rng.integers(0, 3, PLANE).astype(np.uint8)
-    ident = sample_transform(AUG_NONE, seed=0)
+    ident = sample_transform(ZERO, seed=0)
     (wm, wp), wl = warp_pair([mag, phs], labels, ident)
     assert np.array_equal(wm, mag) and np.array_equal(wp, phs) and np.array_equal(wl, labels)
 
 
 def test_warp_pair_dim_mismatch():
-    t = sample_transform(AUG_NONE, seed=0)
+    t = sample_transform(ZERO, seed=0)
     with pytest.raises(DimensionError):
         warp_pair([np.zeros((4, 4)), np.zeros((5, 5))], np.zeros((4, 4), np.uint8), t)
 
@@ -175,7 +185,7 @@ def test_warped_output_reproducible_from_seed():
     plane = rng.random(PLANE).astype(np.float32)
     t1 = sample_transform(AUG3, seed=11, plane_shape=PLANE)
     t2 = sample_transform(AUG3, seed=11, plane_shape=PLANE)
-    assert warp_image(plane, t1).tobytes() == warp_image(plane, t2).tobytes()
+    assert _warp_image(plane, t1).tobytes() == _warp_image(plane, t2).tobytes()
 
 
 def test_profile_named_none_still_warps():
@@ -221,7 +231,7 @@ _HALF_STEP_MATRICES = [
 def _warp_cases(draw):
     h, w = draw(st.integers(1, 69)), draw(st.integers(1, 69))
     if draw(st.booleans()):
-        profile = draw(st.sampled_from([AUG1, AUG2, AUG3, AUG_NONE]))
+        profile = draw(st.sampled_from([AUG1, AUG2, AUG3, ZERO]))
         t = sample_transform(profile, seed=draw(st.integers(0, 2**32 - 1)), plane_shape=(h, w))
     else:
         t = SampledTransform(draw(st.sampled_from(_HALF_STEP_MATRICES)),
@@ -233,27 +243,19 @@ def _warp_cases(draw):
     phase = rng.random((h + 2, 2 * w)).astype(np.float32)[1:h + 1, ::2]  # strided view
     dtype = draw(st.sampled_from([np.uint8, np.int64]))
     labels = np.asarray(rng.integers(0, 6, (h, w)), dtype=dtype, order=order)
-    fill = draw(st.sampled_from([0.0, -1.0, 0.1, 3.5]))
-    return t, mag, phase, labels, fill, draw(st.integers(0, 5))
+    return t, mag, phase, labels
 
 
 @settings(max_examples=60, deadline=None)
 @given(_warp_cases())
 def test_warps_match_loop_oracle(case):
-    t, mag, phase, labels, fill, label_fill = case
+    t, mag, phase, labels = case
 
     def same(got, want):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    want_mag = loop_warp_image(mag, t.matrix)
-    want_phase = loop_warp_image(phase, t.matrix)
-    want_labels = loop_warp_labels(labels, t.matrix)
-    same(warp_image(mag, t, fill), loop_warp_image(mag, t.matrix, fill))
-    same(warp_labels(labels, t, label_fill), loop_warp_labels(labels, t.matrix, label_fill))
-    same(warp_image(phase, t), want_phase)
-    same(warp_labels(labels, t), want_labels)
     (got_mag, got_phase), got_labels = warp_pair([mag, phase], labels, t)
-    same(got_mag, want_mag)
-    same(got_phase, want_phase)
-    same(got_labels, want_labels)
+    same(got_mag, loop_warp_image(mag, t.matrix))
+    same(got_phase, loop_warp_image(phase, t.matrix))
+    same(got_labels, loop_warp_labels(labels, t.matrix))

@@ -599,12 +599,13 @@ def test_error_still_falls_back_to_the_main_input(tmp_path, capsys):
     assert f"file={bad} " in capsys.readouterr().err
 
 
-def _fold(d, probs, spacing=ISO, odd=None):
-    """A slice dir; slice ``odd`` gets spacing (0.1, 0.1, 0.1) instead."""
+def _fold(d, probs, spacing=ISO, odd=None, first_z=0):
+    """A slice dir of slices ``first_z``, ``first_z + 1``, ...; slice
+    ``odd`` gets spacing (0.1, 0.1, 0.1) instead."""
     d.mkdir()
     for zi in range(probs.shape[3]):
         sp = Spacing(0.1, 0.1, 0.1) if zi == odd else spacing
-        _write(d / f"slice_{zi:03d}.nii", ScalarVolume(probs[:, :, :, zi], sp))
+        _write(d / f"slice_{zi + first_z:03d}.nii", ScalarVolume(probs[:, :, :, zi], sp))
     return str(d)
 
 
@@ -613,20 +614,40 @@ def test_stack_folds_must_agree(tmp_path, capsys):
     base = _fold(tmp_path / "base", probs)
     short = _fold(tmp_path / "short", probs[..., :4])
     coarse = _fold(tmp_path / "coarse", probs, Spacing(0.075, 0.075, 0.15))
-    for other in (short, coarse):
+    small = _fold(tmp_path / "small", probs[:5, :5])
+    for other in (short, coarse, small):
         capsys.readouterr()
         assert main(["stack", base, other, "--out", str(tmp_path / "o.nii")]) == 1
         err = capsys.readouterr().err
         assert "kind=ValidationError" in err and base in err and other in err
+    # a gap in the first fold, or the same count at shifted indices
+    gap = _fold(tmp_path / "gap", probs[..., :4])
+    os.rename(os.path.join(gap, "slice_003.nii"), os.path.join(gap, "slice_004.nii"))
+    shifted = _fold(tmp_path / "shifted", probs, first_z=1)
+    for argv in ([gap], [base, shifted]):
+        capsys.readouterr()
+        assert main(["stack", *argv, "--out", str(tmp_path / "o.nii")]) == 1
+        err = capsys.readouterr().err
+        assert "kind=ValidationError" in err and f"fold {argv[-1]}: missing" in err
     assert not (tmp_path / "o.nii").exists()
 
 
 def test_stack_slices_of_one_fold_must_agree(tmp_path, capsys):
     probs = np.random.default_rng(7).random((6, 6, 3, 4)).astype(np.float32)
     mixed = _fold(tmp_path / "mixed", probs, odd=2)
-    assert main(["stack", mixed, "--out", str(tmp_path / "o.nii")]) == 1
-    err = capsys.readouterr().err
-    assert "kind=ValidationError" in err and "slice_002.nii" in err
+    resized = _fold(tmp_path / "resized", probs)
+    _write(tmp_path / "resized" / "slice_002.nii", ScalarVolume(probs[:5, :5, :, 2], ISO))
+    two_planes = _fold(tmp_path / "two_planes", probs)
+    _write(tmp_path / "two_planes" / "slice_002.nii", ScalarVolume(probs[:, :, :2, 2], ISO))
+    doubled = _fold(tmp_path / "doubled", probs)
+    _write(tmp_path / "doubled" / "slice_1.nii.gz", ScalarVolume(probs[..., 1], ISO), gz=True)
+    for fold, name in ((mixed, "slice_002.nii"), (resized, "slice_002.nii"),
+                       (two_planes, "slice_002.nii"), (doubled, "duplicate slice index 1")):
+        capsys.readouterr()
+        assert main(["stack", fold, "--out", str(tmp_path / "o.nii")]) == 1
+        err = capsys.readouterr().err
+        assert "kind=ValidationError" in err and fold in err and name in err
+    assert not (tmp_path / "o.nii").exists()
 
 
 def test_unknown_spatial_unit_exits_2(tmp_path, capsys):
@@ -742,3 +763,27 @@ def test_stack_rejects_a_bad_threshold_before_loading_or_predicting(
     assert rc == 1, err
     assert "kind=ConfigError" in err and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["split", "--out-dir", "regions"], "INPUT"),
+    (["split", "labels"], "--out-dir"),
+    (["merge", "--gm", "gm", "--lesion", "lesion", "--out", "o.nii"], "--wm"),
+    (["merge", "--wm", "wm", "--lesion", "lesion", "--out", "o.nii"], "--gm"),
+    (["merge", "--wm", "wm", "--gm", "gm", "--out", "o.nii"], "--lesion"),
+    (["merge", "--wm", "wm", "--gm", "gm", "--lesion", "lesion"], "--out"),
+])
+def test_regions_names_a_missing_flag_before_reading(grids, tmp_path, capsys,
+                                                     monkeypatch, argv, flag):
+    import cordpipe.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("regions read a file before checking its flags")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_read_file", must_not_run)
+    assert main(["regions", *[grids.get(a, a) for a in argv]]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cordpipe-error kind=ValidationError")
+    assert flag in err[0]
+    assert not (tmp_path / "o.nii").exists() and not (tmp_path / "regions").exists()

@@ -59,6 +59,10 @@ def chain(tmp_path_factory):
          "--json", str(d / "sparse.json"), "--csv", str(d / "sparse.csv")],
         ["softlabel", str(ph / "labels.nii.gz"), "--out-dir", str(d / "soft")],
         ["regions", "split", str(ph / "labels.nii.gz"), "--out-dir", str(d / "regions")],
+        ["regions", "merge", "--wm", str(d / "regions" / "region_wm.nii.gz"),
+         "--gm", str(d / "regions" / "region_gm.nii.gz"),
+         "--lesion", str(d / "regions" / "region_lesion.nii.gz"),
+         "--out", str(d / "merged.nii.gz")],
     ):
         assert main(argv) == 0, argv
     return d
@@ -67,6 +71,11 @@ def chain(tmp_path_factory):
 @pytest.mark.parametrize("name", REPORTS)
 def test_chain_report_is_byte_identical_to_the_golden_file(chain, name):
     assert (chain / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_merge_of_the_split_regions_is_the_labels_file(chain):
+    merged = (chain / "merged.nii.gz").read_bytes()
+    assert merged == (chain / "ph" / "labels.nii.gz").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(PAYLOADS))

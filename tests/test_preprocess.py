@@ -113,7 +113,7 @@ def test_apply_mask_all_ones_is_identity():
 def test_apply_mask_all_zeros_gives_constant():
     rng = np.random.default_rng(13)
     vol = _vol(rng.random((4, 4, 4)))
-    out = apply_mask(vol, np.zeros(vol.dims, np.uint8), fill=0.0)
+    out = apply_mask(vol, np.zeros(vol.dims, np.uint8))
     assert (out.data == 0.0).all()
 
 
@@ -121,8 +121,8 @@ def test_apply_mask_idempotent():
     rng = np.random.default_rng(14)
     vol = _vol(rng.random((4, 4, 4)))
     mask = (rng.random(vol.dims) > 0.5).astype(np.uint8)
-    once = apply_mask(vol, mask, fill=0.25)
-    twice = apply_mask(once, mask, fill=0.25)
+    once = apply_mask(vol, mask)
+    twice = apply_mask(once, mask)
     assert np.array_equal(once.data, twice.data)
 
 
@@ -139,7 +139,7 @@ def test_phase_masked_by_magnitude_mask():
     mag[2:4, 2:4, :] = 1.0
     phase = rng.random((6, 6, 4)).astype(np.float32)
     res = otsu_mask(_vol(mag))
-    masked = apply_mask(ScalarVolume(phase, ISO), res.mask, fill=0.0)
+    masked = apply_mask(ScalarVolume(phase, ISO), res.mask)
     assert (masked.data[res.mask == 0] == 0.0).all()
     assert np.array_equal(masked.data[res.mask == 1], phase[res.mask == 1])
 

@@ -167,13 +167,6 @@ def test_stack_missing_slice():
         stack_slices(planes, 3)
 
 
-def test_stack_duplicate_slice():
-    rng = np.random.default_rng(77)
-    s = _random_stack(rng, (4, 4))
-    with pytest.raises(ValidationError):
-        stack_slices([(0, s), (0, s)], 1)
-
-
 def test_stack_shape_mismatch():
     rng = np.random.default_rng(78)
     planes = {0: _random_stack(rng, (4, 4)), 1: _random_stack(rng, (5, 5))}

@@ -8,11 +8,10 @@ from cordpipe import (
     ScalarVolume,
     SoftLabelVolume,
     Spacing,
-    axial_slice,
     extract_patch,
-    new_scalar_volume,
     patch1,
 )
+from cordpipe.volume import _check_dims
 from cordpipe.errors import DimensionError, ValidationError
 
 ISO = Spacing.isotropic()
@@ -26,12 +25,6 @@ def acquisition_volume():
     return ScalarVolume(data, ISO)
 
 
-def test_constant_fill():
-    v = new_scalar_volume((2, 2, 2), ISO, fill=0.0)
-    assert v.data.shape == (2, 2, 2)
-    assert (v.data == 0.0).all()
-
-
 def test_acquisition_matrix_dims(acquisition_volume):
     assert acquisition_volume.dims == (200, 306, 730)
     assert acquisition_volume.spacing == Spacing(0.075, 0.075, 0.075)
@@ -39,17 +32,12 @@ def test_acquisition_matrix_dims(acquisition_volume):
 
 def test_zero_dimension_rejected():
     with pytest.raises(DimensionError):
-        new_scalar_volume((0, 1, 1), ISO)
+        ScalarVolume(np.zeros((0, 1, 1), np.float32), ISO)
 
 
 def test_overflow_dimension_rejected():
     with pytest.raises(DimensionError):
-        new_scalar_volume((2**20, 2**20, 2**20), ISO)
-
-
-def test_nonfinite_fill_rejected():
-    with pytest.raises(ValidationError):
-        new_scalar_volume((2, 2, 2), ISO, fill=float("nan"))
+        _check_dims((2**20, 2**20, 2**20))
 
 
 def test_nonfinite_data_rejected():
@@ -81,19 +69,19 @@ def test_patch_inbounds_copy(acquisition_volume):
 
 
 def test_patch_padding_at_corner():
-    vol = new_scalar_volume((4, 4, 4), ISO, fill=7.0)
-    patch = extract_patch(vol, (2, 2, 2), PatchSpec(4, 4, 4), pad_value=-1.0)
+    vol = ScalarVolume(np.full((4, 4, 4), 7.0, np.float32), ISO)
+    patch = extract_patch(vol, (2, 2, 2), PatchSpec(4, 4, 4))
     assert (patch.data[:2, :2, :2] == 7.0).all()
     # everything past the overlap is padding
-    assert (patch.data[2:] == -1.0).all()
-    assert (patch.data[:, 2:] == -1.0).all()
-    assert (patch.data[:, :, 2:] == -1.0).all()
+    assert (patch.data[2:] == 0.0).all()
+    assert (patch.data[:, 2:] == 0.0).all()
+    assert (patch.data[:, :, 2:] == 0.0).all()
 
 
 def test_patch_fully_outside_is_all_padding():
-    vol = new_scalar_volume((4, 4, 4), ISO, fill=7.0)
-    patch = extract_patch(vol, (10, 10, 10), PatchSpec(3, 3, 3), pad_value=0.5)
-    assert (patch.data == 0.5).all()
+    vol = ScalarVolume(np.full((4, 4, 4), 7.0, np.float32), ISO)
+    patch = extract_patch(vol, (10, 10, 10), PatchSpec(3, 3, 3))
+    assert (patch.data == 0.0).all()
 
 
 def test_full_volume_patch_is_identity():
@@ -112,26 +100,10 @@ def test_label_patch_pads_with_background():
     assert set(np.unique(patch.data)) == {0, 2}
 
 
-def test_axial_slice_roundtrip():
-    vol = new_scalar_volume((4, 5, 6), ISO)
-    plane = np.arange(20, dtype=np.float32).reshape(4, 5)
-    vol.data[:, :, 3] = plane
-    assert np.array_equal(axial_slice(vol, 3), plane)
-
-
-def test_axial_slice_bounds():
-    vol = new_scalar_volume((4, 5, 6), ISO)
-    with pytest.raises(IndexError):
-        axial_slice(vol, 6)
-    with pytest.raises(IndexError):
-        axial_slice(vol, -1)
-
-
 def test_axial_slice_corpus_scale_iteration():
-    # 43,719 slices, the full corpus slice count, iterated end to end.
-    vol = new_scalar_volume((2, 2, 43719), ISO)
-    count = sum(1 for z in range(vol.dims[2]) if axial_slice(vol, z).shape == (2, 2))
-    assert count == 43719
+    # 43,719 slices, the full corpus slice count, in one volume.
+    vol = ScalarVolume(np.zeros((2, 2, 43719), np.float32), ISO)
+    assert vol.dims == (2, 2, 43719)
 
 
 def test_named_patch_profiles():
