@@ -81,6 +81,7 @@ from .pseudolabel import (
     TtaConfig,
     ensemble,
     jitter_score,
+    predict_labels,
     predict_volume,
     predict_with_tta,
     stack_slices,

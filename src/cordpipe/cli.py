@@ -48,7 +48,7 @@ from .pseudolabel import (
     SubprocessPredictor,
     TtaConfig,
     ensemble,
-    predict_volume,
+    predict_labels,
     stack_slices,
     thread_map,
 )
@@ -144,10 +144,9 @@ def _cmd_preprocess(args) -> int:
 
     mask = None
     if use_otsu:
-        mask_src = vol if args.mask_from is None else \
-            _load_on_grid(args.mask_from, args.input, vol)
-        mask = otsu_mask(mask_src).mask
-        vol = apply_mask(vol, mask)
+        mask = otsu_mask(vol if args.mask_from is None else
+                         _load_on_grid(args.mask_from, args.input, vol)).mask
+        vol = apply_mask(vol, mask)  # the unmasked input is freed here
 
     if use_stretch:
         vol = percentile_stretch(vol, StretchConfig(**_given(p_low=p_low, p_high=p_high)),
@@ -342,8 +341,8 @@ def _cmd_stack(args) -> int:
                 raise ValidationError("mock predictor needs --fit-labels <labels.nii>")
             if phase is None:
                 raise ValidationError("mock predictor needs --phase")
-            fit_labels = _load_on_grid(args.fit_labels, args.input, mag, labels=True)
-            predictor = MockPredictor.fit(mag, phase, fit_labels)
+            predictor = MockPredictor.fit(
+                mag, phase, _load_on_grid(args.fit_labels, args.input, mag, labels=True))
         elif args.predictor.startswith("cmd:"):
             predictor = SubprocessPredictor(command, spacing=mag.spacing)
         else:
@@ -352,8 +351,8 @@ def _cmd_stack(args) -> int:
         if args.tta:
             flips = get_typed(cfg, "tta.flips", tuple, None)
             tta = TtaConfig(tuple(flips)) if flips else TtaConfig()
-        volume_stack = predict_volume(predictor, mag, phase, tta=tta, threads=args.threads)
-        spacing = mag.spacing
+        labels = predict_labels(predictor, mag, phase, tta=tta, threads=args.threads,
+                                tissue_thresh=tissue_thresh, lesion_thresh=lesion_thresh)
     else:
         if not args.slice_dirs:
             raise ValidationError("stack needs slice directories or --predictor")
@@ -373,9 +372,8 @@ def _cmd_stack(args) -> int:
                 fold_stacks.append(stack_slices(per_slice, z_extent))
             except ValidationError as exc:
                 raise ValidationError(f"fold {d}: {exc}") from exc
-        volume_stack = ensemble(fold_stacks)
+        labels = merge_regions(ensemble(fold_stacks), spacing, tissue_thresh, lesion_thresh)
 
-    labels = merge_regions(volume_stack, spacing, tissue_thresh, lesion_thresh)
     _write_volume(args.out, labels, args.dry_run)
     print(f"stack ok out={args.out} dims={labels.dims}")
     return 0

@@ -9,9 +9,11 @@ at zlib level 1, so reruns give byte-identical ``.nii.gz`` files. A
 payload that is mostly noise, judged by deflating a fixed sample of it,
 is deflated with zlib's run-length strategy (``Z_RLE``) instead, which is
 about twice as fast on noisy float32 intensities at about the same size.
-Reads auto-detect gzip compression and byte order. Supported datatypes
-are uint8 (2), int16 (4) and float32 (16); anything else is rejected
-rather than silently cast. Files are 2D or 3D; a 4D header (``dim[0] = 4``)
+Reads auto-detect gzip compression and byte order; a gzip stream is
+inflated in bounded pieces into one buffer sized from the NIfTI
+header, so bytes decoded past the payload are never held. Supported
+datatypes are uint8 (2), int16 (4) and float32 (16); anything else is
+rejected rather than silently cast. Files are 2D or 3D; a 4D header (``dim[0] = 4``)
 is read as 3D when it holds a single timepoint (``dim[4] = 1``).
 Voxel sizes are read in millimetres: the spatial unit code
 (``xyzt_units & 0x07``) may be 0 (unknown, read as mm), 1 (m), 2 (mm)
@@ -29,8 +31,9 @@ K axial planes are the annotated label planes, in ``z_indices`` order.
 
 from __future__ import annotations
 
-import gzip
+import itertools
 import json
+import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -76,6 +79,18 @@ _GOLDEN = (5**0.5 - 1) / 2
 # ID1 ID2, CM deflate, no flags, mtime 0, XFL 4 (fastest), OS 255 (unknown):
 # the header gzip.GzipFile writes at level 1.
 _GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\xff"
+# Reads inflate at most _INFLATE_PIECE decoded bytes per call, fed
+# _INFLATE_INPUT compressed bytes at a time, so their scratch stays
+# bounded whatever a member decodes to.
+_INFLATE_PIECE = 1 << 18
+_INFLATE_INPUT = 1 << 16
+# Deflate decodes to at most 1032 bytes per input byte (a 258-byte match
+# in two 1-bit codes), so a payload ending past this many bytes per
+# gzip byte cannot be in the stream.
+_MAX_INFLATE_RATIO = 1032
+# gzip header flag bits (RFC 1952)
+_FHCRC, _FEXTRA, _FNAME, _FCOMMENT = 0x02, 0x04, 0x08, 0x10
+_NONZERO = re.compile(rb"[^\x00]")
 
 DT_UINT8 = 2
 DT_INT16 = 4
@@ -206,25 +221,121 @@ def parse_header(raw: bytes) -> NiftiHeader:
     )
 
 
-def _read_payload(raw: bytes, hdr: NiftiHeader) -> np.ndarray:
+def _payload_end(hdr: NiftiHeader) -> int:
+    """The stream offset one past the last payload byte ``hdr`` declares."""
     if hdr.magic == b"ni1\x00":
         raise FormatError("two-file (ni1) streams carry no payload; only n+1 is readable")
     h, w, z = hdr.shape
     if min(h, w, z) <= 0:
         raise FormatError(f"non-positive header dims {hdr.shape}")
-    dtype = _DTYPES[hdr.datatype][0].newbyteorder(hdr.byte_order)
-    count = h * w * z
+    if hdr.vox_offset < HEADER_SIZE:
+        raise FormatError(f"vox_offset {hdr.vox_offset} overlaps the header")
+    return hdr.vox_offset + h * w * z * _DTYPES[hdr.datatype][0].itemsize
+
+
+def _read_payload(raw, hdr: NiftiHeader) -> np.ndarray:
+    """The payload as an (H, W, Z) view on ``raw``, in the header's dtype."""
+    end = _payload_end(hdr)
     start = hdr.vox_offset
-    if start < HEADER_SIZE:
-        raise FormatError(f"vox_offset {start} overlaps the header")
-    end = start + count * dtype.itemsize
     if len(raw) < end:
         raise TruncatedPayloadError(
             f"payload needs {end - start} bytes at offset {start}, stream has {len(raw) - start}"
         )
-    flat = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
+    dtype = _DTYPES[hdr.datatype][0].newbyteorder(hdr.byte_order)
+    flat = np.frombuffer(raw, dtype=dtype, count=(end - start) // dtype.itemsize, offset=start)
     # Serialized order is x fastest, matching Fortran order of (H, W, Z).
-    return np.asfortranarray(flat.reshape((h, w, z), order="F"))
+    return flat.reshape(hdr.shape, order="F")
+
+
+def _deflate_start(raw: bytes, pos: int) -> int:
+    """Offset of the deflate data of the gzip member at ``pos``, past its
+    optional extra field, file name, comment and header CRC (which, as in
+    the ``gzip`` module, is not checked)."""
+    if raw[pos:pos + 2] != b"\x1f\x8b":
+        raise FormatError(f"gzip stream holds bytes that are not a gzip member at {pos}")
+    if len(raw) < pos + 10:
+        raise FormatError("gzip member header is truncated")
+    if raw[pos + 2] != 8:
+        raise FormatError(f"gzip compression method {raw[pos + 2]} is not deflate")
+    flags = raw[pos + 3]
+    pos += 10
+    if flags & _FEXTRA:
+        pos += 2 + int.from_bytes(raw[pos:pos + 2], "little")
+    for flag in (_FNAME, _FCOMMENT):
+        if flags & flag:
+            pos = raw.find(b"\x00", pos) + 1  # zero-terminated
+            if pos == 0:
+                raise FormatError("gzip member header is truncated")
+    if flags & _FHCRC:
+        pos += 2
+    if pos > len(raw):
+        raise FormatError("gzip member header is truncated")
+    return pos
+
+
+def _inflate(raw: bytes):
+    """Yield the decoded bytes of the gzip stream ``raw`` in pieces of at
+    most ``_INFLATE_PIECE``.
+
+    Decodes as ``gzip.decompress`` does: members are concatenated, zero
+    bytes after a member are padding, and each member's CRC32 and size
+    (mod 2**32) are checked against its trailer once it ends.
+    """
+    view = memoryview(raw)
+    pos = 0
+    while True:
+        pos = _deflate_start(raw, pos)
+        inflate = zlib.decompressobj(-zlib.MAX_WBITS)
+        crc = size = 0
+        while not inflate.eof:
+            data = inflate.unconsumed_tail
+            if not data:
+                data = view[pos:pos + _INFLATE_INPUT]
+                pos += len(data)
+            piece = inflate.decompress(data, _INFLATE_PIECE)
+            if not (piece or data):
+                raise FormatError("gzip stream ends before its end-of-stream marker")
+            crc = zlib.crc32(piece, crc)
+            size += len(piece)
+            yield piece
+        pos -= len(inflate.unused_data)
+        if len(raw) < pos + 8:
+            raise FormatError("gzip stream ends inside a member trailer")
+        if struct.unpack_from("<II", raw, pos) != (crc, size & 0xFFFFFFFF):
+            raise FormatError("gzip member fails its CRC32 or size check")
+        member = _NONZERO.search(raw, pos + 8)
+        if member is None:
+            return
+        pos = member.start()
+
+
+def _gunzip(raw: bytes) -> np.ndarray:
+    """The decoded gzip stream ``raw`` up to the end of its NIfTI payload,
+    as one uint8 buffer.
+
+    The buffer is sized from the header once the first pieces are out,
+    never from a trailer's size field. Decoded bytes past the payload are
+    inflated for the CRC check only and dropped.
+    """
+    pieces = _inflate(raw)
+    head = b""
+    for piece in pieces:
+        head += piece
+        if len(head) >= SINGLE_FILE_VOX_OFFSET:
+            break
+    end = _payload_end(parse_header(head))
+    if end > _MAX_INFLATE_RATIO * len(raw):
+        raise TruncatedPayloadError(
+            f"payload ends at byte {end} of the stream, but a {len(raw)}-byte gzip "
+            f"stream decodes to at most {_MAX_INFLATE_RATIO * len(raw)}")
+    buf = np.empty(end, np.uint8)
+    filled = 0
+    for piece in itertools.chain((head,), pieces):
+        n = min(len(piece), end - filled)
+        if n:
+            buf[filled:filled + n] = np.frombuffer(piece, np.uint8, n)
+            filled += n
+    return buf[:filled]
 
 
 def read_nifti(raw: bytes, labels: bool = False):
@@ -233,14 +344,23 @@ def read_nifti(raw: bytes, labels: bool = False):
     A magnitude and a phase file decode alike: the caller knows which is
     which. ``labels=True`` enforces an integer datatype, no intensity scaling
     and class ids within 0..4.
+
+    A gzip stream is inflated piece by piece into one buffer sized from
+    the NIfTI header, with each member's CRC32 and size checked; bytes
+    decoded past the payload are not kept. When the payload is stored in
+    the native dtype, the returned data is a view on that buffer. A plain
+    stream's payload is always copied, so the result never shares memory
+    with ``raw``.
     """
-    if raw[:2] == b"\x1f\x8b":
+    owned = raw[:2] == b"\x1f\x8b"
+    if owned:
         try:
-            raw = gzip.decompress(raw)
-        except (OSError, EOFError, zlib.error) as exc:
+            raw = _gunzip(raw)
+        except zlib.error as exc:
             raise FormatError(f"gzip stream failed to decode: {exc}") from exc
     hdr = parse_header(raw)
     arr = _read_payload(raw, hdr)
+    copy = not (owned and arr.flags.aligned)
     spacing = hdr.spacing
 
     if labels:
@@ -251,9 +371,9 @@ def read_nifti(raw: bytes, labels: bool = False):
         if arr.size and (arr.min() < 0 or arr.max() > LESION_GM):
             bad = int(arr.min()) if arr.min() < 0 else int(arr.max())
             raise LabelRangeError(f"label id {bad} outside 0..{LESION_GM}")
-        return LabelVolume(arr.astype(np.uint8), spacing)
+        return LabelVolume(arr.astype(np.uint8, copy=copy), spacing)
 
-    data = arr.astype(np.float32)
+    data = arr.astype(np.float32, copy=copy)
     if hdr.scl_slope != 0.0 and (hdr.scl_slope != 1.0 or hdr.scl_inter != 0.0):
         data = data * np.float32(hdr.scl_slope) + np.float32(hdr.scl_inter)
     if not np.all(np.isfinite(data)):
@@ -314,7 +434,8 @@ def write_nifti(vol, datatype: int | None = None) -> bytes:
 
     hdr = _pack_header(vol.dims, vol.spacing, datatype)
     little = payload.dtype.newbyteorder("<")
-    data = payload.astype(little, copy=False).tobytes(order="F")
+    # ravel is a view of an x-fastest payload, so join makes the one copy
+    data = payload.astype(little, copy=False).ravel(order="F")
     return b"".join((hdr, b"\x00\x00\x00\x00", data))  # no extensions
 
 

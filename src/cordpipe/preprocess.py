@@ -31,6 +31,11 @@ from .volume import ScalarVolume
 
 OTSU_BINS = 256
 
+# Voxels per flat block of ``otsu_mask`` and ``percentile_stretch``: their
+# float64 scratch is then 512 KiB, which stays in cache, instead of a
+# float64 copy of the whole volume.
+_BLOCK_VOXELS = 1 << 16
+
 
 @dataclass(eq=False)
 class OtsuResult:
@@ -86,6 +91,10 @@ def otsu_mask(mag: ScalarVolume) -> OtsuResult:
     The histogram uses 256 uniform bins over [min, max]; candidate
     thresholds are the bin boundaries and the winner is the first
     maximizer. The mask is 1 strictly above the threshold.
+
+    Counts are summed over flat blocks of ``_BLOCK_VOXELS``, each binned
+    as a float64 copy with the same ``range``. The edges depend on the
+    range alone, so every voxel falls in the bin of a whole-volume call.
     """
     data = mag.data
     lo, hi = float(data.min()), float(data.max())
@@ -93,8 +102,12 @@ def otsu_mask(mag: ScalarVolume) -> OtsuResult:
         raise DegenerateHistogramError("constant volume admits no histogram split")
 
     # float64 keeps the bin edges exact regardless of the storage dtype
-    hist, edges = np.histogram(data.astype(np.float64), bins=OTSU_BINS, range=(lo, hi))
-    hist = hist.astype(np.int64)
+    flat = data.ravel(order="K")
+    hist = np.zeros(OTSU_BINS, np.int64)
+    for s in range(0, flat.size, _BLOCK_VOXELS):
+        counts, edges = np.histogram(flat[s:s + _BLOCK_VOXELS].astype(np.float64),
+                                     bins=OTSU_BINS, range=(lo, hi))
+        hist += counts
     centers = (edges[:-1] + edges[1:]) / 2.0
 
     total = hist.sum()
@@ -112,7 +125,7 @@ def otsu_mask(mag: ScalarVolume) -> OtsuResult:
 
     t = int(np.argmax(sigma_b))
     threshold = float(edges[t + 1])
-    mask = (data > threshold).astype(np.uint8)
+    mask = np.greater(data, threshold).view(np.uint8)
     return OtsuResult(threshold=threshold, mask=mask, histogram=hist)
 
 
@@ -265,17 +278,19 @@ def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),
     applies to the whole volume.
 
     Percentiles do not depend on element order, so the masked scope is
-    gathered in the data's own memory order. The mapping subtracts,
-    divides and clips one float64 copy in place.
+    gathered in the data's own memory order. The mapping walks that order
+    in flat blocks of ``_BLOCK_VOXELS``: each block is copied to float64,
+    shifted, divided and clipped in place, and cast into the float32
+    output, the same ops per element as on a whole-volume copy.
     """
     data = vol.data
+    order = "F" if data.flags.f_contiguous and not data.flags.c_contiguous else "C"
     if mask is None:
         scope = data
     else:
         mask = np.asarray(mask)
         if mask.shape != data.shape:
             raise DimensionError(f"mask shape {mask.shape} != volume dims {vol.dims}")
-        order = "F" if data.flags.f_contiguous and not data.flags.c_contiguous else "C"
         scope = data.ravel(order)[mask.ravel(order) > 0]
     if scope.size == 0:
         raise ValidationError("percentile scope is empty")
@@ -285,11 +300,20 @@ def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),
         raise DegenerateRangeError(
             f"percentiles {cfg.p_low} and {cfg.p_high} both map to {q_low}"
         )
-    out = data.astype(np.float64)
-    out -= q_low
-    out /= q_high - q_low
-    np.clip(out, 0.0, 1.0, out=out)
-    return ScalarVolume(out.astype(np.float32), vol.spacing)
+    del scope  # a masked gather is freed before the output is allocated
+    span = q_high - q_low
+    src = data.ravel(order)
+    out = np.empty(data.shape, np.float32, order=order)
+    dst = out.ravel(order)  # a view: out is contiguous in this order
+    scratch = np.empty(min(src.size, _BLOCK_VOXELS))
+    for s in range(0, src.size, _BLOCK_VOXELS):
+        block = scratch[:min(_BLOCK_VOXELS, src.size - s)]
+        block[...] = src[s:s + block.size]
+        block -= q_low
+        block /= span
+        np.clip(block, 0.0, 1.0, out=block)
+        dst[s:s + block.size] = block
+    return ScalarVolume(out, vol.spacing)
 
 
 def zscore_normalize(vol: ScalarVolume, mask: np.ndarray | None = None) -> ScalarVolume:

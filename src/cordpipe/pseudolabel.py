@@ -10,13 +10,16 @@ exchanges NIfTI files.
 :func:`predict_volume` walks a volume in z-chunks of about
 ``_CHUNK_VOXELS`` voxels. Each chunk is an (H, W, n) block that goes
 through one TTA loop: flip, ``predict_batch``, un-flip, and a float64
-running sum whose mean is written into preallocated float32 volumes.
+running sum whose mean is cast to float32 and written into the chunk's
+slices of three float32 volumes. :func:`predict_labels` shares that
+chunk walk but merges each chunk's channels straight into a uint8 label
+volume, so the whole-volume probabilities are never held.
 :func:`predict_with_tta` runs a single plane through the same loop as a
 one-slice block. A predictor that declares ``flip_equivariant`` gets
 only the identity pass, which is exact: its flipped passes would give
 equal values, whose mean is that value. A single pass (identity-only
-TTA, or a flip-equivariant predictor) skips the float64 sum and writes
-the predictor's float32 channels straight into the output volumes.
+TTA, or a flip-equivariant predictor) skips the float64 sum and hands
+on the predictor's float32 channels without a copy.
 :class:`MockPredictor` walks each block in flat runs of
 ``_BLOCK_VOXELS``, so its float64 distance grids are cache-sized scratch
 rather than per-chunk temporaries.
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import DimensionError, FormatError, ValidationError
 from .nifti import read_nifti, write_nifti
-from .regions import RegionStack
+from .regions import RegionStack, check_thresholds, merge_region_arrays
 from .volume import (
     FOREGROUND_CLASSES,
     HEALTHY_GM,
@@ -52,9 +55,10 @@ from .metrics import inter_slice_dice
 
 FLIP_NAMES = ("identity", "flip-x", "flip-y", "flip-xy")
 
-# Voxels per z-chunk of ``predict_volume``: 13 slices of a 192x208 plane.
-# Per-chunk temporaries (float32 predictions, float64 TTA sums) are 2 and
-# 4 MB each at this size, whatever the volume's z extent.
+# Voxels per z-chunk of ``predict_volume`` and ``predict_labels``: 13
+# slices of a 192x208 plane. Per-chunk temporaries (float32 predictions,
+# float64 TTA sums, the merge's masks) are 2 and 4 MB each at this size,
+# whatever the volume's z extent.
 _CHUNK_VOXELS = 1 << 19
 
 # Voxels per flat block of ``MockPredictor.predict``: its float64 scratch
@@ -231,13 +235,14 @@ def _flip(plane: np.ndarray, name: str) -> np.ndarray:
 
 
 def _tta(predictor: SlicePredictor, magnitude: np.ndarray,
-         phase: np.ndarray | None, cfg: TtaConfig, out: list[np.ndarray]) -> None:
-    """Write the TTA mean of an (H, W, n) block into the three float32
-    arrays ``out`` (wm, gm, lesion).
+         phase: np.ndarray | None, cfg: TtaConfig) -> tuple[np.ndarray, ...]:
+    """The TTA mean of an (H, W, n) block as three float32 arrays (wm,
+    gm, lesion).
 
     Axis flips are involutions, so the inverse transform is the flip
-    itself. Sums run in float64 in ``cfg.transforms`` order; a single
-    pass is written as it is.
+    itself. Sums run in float64 in ``cfg.transforms`` order and the mean
+    is cast to float32; a single pass returns the predictor's channels
+    as they are, without a copy.
     """
     shape = magnitude.shape
     if phase is not None and phase.shape != shape:
@@ -253,16 +258,13 @@ def _tta(predictor: SlicePredictor, magnitude: np.ndarray,
             )
         planes = [_flip(ch, name) for ch in stack.channels()]
         if len(names) == 1:
-            for o, ch in zip(out, planes):
-                o[...] = ch
-            return
+            return tuple(planes)
         if acc is None:
             acc = [ch.astype(np.float64) for ch in planes]
         else:
             for a, ch in zip(acc, planes):
                 a += ch
-    for o, a in zip(out, acc):
-        o[...] = a / len(names)
+    return tuple(np.divide(a, len(names), out=a).astype(np.float32) for a in acc)
 
 
 def predict_with_tta(predictor: SlicePredictor, magnitude: np.ndarray,
@@ -273,10 +275,9 @@ def predict_with_tta(predictor: SlicePredictor, magnitude: np.ndarray,
     mag = np.asarray(magnitude)
     if mag.ndim != 2:
         raise DimensionError(f"predict_with_tta takes one plane, got shape {mag.shape}")
-    out = [np.empty(mag.shape + (1,), np.float32) for _ in range(3)]
-    _tta(predictor, mag[:, :, None], None if phase is None else np.asarray(phase)[:, :, None],
-         cfg, out)
-    return RegionStack(*(o[:, :, 0] for o in out))
+    channels = _tta(predictor, mag[:, :, None],
+                    None if phase is None else np.asarray(phase)[:, :, None], cfg)
+    return RegionStack(*(ch[:, :, 0] for ch in channels))
 
 
 def ensemble(stacks: list[RegionStack]) -> RegionStack:
@@ -340,34 +341,74 @@ def thread_map(fn, items, threads: int | None) -> list:
         return list(pool.map(fn, items))
 
 
-def predict_volume(predictor: SlicePredictor, magnitude: ScalarVolume,
-                   phase: ScalarVolume | None = None,
-                   tta: TtaConfig | None = None,
-                   threads: int | None = None) -> RegionStack:
-    """Run a slice predictor over every axial slice of a volume.
+def _predict_chunks(predictor: SlicePredictor, magnitude: ScalarVolume,
+                    phase: ScalarVolume | None, tta: TtaConfig | None,
+                    threads: int | None, emit) -> None:
+    """Send every z-chunk of a volume through the TTA loop and call
+    ``emit(zs, channels)`` with the chunk's z slice and its three float32
+    channels.
 
-    The volume goes through the TTA loop in z-chunks of at most
-    ``_CHUNK_VOXELS`` voxels (at least one slice). Chunks are independent
-    work units; with a thread-safe predictor they may run concurrently,
-    and each writes only its own z range, so the result is identical to
-    the serial order either way. Without ``tta`` each slice is predicted
-    once, through the identity-only TTA path.
+    Chunks hold at most ``_CHUNK_VOXELS`` voxels (at least one slice).
+    They are independent work units; with a thread-safe predictor they
+    may run concurrently, and as ``emit`` writes only its own z range,
+    the result is that of the serial order either way. Without ``tta``
+    each slice is predicted once, through the identity-only TTA path.
     """
     if phase is not None and phase.dims != magnitude.dims:
         raise DimensionError("magnitude and phase volumes disagree on dims")
     h, w, z_extent = magnitude.dims
     cfg = TtaConfig(("identity",)) if tta is None else tta
     k = max(1, _CHUNK_VOXELS // (h * w))
-    out = [np.empty((h, w, z_extent), np.float32, order="F") for _ in range(3)]
 
     def run(z0: int) -> None:
         zs = slice(z0, min(z0 + k, z_extent))
-        _tta(predictor, magnitude.data[:, :, zs],
-             None if phase is None else phase.data[:, :, zs], cfg,
-             [o[:, :, zs] for o in out])
+        emit(zs, _tta(predictor, magnitude.data[:, :, zs],
+                      None if phase is None else phase.data[:, :, zs], cfg))
 
     thread_map(run, range(0, z_extent, k), threads if predictor.thread_safe else 1)
+
+
+def predict_volume(predictor: SlicePredictor, magnitude: ScalarVolume,
+                   phase: ScalarVolume | None = None,
+                   tta: TtaConfig | None = None,
+                   threads: int | None = None) -> RegionStack:
+    """Run a slice predictor over every axial slice of a volume and
+    return the three probability volumes.
+
+    The volume goes through the TTA loop in z-chunks of at most
+    ``_CHUNK_VOXELS`` voxels (at least one slice), which run concurrently
+    on up to ``threads`` threads when the predictor is thread-safe; the
+    result is the same either way. Without ``tta`` each slice is
+    predicted once.
+    """
+    out = [np.empty(magnitude.dims, np.float32, order="F") for _ in range(3)]
+
+    def emit(zs: slice, channels) -> None:
+        for o, ch in zip(out, channels):
+            o[:, :, zs] = ch
+
+    _predict_chunks(predictor, magnitude, phase, tta, threads, emit)
     return RegionStack(*out)
+
+
+def predict_labels(predictor: SlicePredictor, magnitude: ScalarVolume,
+                   phase: ScalarVolume | None = None,
+                   tta: TtaConfig | None = None,
+                   threads: int | None = None,
+                   tissue_thresh: float = 0.5,
+                   lesion_thresh: float = 0.5) -> LabelVolume:
+    """``merge_regions(predict_volume(...))`` without the probability
+    volumes: each z-chunk's float32 channels are merged into its slices
+    of one uint8 label volume, so only the chunk's channels are held.
+    """
+    check_thresholds(tissue_thresh, lesion_thresh)
+    labels = np.empty(magnitude.dims, np.uint8, order="F")
+
+    def emit(zs: slice, channels) -> None:
+        labels[:, :, zs] = merge_region_arrays(*channels, tissue_thresh, lesion_thresh)
+
+    _predict_chunks(predictor, magnitude, phase, tta, threads, emit)
+    return LabelVolume(labels, magnitude.spacing)
 
 
 def jitter_score(labels: LabelVolume) -> dict[int, float | None]:

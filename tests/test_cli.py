@@ -504,6 +504,19 @@ def test_preprocess_truncated_gzip_exits_2(tmp_path, capsys):
     assert "kind=FormatError" in err and "half.nii.gz" in err
 
 
+@pytest.mark.parametrize("field", ["crc", "isize"])
+def test_gzip_trailer_mismatch_exits_2(tmp_path, capsys, field):
+    labels = LabelVolume(np.random.default_rng(8).integers(0, 5, (8, 8, 2)).astype(np.uint8),
+                         ISO)
+    gz = bytearray(gzip_nifti(write_nifti(labels)))
+    gz[-8 if field == "crc" else -4] ^= 0x01
+    bad = tmp_path / "bad.nii.gz"
+    bad.write_bytes(bytes(gz))
+    assert main(["evaluate", str(bad), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "kind=FormatError" in err and "bad.nii.gz" in err
+
+
 def test_evaluate_dense_spacing_mismatch_exits_1(tmp_path, capsys):
     data = np.zeros((4, 4, 3), np.uint8)
     data[1:3, 1:3, :] = 1
@@ -752,7 +765,7 @@ def test_stack_rejects_a_bad_threshold_before_loading_or_predicting(
 
     monkeypatch.setattr(cli, "_load_volume", must_not_run)
     monkeypatch.setattr(cli.MockPredictor, "fit", must_not_run)
-    monkeypatch.setattr(cli, "predict_volume", must_not_run)
+    monkeypatch.setattr(cli, "predict_labels", must_not_run)
     cfg = tmp_path / "merge.cfg"
     cfg.write_text(f"merge.{key} = 1.5\n")
     out = tmp_path / "o.nii"

@@ -26,6 +26,11 @@ and ``stack`` calls above, written before the mock predictor walked its
 input in cache-sized blocks. Its ``ph/`` lines hold the decoded
 ``phantom`` outputs, written before noisy payloads were deflated with
 ``Z_RLE``.
+
+``chain160/payloads.sha256`` holds the decoded outputs of the same
+``preprocess`` and ``stack`` calls on ``phantom --seed 7 --dims 64 64
+160``, whose 160 slices make two z-chunks of ``predict_volume``,
+written before ``stack`` merged each chunk into its labels.
 """
 
 import gzip
@@ -96,3 +101,25 @@ def test_chain_file_is_the_level_1_stream_of_its_strategy(chain, name):
     deflate = zlib.compressobj(1, zlib.DEFLATED, -zlib.MAX_WBITS, 8, STRATEGIES[name])
     decoded = gzip.decompress(zipped)
     assert zipped[10:-8] == deflate.compress(decoded) + deflate.flush()
+
+
+CHAIN160 = {name: digest for digest, name in (
+    line.split("  ") for line in
+    (GOLDEN.parent / "chain160" / "payloads.sha256").read_text().splitlines())}
+
+
+def test_two_chunk_stack_decodes_to_the_golden_digest_on_1_and_2_threads(tmp_path):
+    ph, pre = tmp_path / "ph", str(tmp_path / "pre.nii.gz")
+    assert main(["phantom", "--seed", "7", "--dims", "64", "64", "160",
+                 "--out-dir", str(ph)]) == 0
+    assert main(["preprocess", str(ph / "magnitude.nii.gz"), "--otsu", "--stretch", "--clahe",
+                 "--out", pre]) == 0
+    digest = hashlib.sha256(gzip.decompress(Path(pre).read_bytes())).hexdigest()
+    assert digest == CHAIN160["pre.nii.gz"]
+    for threads in ("1", "2"):
+        pseudo = tmp_path / f"pseudo_t{threads}.nii.gz"
+        assert main(["stack", "--predictor", "mock", "--input", pre,
+                     "--phase", str(ph / "phase.nii.gz"), "--fit-labels", str(ph / "labels.nii.gz"),
+                     "--tta", "--threads", threads, "--out", str(pseudo)]) == 0
+        digest = hashlib.sha256(gzip.decompress(pseudo.read_bytes())).hexdigest()
+        assert digest == CHAIN160["pseudo.nii.gz"], threads

@@ -2,6 +2,7 @@ import gzip
 import io
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -28,6 +29,7 @@ from cordpipe.errors import (
     UnsupportedDatatypeError,
     ValidationError,
 )
+from cordpipe import nifti
 from cordpipe.nifti import (
     DT_INT16,
     HEADER_SIZE,
@@ -481,6 +483,152 @@ def test_fuzzed_streams_decode_or_raise_format_error(raw):
         assert isinstance(vol, expected)
         assert min(vol.dims) > 0
         assert np.all(np.isfinite(vol.data))
+
+
+# ---------------------------------------------------------------------------
+# piecewise gzip reads
+
+_FEXTRA, _FNAME, _FCOMMENT, _FHCRC = 0x04, 0x08, 0x10, 0x02
+
+
+@st.composite
+def _gzip_members(draw, data):
+    """One gzip member of ``data``: from ``gzip.compress``, from
+    ``gzip.GzipFile`` with a file name, or with a hand-built header."""
+    kind = draw(st.sampled_from(["compress", "gzipfile", "hand"]))
+    level = draw(st.integers(0, 9))
+    mtime = draw(st.integers(0, 2**32 - 1))
+    if kind == "compress":
+        return gzip.compress(data, compresslevel=level, mtime=mtime)
+    if kind == "gzipfile":
+        buf = io.BytesIO()
+        name = draw(st.text("abcxyz._-", min_size=1, max_size=12))
+        with gzip.GzipFile(filename=name, mode="wb", fileobj=buf, compresslevel=level,
+                           mtime=mtime) as fh:
+            fh.write(data)
+        return buf.getvalue()
+    flags = draw(st.sets(st.sampled_from([_FEXTRA, _FNAME, _FCOMMENT, _FHCRC])))
+    header = bytearray(struct.pack("<BBBBIBB", 0x1F, 0x8B, 8, sum(flags), mtime, 0, 255))
+    if _FEXTRA in flags:
+        extra = draw(st.binary(max_size=40))
+        header += struct.pack("<H", len(extra)) + extra
+    for flag in (_FNAME, _FCOMMENT):
+        if flag in flags:
+            header += draw(st.binary(max_size=20)).replace(b"\x00", b"") + b"\x00"
+    if _FHCRC in flags:
+        header += struct.pack("<H", zlib.crc32(header) & 0xFFFF)
+    deflate = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS)
+    body = deflate.compress(data) + deflate.flush()
+    return bytes(header) + body + struct.pack("<II", zlib.crc32(data), len(data) & 0xFFFFFFFF)
+
+
+@st.composite
+def _gzip_streams(draw):
+    """An encoded volume, a gzip stream of it (one member or two, and zero
+    padding or none), whether it holds labels, and where its last member
+    starts and ends."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = (draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(st.integers(1, 12)))
+    kind = draw(st.sampled_from(["float32", "int16", "labels"]))
+    if kind == "labels":
+        raw = write_nifti(LabelVolume(rng.integers(0, 5, dims).astype(np.uint8), ISO))
+    elif kind == "int16":
+        raw = write_nifti(ScalarVolume(rng.integers(-99, 99, dims).astype(np.float32), ISO),
+                          datatype=DT_INT16)
+    else:
+        raw = write_nifti(_random_scalar(rng, dims))
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(raw)))
+        first, last = draw(_gzip_members(raw[:cut])), draw(_gzip_members(raw[cut:]))
+    else:
+        first, last = b"", draw(_gzip_members(raw))
+    padding = bytes(draw(st.integers(0, 600)))
+    return raw, first + last + padding, kind == "labels", (len(first), len(first + last))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gzip_streams())
+def test_gzip_reads_decode_as_gzip_decompress(case):
+    raw, stream, labels, _ = case
+    assert gzip.decompress(stream) == raw
+    assert b"".join(nifti._inflate(stream)) == raw
+    got, want = read_nifti(stream, labels=labels), read_nifti(raw, labels=labels)
+    assert got.data.dtype == want.data.dtype and got.spacing == want.spacing
+    assert got.data.tobytes("F") == want.data.tobytes("F")
+    for vol, source in ((got, stream), (want, raw)):
+        assert vol.data.flags.writeable
+        assert not np.shares_memory(vol.data, np.frombuffer(source, np.uint8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gzip_streams(), st.data())
+def test_cut_or_flipped_gzip_trailer_is_format_error(case, data):
+    _, stream, labels, (last, end) = case
+    how = data.draw(st.sampled_from(["cut", "crc", "isize"]))
+    if how == "cut":
+        # a cut before the last member would leave a valid shorter stream
+        bad = stream[:data.draw(st.integers(last + 1, end - 1))]
+    else:
+        at = end - data.draw(st.integers(5, 8) if how == "crc" else st.integers(1, 4))
+        bad = bytearray(stream)
+        bad[at] ^= 1 << data.draw(st.integers(0, 7))
+        bad = bytes(bad)
+    with pytest.raises(FormatError):
+        read_nifti(bad, labels=labels)
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes traced while ``fn(*args)`` runs, and what it raised."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        try:
+            fn(*args)
+            raised = None
+        except Exception as exc:
+            raised = exc
+        return tracemalloc.get_traced_memory()[1], raised
+    finally:
+        tracemalloc.stop()
+
+
+def _member_with_tail(raw, tail_mib, isize=None):
+    """One gzip member holding ``raw`` and then ``tail_mib`` MiB of zeros."""
+    deflate = zlib.compressobj(9, zlib.DEFLATED, -zlib.MAX_WBITS)
+    parts, crc, zero = [deflate.compress(raw)], zlib.crc32(raw), bytes(1 << 20)
+    for _ in range(tail_mib):
+        parts.append(deflate.compress(zero))
+        crc = zlib.crc32(zero, crc)
+    size = len(raw) + (tail_mib << 20) if isize is None else isize
+    return b"".join([nifti._GZIP_HEADER, *parts, deflate.flush(),
+                     struct.pack("<II", crc, size & 0xFFFFFFFF)])
+
+
+def test_stream_bytes_past_the_payload_are_not_kept():
+    labels = np.random.default_rng(15).integers(0, 5, (8, 8, 4)).astype(np.uint8)
+    bomb = _member_with_tail(write_nifti(LabelVolume(labels, ISO)), tail_mib=48)
+    assert len(bomb) < 100_000
+    peak, raised = _traced_peak(read_nifti, bomb, True)
+    assert raised is None
+    assert peak < 4 << 20  # the 48 MiB tail is inflated for its CRC only
+    assert np.array_equal(read_nifti(bomb, labels=True).data, labels)
+
+
+def test_forged_isize_allocates_no_more_than_the_header_declares():
+    raw = write_nifti(_random_scalar(np.random.default_rng(16), (64, 64, 16)))
+    forged = bytearray(gzip.compress(raw, mtime=0))
+    forged[-4:] = b"\xff\xff\xff\xff"
+    peak, raised = _traced_peak(read_nifti, bytes(forged))
+    assert isinstance(raised, FormatError) and "size" in str(raised)
+    assert peak < len(raw) + (2 << 20)
+
+
+def test_header_dims_past_what_the_stream_can_hold_are_truncated_not_allocated():
+    raw = bytearray(write_nifti(ScalarVolume(np.zeros((2, 2, 2), np.float32), ISO)))
+    struct.pack_into("<4h", raw, 40, 3, 32767, 32767, 32767)  # a 140 TB float32 payload
+    peak, raised = _traced_peak(read_nifti, gzip.compress(bytes(raw)))
+    assert isinstance(raised, TruncatedPayloadError)
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ from cordpipe import (
     generate,
     jitter_score,
     perturb_slices,
+    predict_labels,
     predict_volume,
     predict_with_tta,
     stack_slices,
 )
-from cordpipe.errors import DimensionError, ValidationError
-from cordpipe import pseudolabel
+from cordpipe.errors import ConfigError, DimensionError, ValidationError
+from cordpipe import merge_regions, pseudolabel
 from cordpipe.pseudolabel import FLIP_NAMES, SlicePredictor, _flip
 
 from oracles import argmin_nearest_class
@@ -435,6 +436,63 @@ def test_predict_volume_threaded_matches_serial_across_chunks(monkeypatch):
         assert _same_bytes(serial, threaded)
         assert _same_bytes(serial, _per_slice_reference(predictor, mag, phs, TtaConfig()))
 
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("predictor, tta", [
+    (MixPredictor(), TtaConfig()), (MixPredictor(), None), (_mock(), TtaConfig())])
+def test_predict_labels_equals_merged_predict_volume_across_chunks(
+        monkeypatch, predictor, tta, threads):
+    k = 3  # slices per chunk
+    monkeypatch.setattr(pseudolabel, "_CHUNK_VOXELS", k * 7 * 6)
+    for depth in (1, k - 1, k, k + 1, 2 * k + 3):
+        mag, phs = _volumes(7, 6, depth, seed=84 + depth)
+        spacing = Spacing(0.5, 0.5, 2.0)
+        mag, phs = ScalarVolume(mag.data, spacing), ScalarVolume(phs.data, spacing)
+        for thresholds in ((0.5, 0.5), (0.3, 0.7)):
+            want = merge_regions(predict_volume(predictor, mag, phs, tta=tta, threads=threads),
+                                 spacing, *thresholds)
+            got = predict_labels(predictor, mag, phs, tta=tta, threads=threads,
+                                 tissue_thresh=thresholds[0], lesion_thresh=thresholds[1])
+            assert got.spacing == spacing and got.data.dtype == np.uint8
+            assert got.data.tobytes("F") == want.data.tobytes("F"), (depth, thresholds)
+
+
+class PassCountingPredictor(SlicePredictor):
+    """Constant planes of 0.5 on every TTA pass but each fourth, which gives
+    the float32 just below 0.5: the float64 mean of four passes is then
+    0.5 - 2**-27, below the threshold, and its float32 cast is 0.5."""
+
+    thread_safe = False
+
+    def __init__(self):
+        self.calls = 0
+
+    def predict(self, magnitude, phase=None):
+        raise AssertionError("predict_batch is overridden")
+
+    def predict_batch(self, magnitude, phase=None):
+        self.calls += 1
+        value = np.nextafter(np.float32(0.5), np.float32(0)) if self.calls % 4 == 0 else 0.5
+        plane = np.full(magnitude.shape, value, np.float32)
+        return RegionStack(plane, plane, plane)
+
+
+def test_predict_labels_merges_the_float32_tta_mean():
+    mag, phs = _volumes(4, 3, 5, seed=85)
+    with mock.patch.object(pseudolabel, "_CHUNK_VOXELS", 2 * 4 * 3):
+        got = predict_labels(PassCountingPredictor(), mag, phs, tta=TtaConfig())
+        want = merge_regions(predict_volume(PassCountingPredictor(), mag, phs,
+                                            tta=TtaConfig()), ISO)
+    # gm == wm == 0.5 after the cast: tissue, gray matter wins the tie, lesion set
+    assert np.all(got.data == 4)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_predict_labels_checks_thresholds_before_predicting():
+    mag, phs = _volumes(4, 3, 2, seed=86)
+    with pytest.raises(ConfigError):
+        predict_labels(WrongShapePredictor(), mag, phs, tissue_thresh=1.5)
 
 
 # ---------------------------------------------------------------------------
