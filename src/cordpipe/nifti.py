@@ -4,11 +4,16 @@ Only the single-file layout is produced on write: 348-byte header,
 4-byte extension flag, voxel payload at offset 352, always little-endian.
 ``_LAYOUT`` declares the offset and struct format of every header field
 that is read or written; parsing and packing both go through it.
-``gzip_nifti`` writes one gzip member with a fixed header and deflates
-at zlib level 1, so reruns give byte-identical ``.nii.gz`` files. A
-payload that is mostly noise, judged by deflating a fixed sample of it,
-is deflated with zlib's run-length strategy (``Z_RLE``) instead, which is
-about twice as fast on noisy float32 intensities at about the same size.
+``gzip_nifti`` writes one gzip member with a fixed header, so reruns
+give byte-identical ``.nii.gz`` files. Its deflate has three tiers,
+chosen by how much of a fixed sample of the payload is left after a
+level-1 deflate: up to a quarter (labels, soft labels, regions, CLAHE
+output) takes zlib level 1; up to three quarters (noisy intensities such
+as warped training patches) takes zlib's run-length strategy
+(``Z_RLE``), about twice as fast at about the same size; past three
+quarters (phantom magnitude and phase) the payload is stored, since
+Huffman coding it saves 10-16% of the bytes at 10-15 times the cost
+of writing and reading them.
 Reads auto-detect gzip compression and byte order; a gzip stream is
 inflated in bounded pieces into one buffer sized from the NIfTI
 header, so bytes decoded past the payload are never held. Supported
@@ -54,6 +59,7 @@ from .volume import (
     LabelVolume,
     ScalarVolume,
     Spacing,
+    _all_finite,
 )
 
 HEADER_SIZE = 348
@@ -63,19 +69,27 @@ SINGLE_FILE_VOX_OFFSET = 352
 # it deflates about twice as fast as level 6; a training patch's files
 # grow by ~8% and label volumes stay near 2% of their raw size. Noisy
 # intensity volumes barely shrink at any level, and string matching is
-# wasted on them: they take Z_RLE at this level (see _deflate_strategy).
+# wasted on them: they take Z_RLE at this level, or are stored (see
+# _deflate_strategy).
 _GZIP_LEVEL = 1
-# A payload whose level-1 probe sample keeps more than this share of its
-# bytes is mostly noise. Warped patch intensities keep 0.47-0.58 and
-# phantom magnitude and phase 0.83-0.91; CLAHE output keeps under 0.1 and
-# labels, soft labels and regions at most 0.04.
+# A payload whose level-1 probe sample keeps more than _NOISY_SHARE of
+# its bytes is mostly noise and takes Z_RLE; past _STORED_SHARE, Huffman
+# coding saves too little to pay for itself and the payload is stored.
+# Warped patch intensities keep 0.44-0.62 (Z_RLE) and phantom magnitude
+# and phase 0.83-0.91 (stored: 10.22 MB at 192x208x64 against 9.16 and
+# 8.58 MB under Z_RLE, but written and read in 7-9 instead of 69-131 ms),
+# so the cut sits in the gap; CLAHE output keeps under 0.1 and labels,
+# soft labels and regions at most 0.04.
 _NOISY_SHARE = 0.25
+_STORED_SHARE = 0.75
 # The probe deflates _PROBE_WINDOWS windows of _PROBE_WINDOW bytes
 # (64 KiB), at golden-ratio steps through the payload so that they do not
 # line up with rows or slices, which start with background.
 _PROBE_WINDOW = 1 << 10
 _PROBE_WINDOWS = 64
 _GOLDEN = (5**0.5 - 1) / 2
+# The largest stored deflate block (RFC 1951: a 16-bit LEN).
+_STORED_BLOCK = 0xFFFF
 # ID1 ID2, CM deflate, no flags, mtime 0, XFL 4 (fastest), OS 255 (unknown):
 # the header gzip.GzipFile writes at level 1.
 _GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\xff"
@@ -376,7 +390,7 @@ def read_nifti(raw: bytes, labels: bool = False):
     data = arr.astype(np.float32, copy=copy)
     if hdr.scl_slope != 0.0 and (hdr.scl_slope != 1.0 or hdr.scl_inter != 0.0):
         data = data * np.float32(hdr.scl_slope) + np.float32(hdr.scl_inter)
-    if not np.all(np.isfinite(data)):
+    if not _all_finite(data):
         raise FormatError("payload contains non-finite values")
     return ScalarVolume(data, spacing)
 
@@ -414,7 +428,7 @@ def write_nifti(vol, datatype: int | None = None) -> bytes:
         payload = vol.data.astype(np.uint8, copy=False)
         datatype = DT_UINT8
     elif isinstance(vol, ScalarVolume):
-        if not np.all(np.isfinite(vol.data)):
+        if not _all_finite(vol.data):
             raise ValidationError("cannot write non-finite intensities")
         if datatype is None or datatype == DT_FLOAT32:
             payload = vol.data.astype(np.float32, copy=False)
@@ -439,12 +453,13 @@ def write_nifti(vol, datatype: int | None = None) -> bytes:
     return b"".join((hdr, b"\x00\x00\x00\x00", data))  # no extensions
 
 
-def _deflate_strategy(raw: bytes) -> int:
-    """``zlib.Z_RLE`` for a payload that is mostly noise, else the default.
+def _deflate_strategy(raw: bytes) -> tuple[int, int]:
+    """The ``(level, strategy)`` that ``gzip_nifti`` deflates ``raw`` with.
 
-    Deflates a fixed sample of ``raw`` (all of it when short) at level 1
-    and calls the payload noisy when more than ``_NOISY_SHARE`` of the
-    sample is left.
+    Deflates a fixed sample of ``raw`` (all of it when short) at level 1.
+    A sample that keeps more than ``_STORED_SHARE`` of its bytes gives
+    level 0 (stored blocks); more than ``_NOISY_SHARE``, ``zlib.Z_RLE``
+    at ``_GZIP_LEVEL``; anything else the default strategy at that level.
     """
     if len(raw) <= _PROBE_WINDOW * _PROBE_WINDOWS:
         sample = raw
@@ -454,23 +469,75 @@ def _deflate_strategy(raw: bytes) -> int:
         sample = b"".join(raw[s:s + _PROBE_WINDOW] for s in starts)
     deflate = zlib.compressobj(_GZIP_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
     kept = len(deflate.compress(sample)) + len(deflate.flush())
-    return zlib.Z_RLE if kept > _NOISY_SHARE * len(sample) else zlib.Z_DEFAULT_STRATEGY
+    if kept > _STORED_SHARE * len(sample):
+        return 0, zlib.Z_DEFAULT_STRATEGY
+    if kept > _NOISY_SHARE * len(sample):
+        return _GZIP_LEVEL, zlib.Z_RLE
+    return _GZIP_LEVEL, zlib.Z_DEFAULT_STRATEGY
+
+
+class _StoredDeflate:
+    """A raw deflate stream of stored blocks of ``_STORED_BLOCK`` bytes,
+    fed like a ``zlib.compressobj``: ``compress`` returns the full blocks
+    it can but always holds back the last bytes, which ``flush`` returns
+    as the final block.
+
+    zlib's level 0 sizes each stored block by the output room it is
+    handed, so its stream changes with the pieces the input comes in;
+    this one depends on the payload alone.
+    """
+
+    # BFINAL 0, BTYPE 00 (stored), LEN and its one's complement NLEN
+    _FULL = struct.pack("<BHH", 0, _STORED_BLOCK, _STORED_BLOCK ^ 0xFFFF)
+
+    def __init__(self):
+        self._held = b""
+
+    def compress(self, data) -> bytes:
+        data = self._held + bytes(data)
+        cut = max(len(data) - 1, 0) // _STORED_BLOCK * _STORED_BLOCK
+        self._held = data[cut:]
+        view = memoryview(data)
+        return b"".join(part for start in range(0, cut, _STORED_BLOCK)
+                        for part in (self._FULL, view[start:start + _STORED_BLOCK]))
+
+    def flush(self) -> bytes:
+        held, self._held = self._held, b""
+        return struct.pack("<BHH", 1, len(held), len(held) ^ 0xFFFF) + held
+
+
+def _deflater(level: int, strategy: int):
+    """A raw-deflate compressor for one ``_deflate_strategy`` tier."""
+    if level == 0:
+        return _StoredDeflate()
+    return zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS, 8, strategy)
 
 
 def gzip_nifti(raw: bytes) -> bytes:
-    """Deterministically gzip an encoded stream at compression level 1.
+    """Deterministically gzip an encoded stream in one of three tiers.
 
     One gzip member with a fixed header: mtime 0, no file name, XFL 4,
-    OS byte 255 (unknown). The deflate strategy is ``_deflate_strategy``'s:
-    on the default strategy the bytes are those ``gzip.GzipFile`` writes
-    at level 1; a noisy payload is deflated with ``Z_RLE``. The stream
-    decodes to ``raw`` exactly. Earlier versions compressed at level 9,
-    then 6, then 1 with the default strategy throughout, so their
-    ``.nii.gz`` bytes differ from these while the decoded NIfTI bytes are
-    the same.
+    OS byte 255 (unknown). ``_deflate_strategy`` picks the tier from a
+    level-1 probe of the payload:
+
+    * the default strategy at level 1, for everything that deflates well
+      (labels, soft labels, regions, CLAHE output): the bytes
+      ``gzip.GzipFile`` writes at level 1;
+    * ``Z_RLE`` at level 1, for payloads whose probe keeps more than a
+      quarter of its bytes, such as warped training-patch intensities
+      (0.44-0.62): about twice as fast at about the same size;
+    * stored blocks of 65 535 bytes, for payloads whose probe keeps more
+      than three quarters, such as phantom magnitude and phase
+      (0.83-0.91). At 192x208x64 these files grow from 9.16 and 8.58 MB
+      to 10.22 MB (+11.6% and +19.2%), but gzip in 7-9 instead of
+      122-131 ms and read back in 7-9 instead of 69-79 ms.
+
+    The stream decodes to ``raw`` exactly. Earlier versions compressed at
+    level 9, then 6, then 1 with the default strategy throughout, then
+    took ``Z_RLE`` for every noisy payload, so their ``.nii.gz`` bytes
+    differ from these while the decoded NIfTI bytes are the same.
     """
-    deflate = zlib.compressobj(
-        _GZIP_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS, 8, _deflate_strategy(raw))
+    deflate = _deflater(*_deflate_strategy(raw))
     trailer = struct.pack("<II", zlib.crc32(raw), len(raw) & 0xFFFFFFFF)
     return b"".join((_GZIP_HEADER, deflate.compress(raw), deflate.flush(), trailer))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -395,3 +396,31 @@ def reference_nifti_header(dims, spacing, datatype_code, bitpix) -> bytes:
     struct.pack_into("<B", buf, 123, 2)                       # xyzt_units (mm)
     struct.pack_into("<4s", buf, 344, b"n+1\x00")             # magic
     return bytes(buf)
+
+
+# ---------------------------------------------------------------------------
+# deflate streams of the three gzip_nifti tiers
+
+
+def stored_deflate(raw: bytes) -> bytes:
+    """Raw deflate (RFC 1951) of ``raw`` as stored blocks of 65 535 bytes,
+    the last one (an empty one for no data) final, built block by block."""
+    starts = list(range(0, len(raw), 65535)) or [0]
+    out = bytearray()
+    for k, start in enumerate(starts):
+        block = raw[start:start + 65535]
+        out.append(1 if k == len(starts) - 1 else 0)          # BFINAL, BTYPE 00
+        out += struct.pack("<H", len(block))                  # LEN
+        out += struct.pack("<H", 0xFFFF - len(block))         # NLEN
+        out += block
+    return bytes(out)
+
+
+def deflate_stream(raw: bytes, level: int, strategy: int) -> bytes:
+    """The raw deflate body ``gzip_nifti`` writes for ``raw`` in the tier
+    ``(level, strategy)``: stored blocks at level 0, else zlib's one-shot
+    stream."""
+    if level == 0:
+        return stored_deflate(raw)
+    deflate = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS, 8, strategy)
+    return deflate.compress(raw) + deflate.flush()

@@ -517,6 +517,21 @@ def test_gzip_trailer_mismatch_exits_2(tmp_path, capsys, field):
     assert "kind=FormatError" in err and "bad.nii.gz" in err
 
 
+@pytest.mark.parametrize("how", ["cut", "crc", "nlen"])
+def test_preprocess_hostile_stored_member_exits_2(tmp_path, capsys, how):
+    from test_nifti import _hostile_stored_member
+
+    bad = tmp_path / "stored.nii.gz"
+    bad.write_bytes(_hostile_stored_member(how))
+    out = tmp_path / "o.nii.gz"
+    assert main(["preprocess", str(bad), "--stretch", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("cordpipe-error kind=FormatError")
+    assert f"file={bad} " in err[0]
+    assert not out.exists()
+
+
 def test_evaluate_dense_spacing_mismatch_exits_1(tmp_path, capsys):
     data = np.zeros((4, 4, 3), np.uint8)
     data[1:3, 1:3, :] = 1

@@ -25,7 +25,7 @@ were built from shifted ORs and ANDs. Its ``pre.nii.gz`` and
 and ``stack`` calls above, written before the mock predictor walked its
 input in cache-sized blocks. Its ``ph/`` lines hold the decoded
 ``phantom`` outputs, written before noisy payloads were deflated with
-``Z_RLE``.
+``Z_RLE`` and then stored.
 
 ``chain160/payloads.sha256`` holds the decoded outputs of the same
 ``preprocess`` and ``stack`` calls on ``phantom --seed 7 --dims 64 64
@@ -41,6 +41,8 @@ from pathlib import Path
 import pytest
 
 from cordpipe.cli import main
+
+from oracles import deflate_stream
 
 GOLDEN = Path(__file__).parent / "data" / "chain64"
 REPORTS = ["dense.json", "dense.csv", "sparse.json", "sparse.csv"]
@@ -89,18 +91,20 @@ def test_chain_payload_decodes_to_the_golden_digest(chain, name):
     assert hashlib.sha256(decoded).hexdigest() == PAYLOADS[name]
 
 
-# The deflate strategy gzip_nifti picks for each .nii.gz of the chain:
-# Z_RLE for the noisy phantom intensities, the default for the rest.
-STRATEGIES = {name: zlib.Z_DEFAULT_STRATEGY for name in PAYLOADS}
-STRATEGIES.update({"ph/magnitude.nii.gz": zlib.Z_RLE, "ph/phase.nii.gz": zlib.Z_RLE})
+# The (level, strategy) gzip_nifti picks for each .nii.gz of the chain:
+# stored blocks (level 0) for the noisy phantom intensities, the default
+# strategy at level 1 for the rest.
+STRATEGIES = {name: (1, zlib.Z_DEFAULT_STRATEGY) for name in PAYLOADS}
+STRATEGIES.update({"ph/magnitude.nii.gz": (0, zlib.Z_DEFAULT_STRATEGY),
+                   "ph/phase.nii.gz": (0, zlib.Z_DEFAULT_STRATEGY)})
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_chain_file_is_the_level_1_stream_of_its_strategy(chain, name):
+    # each file is the one-shot stream of its (level, strategy) tier
     zipped = (chain / name).read_bytes()
-    deflate = zlib.compressobj(1, zlib.DEFLATED, -zlib.MAX_WBITS, 8, STRATEGIES[name])
     decoded = gzip.decompress(zipped)
-    assert zipped[10:-8] == deflate.compress(decoded) + deflate.flush()
+    assert zipped[10:-8] == deflate_stream(decoded, *STRATEGIES[name])
 
 
 CHAIN160 = {name: digest for digest, name in (

@@ -29,7 +29,7 @@ from cordpipe.errors import (
     UnsupportedDatatypeError,
     ValidationError,
 )
-from cordpipe import nifti
+from cordpipe import nifti, volume
 from cordpipe.nifti import (
     DT_INT16,
     HEADER_SIZE,
@@ -38,7 +38,7 @@ from cordpipe.nifti import (
     parse_sidecar,
 )
 
-from oracles import reference_nifti_header
+from oracles import deflate_stream, reference_nifti_header, stored_deflate
 
 ISO = Spacing.isotropic()
 
@@ -129,11 +129,6 @@ def test_gzip_and_plain_decode_identically():
     assert np.array_equal(read_nifti(gzip.compress(raw)).data, plain.data)
 
 
-def _level_1_stream(raw, strategy):
-    deflate = zlib.compressobj(1, zlib.DEFLATED, -zlib.MAX_WBITS, 8, strategy)
-    return deflate.compress(raw) + deflate.flush()
-
-
 def _check_gzip_member(zipped, raw):
     assert zipped[:3] == b"\x1f\x8b\x08"        # gzip magic, deflate
     assert zipped[3] == 0                           # no FNAME (or other) flag
@@ -151,7 +146,8 @@ def test_gzip_nifti_is_deterministic_level_1():
     zipped = gzip_nifti(raw)
     assert gzip_nifti(raw) == zipped
     _check_gzip_member(zipped, raw)
-    assert zipped[10:-8] == _level_1_stream(raw, zlib.Z_DEFAULT_STRATEGY)
+    assert _deflate_strategy(raw) == (1, zlib.Z_DEFAULT_STRATEGY)
+    assert zipped[10:-8] == deflate_stream(raw, 1, zlib.Z_DEFAULT_STRATEGY)
     # the bytes gzip.GzipFile writes at level 1
     buf = io.BytesIO()
     with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=1, mtime=0) as fh:
@@ -160,12 +156,29 @@ def test_gzip_nifti_is_deterministic_level_1():
 
 
 def test_gzip_nifti_deflates_noise_with_z_rle():
-    raw = write_nifti(_random_scalar(np.random.default_rng(9), (64, 64, 24)))
+    # 60% zeros: the sample keeps about half its bytes, like a warped patch
+    rng = np.random.default_rng(9)
+    data = rng.random((64, 64, 24), dtype=np.float32)
+    data[rng.random(data.shape) < 0.6] = 0.0
+    raw = write_nifti(ScalarVolume(data, ISO))
+    assert 0.4 < len(deflate_stream(raw, 1, zlib.Z_DEFAULT_STRATEGY)) / len(raw) < 0.6
+    assert _deflate_strategy(raw) == (1, zlib.Z_RLE)
     zipped = gzip_nifti(raw)
     assert gzip_nifti(raw) == zipped
     _check_gzip_member(zipped, raw)
-    assert zipped[10:-8] == _level_1_stream(raw, zlib.Z_RLE)
-    assert zipped[10:-8] != _level_1_stream(raw, zlib.Z_DEFAULT_STRATEGY)
+    assert zipped[10:-8] == deflate_stream(raw, 1, zlib.Z_RLE)
+    assert zipped[10:-8] != deflate_stream(raw, 1, zlib.Z_DEFAULT_STRATEGY)
+
+
+def test_gzip_nifti_stores_pure_noise():
+    raw = write_nifti(_random_scalar(np.random.default_rng(9), (64, 64, 24)))
+    assert _deflate_strategy(raw) == (0, zlib.Z_DEFAULT_STRATEGY)
+    zipped = gzip_nifti(raw)
+    assert gzip_nifti(raw) == zipped
+    _check_gzip_member(zipped, raw)
+    assert zipped[10:-8] == stored_deflate(raw)
+    # 5 header bytes per block of at most 65 535
+    assert len(zipped) == 10 + len(raw) + 5 * -(-len(raw) // 65535) + 8
 
 
 def test_probe_windows_do_not_line_up_with_slice_starts():
@@ -175,17 +188,17 @@ def test_probe_windows_do_not_line_up_with_slice_starts():
     data[:, :16, :] = 0.0
     data[:, 48:, :] = 0.0
     raw = write_nifti(ScalarVolume(data, ISO))
-    assert len(_level_1_stream(raw, zlib.Z_DEFAULT_STRATEGY)) > 0.25 * len(raw)
-    assert _deflate_strategy(raw) == zlib.Z_RLE
+    assert len(deflate_stream(raw, 1, zlib.Z_DEFAULT_STRATEGY)) > 0.25 * len(raw)
+    assert _deflate_strategy(raw) == (1, zlib.Z_RLE)
 
 
 def test_probe_reads_a_short_payload_whole():
     # 48 KiB, shorter than the probe sample: its noisy tail must be seen
     data = np.zeros((64, 64, 3), np.float32)
     data[:, :, 1:] = np.random.default_rng(14).random((64, 64, 2), dtype=np.float32)
-    assert _deflate_strategy(write_nifti(ScalarVolume(data, ISO))) == zlib.Z_RLE
+    assert _deflate_strategy(write_nifti(ScalarVolume(data, ISO))) == (1, zlib.Z_RLE)
     data[:, :, 1:] = 0.5
-    assert _deflate_strategy(write_nifti(ScalarVolume(data, ISO))) == zlib.Z_DEFAULT_STRATEGY
+    assert _deflate_strategy(write_nifti(ScalarVolume(data, ISO))) == (1, zlib.Z_DEFAULT_STRATEGY)
 
 
 @st.composite
@@ -220,8 +233,52 @@ def test_gzip_nifti_roundtrips_every_payload_kind(payload):
         zipped = gzip_nifti(stream)
         assert gzip_nifti(stream) == zipped
         _check_gzip_member(zipped, stream)
-        assert zipped[10:-8] == _level_1_stream(stream, _deflate_strategy(stream))
+        assert zipped[10:-8] == deflate_stream(stream, *_deflate_strategy(stream))
     assert read_nifti(gzip_nifti(raw)).data.tobytes() == read_nifti(raw).data.tobytes()
+
+
+def _fed_in_pieces(tier, raw, piece):
+    """The deflate stream of ``raw`` fed to a ``tier`` compressor ``piece``
+    bytes at a time."""
+    deflate = nifti._deflater(*tier)
+    fed = [deflate.compress(raw[i:i + piece]) for i in range(0, len(raw), piece)]
+    return b"".join(fed) + deflate.flush()
+
+
+@pytest.mark.parametrize("size", [0, 1, 65_534, 65_535, 65_536, 2 * 65_535, 2 * 65_535 + 7])
+def test_stored_tier_splits_every_65535_bytes_whatever_the_pieces(size):
+    raw = np.random.default_rng(size).bytes(size)
+    for piece in (352, 12_345, 65_535, 1 << 20):
+        stream = _fed_in_pieces((0, zlib.Z_DEFAULT_STRATEGY), raw, piece)
+        assert stream == stored_deflate(raw), piece
+        assert zlib.decompress(stream, -zlib.MAX_WBITS) == raw
+
+
+@st.composite
+def _planed_payloads(draw):
+    """An encoded float32 or label volume of up to ~2.5 MB, so that 1 MiB
+    pieces split it, and the bytes of one of its planes."""
+    h, w, z = draw(st.integers(1, 192)), draw(st.integers(1, 208)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "noise-zero-filled", "labels"]))
+    if kind == "labels":
+        return write_nifti(LabelVolume(rng.integers(0, 5, (h, w, z)).astype(np.uint8), ISO)), h * w
+    data = rng.random((h, w, z), dtype=np.float32)
+    if kind == "noise-zero-filled":
+        data[rng.random(data.shape) < draw(st.floats(0.0, 1.0))] = 0.0
+    return write_nifti(ScalarVolume(data, ISO)), 4 * h * w
+
+
+@settings(max_examples=25, deadline=None)
+@given(_planed_payloads(), st.sampled_from(
+    [(0, zlib.Z_DEFAULT_STRATEGY), (1, zlib.Z_RLE), (1, zlib.Z_DEFAULT_STRATEGY)]))
+def test_deflate_fed_in_pieces_is_the_one_shot_stream(payload, tier):
+    # A writer that streams a volume slab by slab must give the same bytes.
+    raw, plane = payload
+    whole = _fed_in_pieces(tier, raw, len(raw))
+    assert whole == deflate_stream(raw, *tier)
+    for piece in (352, plane, 12_345, 1 << 20):
+        assert _fed_in_pieces(tier, raw, piece) == whole, piece
 
 
 @pytest.mark.parametrize("level", [6, 9])
@@ -621,6 +678,60 @@ def test_forged_isize_allocates_no_more_than_the_header_declares():
     peak, raised = _traced_peak(read_nifti, bytes(forged))
     assert isinstance(raised, FormatError) and "size" in str(raised)
     assert peak < len(raw) + (2 << 20)
+
+
+def test_noisy_read_holds_no_whole_volume_temporary(tmp_path):
+    # The CLI holds a file's bytes while it decodes them, so its read peaks
+    # once the payload is out; the finite check adds a block, not 1 B/voxel.
+    from cordpipe.cli import _load_volume
+
+    path = tmp_path / "noise.nii.gz"
+    raw = write_nifti(_random_scalar(np.random.default_rng(18), (192, 208, 64)))
+    path.write_bytes(gzip_nifti(raw))
+    peak, raised = _traced_peak(_load_volume, str(path))
+    assert raised is None
+    assert peak < path.stat().st_size + len(raw) + (1 << 20)
+
+
+def _hostile_stored_member(how):
+    """The stored member ``gzip_nifti`` writes for 16 slices of noise, cut
+    inside its second block, with a payload byte of that block flipped, or
+    with the first block's NLEN not the complement of its LEN."""
+    raw = write_nifti(_random_scalar(np.random.default_rng(19), (64, 64, 16)))
+    gz = bytearray(gzip_nifti(raw))
+    assert gz[10:15] == b"\x00\xff\xff\x00\x00"  # a full, non-final stored block
+    inside = 10 + 5 + 65535 + 5 + 1000
+    if how == "cut":
+        return bytes(gz[:inside])
+    gz[inside if how == "crc" else 13] ^= 0x01
+    return bytes(gz)
+
+
+@pytest.mark.parametrize("how, match", [("cut", "end-of-stream"), ("crc", "CRC32"),
+                                        ("nlen", "stored block lengths")])
+def test_hostile_stored_member_is_format_error(how, match):
+    with pytest.raises(FormatError, match=match):
+        read_nifti(_hostile_stored_member(how))
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_in_the_first_or_last_block_is_caught(where, value):
+    # three blocks of the finite check
+    depth = 3 * volume._FINITE_BLOCK // (128 * 128)
+    data = np.random.default_rng(20).random((128, 128, depth), dtype=np.float32)
+    bad = data.copy()
+    bad[(0, 0, 0) if where == "first" else (-1, -1, -1)] = value
+    raw = bytearray(write_nifti(ScalarVolume(data, ISO)))
+    at = HEADER_SIZE + 4 + (0 if where == "first" else 4 * (data.size - 1))
+    raw[at:at + 4] = np.float32(value).tobytes()
+    for stream in (bytes(raw), gzip_nifti(bytes(raw))):
+        with pytest.raises(FormatError, match="non-finite"):
+            read_nifti(stream)
+    vol = ScalarVolume(data, ISO)
+    vol.data[...] = bad  # mutated after construction
+    with pytest.raises(ValidationError, match="non-finite"):
+        write_nifti(vol)
 
 
 def test_header_dims_past_what_the_stream_can_hold_are_truncated_not_allocated():

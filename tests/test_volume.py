@@ -11,7 +11,7 @@ from cordpipe import (
     extract_patch,
     patch1,
 )
-from cordpipe.volume import _check_dims
+from cordpipe.volume import _FINITE_BLOCK, _check_dims
 from cordpipe.errors import DimensionError, ValidationError
 
 ISO = Spacing.isotropic()
@@ -45,6 +45,22 @@ def test_nonfinite_data_rejected():
     data[0, 0, 0] = np.inf
     with pytest.raises(ValidationError):
         ScalarVolume(data, ISO)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("where", [0, -1])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_in_the_first_or_last_block_rejected(layout, where, value):
+    # six blocks of the finite check (three when strided), walked in memory order
+    depth = 6 * _FINITE_BLOCK // (128 * 128)
+    data = np.zeros((128, 128, depth), np.float32, order="F" if layout == "F" else "C")
+    if layout == "strided":
+        data = data[:, :, ::2]
+    data[(where,) * 3] = value
+    with pytest.raises(ValidationError, match="non-finite"):
+        ScalarVolume(data, ISO)
+    data[(where,) * 3] = 1.0
+    ScalarVolume(data, ISO)  # finite again: accepted
 
 
 def test_label_range_enforced():
