@@ -481,8 +481,7 @@ def _cmd_phantom(args) -> int:
     _write_volume(os.path.join(out, "phase.nii.gz"), phs, args.dry_run)
     _write_volume(os.path.join(out, "labels.nii.gz"), labels, args.dry_run)
 
-    step = max(1, args.annotate_every)
-    z_idx = list(range(0, labels.dims[2], step))
+    z_idx = list(range(0, labels.dims[2], args.annotate_every))
     ann = SparseAnnotation(f"phantom-{args.seed}", z_idx, labels.data[:, :, z_idx])
     sidecar, planes_nii = write_sparse_annotation(ann, "annotation_planes.nii.gz",
                                                   labels.spacing)
@@ -585,6 +584,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("threads", "annotate_every"):  # counts, checked before any file
+            if getattr(args, name, 1) < 1:
+                raise ValidationError(f"--{name.replace('_', '-')} must be at least 1, "
+                                      f"got {getattr(args, name)}")
         return args.func(args)
     except (FormatError, OSError) as exc:
         path = (getattr(exc, "path", None) or getattr(exc, "filename", None)

@@ -14,9 +14,12 @@ as warped training patches) takes zlib's run-length strategy
 quarters (phantom magnitude and phase) the payload is stored, since
 Huffman coding it saves 10-16% of the bytes at 10-15 times the cost
 of writing and reading them.
-Reads auto-detect gzip compression and byte order; a gzip stream is
-inflated in bounded pieces into one buffer sized from the NIfTI
-header, so bytes decoded past the payload are never held. Supported
+Reads auto-detect gzip compression and byte order. zlib's gzip mode
+frames each member: it parses the header (extra field, name, comment,
+header CRC), rejects reserved flag bits and checks the CRC32 and ISIZE
+trailer. cordpipe bounds the rest: the stream is inflated in bounded
+pieces into one buffer sized from the NIfTI header, so bytes decoded
+past the payload are never held. Supported
 datatypes are uint8 (2), int16 (4) and float32 (16); anything else is
 rejected rather than silently cast. Files are 2D or 3D; a 4D header (``dim[0] = 4``)
 is read as 3D when it holds a single timepoint (``dim[4] = 1``).
@@ -102,8 +105,6 @@ _INFLATE_INPUT = 1 << 16
 # in two 1-bit codes), so a payload ending past this many bytes per
 # gzip byte cannot be in the stream.
 _MAX_INFLATE_RATIO = 1032
-# gzip header flag bits (RFC 1952)
-_FHCRC, _FEXTRA, _FNAME, _FCOMMENT = 0x02, 0x04, 0x08, 0x10
 _NONZERO = re.compile(rb"[^\x00]")
 
 DT_UINT8 = 2
@@ -261,46 +262,20 @@ def _read_payload(raw, hdr: NiftiHeader) -> np.ndarray:
     return flat.reshape(hdr.shape, order="F")
 
 
-def _deflate_start(raw: bytes, pos: int) -> int:
-    """Offset of the deflate data of the gzip member at ``pos``, past its
-    optional extra field, file name, comment and header CRC (which, as in
-    the ``gzip`` module, is not checked)."""
-    if raw[pos:pos + 2] != b"\x1f\x8b":
-        raise FormatError(f"gzip stream holds bytes that are not a gzip member at {pos}")
-    if len(raw) < pos + 10:
-        raise FormatError("gzip member header is truncated")
-    if raw[pos + 2] != 8:
-        raise FormatError(f"gzip compression method {raw[pos + 2]} is not deflate")
-    flags = raw[pos + 3]
-    pos += 10
-    if flags & _FEXTRA:
-        pos += 2 + int.from_bytes(raw[pos:pos + 2], "little")
-    for flag in (_FNAME, _FCOMMENT):
-        if flags & flag:
-            pos = raw.find(b"\x00", pos) + 1  # zero-terminated
-            if pos == 0:
-                raise FormatError("gzip member header is truncated")
-    if flags & _FHCRC:
-        pos += 2
-    if pos > len(raw):
-        raise FormatError("gzip member header is truncated")
-    return pos
-
-
 def _inflate(raw: bytes):
     """Yield the decoded bytes of the gzip stream ``raw`` in pieces of at
     most ``_INFLATE_PIECE``.
 
-    Decodes as ``gzip.decompress`` does: members are concatenated, zero
-    bytes after a member are padding, and each member's CRC32 and size
-    (mod 2**32) are checked against its trailer once it ends.
+    Decodes as ``gzip.decompress`` does: members are concatenated and
+    zero bytes after a member are padding. zlib's gzip mode parses each
+    member's header, rejects its reserved flag bits and a wrong header
+    CRC, and checks its CRC32 and ISIZE trailer once it ends; a failed
+    check is a ``zlib.error``. This loop only bounds the pieces.
     """
     view = memoryview(raw)
     pos = 0
     while True:
-        pos = _deflate_start(raw, pos)
-        inflate = zlib.decompressobj(-zlib.MAX_WBITS)
-        crc = size = 0
+        inflate = zlib.decompressobj(16 + zlib.MAX_WBITS)
         while not inflate.eof:
             data = inflate.unconsumed_tail
             if not data:
@@ -309,27 +284,20 @@ def _inflate(raw: bytes):
             piece = inflate.decompress(data, _INFLATE_PIECE)
             if not (piece or data):
                 raise FormatError("gzip stream ends before its end-of-stream marker")
-            crc = zlib.crc32(piece, crc)
-            size += len(piece)
             yield piece
-        pos -= len(inflate.unused_data)
-        if len(raw) < pos + 8:
-            raise FormatError("gzip stream ends inside a member trailer")
-        if struct.unpack_from("<II", raw, pos) != (crc, size & 0xFFFFFFFF):
-            raise FormatError("gzip member fails its CRC32 or size check")
-        member = _NONZERO.search(raw, pos + 8)
+        member = _NONZERO.search(raw, pos - len(inflate.unused_data))
         if member is None:
             return
         pos = member.start()
 
 
-def _gunzip(raw: bytes) -> np.ndarray:
-    """The decoded gzip stream ``raw`` up to the end of its NIfTI payload,
-    as one uint8 buffer.
+def _gunzip(raw: bytes) -> tuple[NiftiHeader, np.ndarray]:
+    """The NIfTI header of the gzip stream ``raw`` and its decoded bytes up
+    to the end of the payload, as one uint8 buffer.
 
     The buffer is sized from the header once the first pieces are out,
     never from a trailer's size field. Decoded bytes past the payload are
-    inflated for the CRC check only and dropped.
+    inflated for zlib's CRC32 and ISIZE checks only and dropped.
     """
     pieces = _inflate(raw)
     head = b""
@@ -337,7 +305,8 @@ def _gunzip(raw: bytes) -> np.ndarray:
         head += piece
         if len(head) >= SINGLE_FILE_VOX_OFFSET:
             break
-    end = _payload_end(parse_header(head))
+    hdr = parse_header(head)
+    end = _payload_end(hdr)
     if end > _MAX_INFLATE_RATIO * len(raw):
         raise TruncatedPayloadError(
             f"payload ends at byte {end} of the stream, but a {len(raw)}-byte gzip "
@@ -349,7 +318,7 @@ def _gunzip(raw: bytes) -> np.ndarray:
         if n:
             buf[filled:filled + n] = np.frombuffer(piece, np.uint8, n)
             filled += n
-    return buf[:filled]
+    return hdr, buf[:filled]
 
 
 def read_nifti(raw: bytes, labels: bool = False):
@@ -360,21 +329,27 @@ def read_nifti(raw: bytes, labels: bool = False):
     and class ids within 0..4.
 
     A gzip stream is inflated piece by piece into one buffer sized from
-    the NIfTI header, with each member's CRC32 and size checked; bytes
+    the NIfTI header, with each member framed and checked by zlib; bytes
     decoded past the payload are not kept. When the payload is stored in
     the native dtype, the returned data is a view on that buffer. A plain
     stream's payload is always copied, so the result never shares memory
-    with ``raw``.
+    with ``raw``. The volume types make the one pass over the payload
+    (finite intensities, or label ids in range before the cast to uint8);
+    their ``ValidationError`` is re-raised as a ``FormatError``.
     """
     owned = raw[:2] == b"\x1f\x8b"
     if owned:
         try:
-            raw = _gunzip(raw)
+            hdr, raw = _gunzip(raw)
         except zlib.error as exc:
             raise FormatError(f"gzip stream failed to decode: {exc}") from exc
-    hdr = parse_header(raw)
+    else:
+        hdr = parse_header(raw)
     arr = _read_payload(raw, hdr)
-    copy = not (owned and arr.flags.aligned)
+    # The volume types keep a payload already in their dtype as it is, so
+    # it must be aligned and not a view on the caller's ``raw``.
+    if arr.dtype == (np.uint8 if labels else np.float32) and not (owned and arr.flags.aligned):
+        arr = arr.copy()
     spacing = hdr.spacing
 
     if labels:
@@ -382,17 +357,18 @@ def read_nifti(raw: bytes, labels: bool = False):
             raise UnsupportedDatatypeError("label volumes require an integer datatype")
         if hdr.scl_slope not in (0.0, 1.0) or hdr.scl_inter != 0.0:
             raise FormatError("label volumes must not carry intensity scaling")
-        if arr.size and (arr.min() < 0 or arr.max() > LESION_GM):
-            bad = int(arr.min()) if arr.min() < 0 else int(arr.max())
-            raise LabelRangeError(f"label id {bad} outside 0..{LESION_GM}")
-        return LabelVolume(arr.astype(np.uint8, copy=copy), spacing)
+        try:
+            return LabelVolume(arr, spacing)
+        except ValidationError as exc:
+            raise LabelRangeError(str(exc)) from exc
 
-    data = arr.astype(np.float32, copy=copy)
     if hdr.scl_slope != 0.0 and (hdr.scl_slope != 1.0 or hdr.scl_inter != 0.0):
-        data = data * np.float32(hdr.scl_slope) + np.float32(hdr.scl_inter)
-    if not _all_finite(data):
-        raise FormatError("payload contains non-finite values")
-    return ScalarVolume(data, spacing)
+        arr = arr.astype(np.float32, copy=False) * np.float32(hdr.scl_slope) \
+            + np.float32(hdr.scl_inter)
+    try:
+        return ScalarVolume(arr, spacing)
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _pack_header(shape, spacing: Spacing, datatype: int) -> bytes:

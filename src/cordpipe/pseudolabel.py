@@ -66,6 +66,9 @@ _CHUNK_VOXELS = 1 << 19
 # ~1.3 MB, which stays in a 4 MB L2 cache.
 _BLOCK_VOXELS = 1 << 15
 
+# Seconds a ``SubprocessPredictor`` command may take for one slice.
+_PREDICT_TIMEOUT_S = 120.0
+
 
 class SlicePredictor(ABC):
     """Maps one axial slice (magnitude plus optional phase) to region
@@ -114,7 +117,6 @@ class MockPredictor(SlicePredictor):
     model or be fitted from a labeled pair.
     """
 
-    thread_safe = True
     flip_equivariant = True
 
     def __init__(self, centers: dict):
@@ -326,15 +328,8 @@ def stack_slices(plane_stacks: dict[int, RegionStack], z_extent: int) -> RegionS
 
 def thread_map(fn, items, threads: int | None) -> list:
     """``[fn(x) for x in items]``, in input order, on up to ``threads``
-    threads; the ``CORDPIPE_THREADS`` environment variable caps the count.
-    """
-    cap = os.environ.get("CORDPIPE_THREADS")
+    threads."""
     n = threads if threads and threads > 0 else 1
-    if cap is not None:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            raise ValidationError(f"CORDPIPE_THREADS is not an integer: {cap!r}")
     if n == 1:
         return [fn(x) for x in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
@@ -435,7 +430,6 @@ class SubprocessPredictor(SlicePredictor):
 
     command: list[str]
     spacing: Spacing = field(default_factory=Spacing.isotropic)
-    timeout: float = 120.0
 
     def predict(self, magnitude: np.ndarray,
                 phase: np.ndarray | None = None) -> RegionStack:
@@ -449,7 +443,7 @@ class SubprocessPredictor(SlicePredictor):
                 with open(path, "wb") as fh:
                     fh.write(write_nifti(ScalarVolume(plane[:, :, None], self.spacing)))
             proc = subprocess.run(self.command + [mag_path, phase_path, out_path],
-                                  capture_output=True, timeout=self.timeout)
+                                  capture_output=True, timeout=_PREDICT_TIMEOUT_S)
             if proc.returncode != 0:
                 raise ValidationError(
                     f"predictor command failed ({proc.returncode}): "

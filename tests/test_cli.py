@@ -83,6 +83,34 @@ def test_phantom_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("every", ["0", "-4"])
+def test_phantom_annotate_every_below_1_exits_1(tmp_path, capsys, every):
+    out = tmp_path / "ph"
+    assert main(["phantom", "--dims", "8", "8", "6", "--annotate-every", every,
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cordpipe-error kind=ValidationError"), err
+    assert "--annotate-every" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-7"])
+@pytest.mark.parametrize("command", ["stack", "evaluate"])
+def test_threads_below_1_exits_1_before_any_input_is_read(tmp_path, capsys, command, threads):
+    # the inputs do not exist: reading one would exit 2
+    missing, out = str(tmp_path / "missing.nii.gz"), tmp_path / "out.json"
+    if command == "stack":
+        argv = ["stack", "--predictor", "mock", "--input", missing, "--phase", missing,
+                "--fit-labels", missing, "--out", str(out)]
+    else:
+        argv = ["evaluate", missing, missing, "--json", str(out)]
+    assert main(argv + ["--threads", threads]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cordpipe-error kind=ValidationError"), err
+    assert "--threads" in err[0]
+    assert not out.exists()
+
+
 def test_evaluate_perfect_prediction(phantom_dir, tmp_path, capsys):
     labels = str(phantom_dir / "labels.nii.gz")
     out_csv = tmp_path / "report.csv"
@@ -517,7 +545,7 @@ def test_gzip_trailer_mismatch_exits_2(tmp_path, capsys, field):
     assert "kind=FormatError" in err and "bad.nii.gz" in err
 
 
-@pytest.mark.parametrize("how", ["cut", "crc", "nlen"])
+@pytest.mark.parametrize("how", ["cut", "crc", "nlen", "reserved", "fhcrc"])
 def test_preprocess_hostile_stored_member_exits_2(tmp_path, capsys, how):
     from test_nifti import _hostile_stored_member
 
@@ -530,6 +558,21 @@ def test_preprocess_hostile_stored_member_exits_2(tmp_path, capsys, how):
     assert err[0].startswith("cordpipe-error kind=FormatError")
     assert f"file={bad} " in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["reserved", "fhcrc"])
+def test_evaluate_gzip_header_fault_exits_2(tmp_path, capsys, how):
+    from test_nifti import _header_fault
+
+    labels = LabelVolume(np.random.default_rng(9).integers(0, 5, (8, 8, 2)).astype(np.uint8),
+                         ISO)
+    bad = tmp_path / "header.nii.gz"
+    bad.write_bytes(_header_fault(gzip_nifti(write_nifti(labels)), how))
+    assert main(["evaluate", str(bad), str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("cordpipe-error kind=FormatError")
+    assert f"file={bad} " in err[0]
 
 
 def test_evaluate_dense_spacing_mismatch_exits_1(tmp_path, capsys):

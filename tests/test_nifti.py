@@ -355,6 +355,17 @@ def test_label_value_out_of_range():
         read_nifti(raw, labels=True)
 
 
+@pytest.mark.parametrize("bad", [-252, 260])
+def test_int16_label_ids_are_range_checked_before_the_cast(bad):
+    # both are 4 as uint8
+    ids = np.zeros((2, 2, 2), np.float32)
+    ids[1, 1, 1] = bad
+    raw = write_nifti(ScalarVolume(ids, ISO), datatype=DT_INT16)
+    for stream in (raw, gzip_nifti(raw)):
+        with pytest.raises(LabelRangeError, match=f"id {bad} outside"):
+            read_nifti(stream, labels=True)
+
+
 def test_float_payload_rejected_as_labels():
     raw = write_nifti(ScalarVolume(np.zeros((2, 2, 2), np.float32), ISO))
     with pytest.raises(UnsupportedDatatypeError):
@@ -676,7 +687,7 @@ def test_forged_isize_allocates_no_more_than_the_header_declares():
     forged = bytearray(gzip.compress(raw, mtime=0))
     forged[-4:] = b"\xff\xff\xff\xff"
     peak, raised = _traced_peak(read_nifti, bytes(forged))
-    assert isinstance(raised, FormatError) and "size" in str(raised)
+    assert isinstance(raised, FormatError) and "incorrect length check" in str(raised)
     assert peak < len(raw) + (2 << 20)
 
 
@@ -693,25 +704,54 @@ def test_noisy_read_holds_no_whole_volume_temporary(tmp_path):
     assert peak < path.stat().st_size + len(raw) + (1 << 20)
 
 
+def _header_fault(gz, how):
+    """The gzip stream ``gz`` with a reserved flag bit set in its first
+    member's header, or with a header CRC added that is wrong."""
+    gz = bytearray(gz)
+    if how == "reserved":
+        gz[3] |= 0x20  # FLG bit 5, reserved by RFC 1952
+    else:
+        gz[3] |= _FHCRC
+        gz[10:10] = struct.pack("<H", zlib.crc32(gz[:10]) & 0xFFFF ^ 0x0001)
+    return bytes(gz)
+
+
 def _hostile_stored_member(how):
     """The stored member ``gzip_nifti`` writes for 16 slices of noise, cut
-    inside its second block, with a payload byte of that block flipped, or
-    with the first block's NLEN not the complement of its LEN."""
+    inside its second block, with a payload byte of that block flipped,
+    with the first block's NLEN not the complement of its LEN, with a
+    reserved header flag bit set, or with a header CRC that is wrong."""
     raw = write_nifti(_random_scalar(np.random.default_rng(19), (64, 64, 16)))
     gz = bytearray(gzip_nifti(raw))
     assert gz[10:15] == b"\x00\xff\xff\x00\x00"  # a full, non-final stored block
     inside = 10 + 5 + 65535 + 5 + 1000
     if how == "cut":
         return bytes(gz[:inside])
+    if how in ("reserved", "fhcrc"):
+        return _header_fault(gz, how)
     gz[inside if how == "crc" else 13] ^= 0x01
     return bytes(gz)
 
 
-@pytest.mark.parametrize("how, match", [("cut", "end-of-stream"), ("crc", "CRC32"),
-                                        ("nlen", "stored block lengths")])
+@pytest.mark.parametrize("how, match", [("cut", "end-of-stream"), ("crc", "incorrect data check"),
+                                        ("nlen", "stored block lengths"),
+                                        ("reserved", "unknown header flags"),
+                                        ("fhcrc", "header crc mismatch")],
+                         ids=["cut-end-of-stream", "crc-CRC32", "nlen-stored block lengths",
+                              "reserved-FLG", "fhcrc-FHCRC"])
 def test_hostile_stored_member_is_format_error(how, match):
     with pytest.raises(FormatError, match=match):
         read_nifti(_hostile_stored_member(how))
+
+
+def test_float32_gzip_read_checks_finiteness_once(monkeypatch):
+    raw = gzip_nifti(write_nifti(_random_scalar(np.random.default_rng(21), (32, 32, 4))))
+    calls = []
+    check = volume._all_finite
+    for module in (volume, nifti):
+        monkeypatch.setattr(module, "_all_finite", lambda data: calls.append(1) or check(data))
+    read_nifti(raw)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("where", ["first", "last"])

@@ -179,14 +179,13 @@ def test_stack_shape_mismatch():
 # volume prediction and jitter
 
 
-def test_predict_volume_threaded_matches_serial(monkeypatch):
+def test_predict_volume_threaded_matches_serial():
     mag, phs, labels = generate(PhantomConfig.fitted((32, 32, 8), seed=5))
     pred = MockPredictor.fit(mag, phs, labels)
     serial = predict_volume(pred, mag, phs, threads=1)
     threaded = predict_volume(pred, mag, phs, threads=4)
     for a, b in zip(serial.channels(), threaded.channels()):
         assert np.array_equal(a, b)
-    monkeypatch.setenv("CORDPIPE_THREADS", "2")
     capped = predict_volume(pred, mag, phs, threads=8)
     for a, b in zip(serial.channels(), capped.channels()):
         assert np.array_equal(a, b)
