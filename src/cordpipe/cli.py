@@ -327,30 +327,31 @@ def _cmd_stack(args) -> int:
     tissue_thresh = get_typed(cfg, "merge.tissue_thresh", float, 0.5)
     lesion_thresh = get_typed(cfg, "merge.lesion_thresh", float, 0.5)
     check_thresholds(tissue_thresh, lesion_thresh)  # before the costly prediction
-    command = None  # checked before any input is read
-    if args.predictor and args.predictor.startswith("cmd:"):
-        command = _predictor_command(args.predictor[4:])
 
     if args.predictor:
+        # every predictor flag is checked before any input is read
+        if args.predictor.startswith("cmd:"):
+            command = _predictor_command(args.predictor[4:])
+        elif args.predictor != "mock":
+            raise ValidationError(f"unknown predictor {args.predictor!r}")
+        elif not args.fit_labels:
+            raise ValidationError("mock predictor needs --fit-labels <labels.nii>")
+        elif not args.phase:
+            raise ValidationError("mock predictor needs --phase")
         if not args.input:
             raise ValidationError("--predictor mode needs --input <magnitude.nii>")
+        tta = None
+        if args.tta:
+            if isinstance(cfg.get("tta.flips"), str):  # a single flip name
+                cfg["tta.flips"] = (cfg["tta.flips"],)
+            tta = TtaConfig(**_given(transforms=get_typed(cfg, "tta.flips", tuple, None)))
         mag = _load_volume(args.input)
         phase = _load_on_grid(args.phase, args.input, mag) if args.phase else None
         if args.predictor == "mock":
-            if not args.fit_labels:
-                raise ValidationError("mock predictor needs --fit-labels <labels.nii>")
-            if phase is None:
-                raise ValidationError("mock predictor needs --phase")
             predictor = MockPredictor.fit(
                 mag, phase, _load_on_grid(args.fit_labels, args.input, mag, labels=True))
-        elif args.predictor.startswith("cmd:"):
-            predictor = SubprocessPredictor(command, spacing=mag.spacing)
         else:
-            raise ValidationError(f"unknown predictor {args.predictor!r}")
-        tta = None
-        if args.tta:
-            flips = get_typed(cfg, "tta.flips", tuple, None)
-            tta = TtaConfig(tuple(flips)) if flips else TtaConfig()
+            predictor = SubprocessPredictor(command, spacing=mag.spacing)
         labels = predict_labels(predictor, mag, phase, tta=tta, threads=args.threads,
                                 tissue_thresh=tissue_thresh, lesion_thresh=lesion_thresh)
     else:
@@ -470,12 +471,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
-    if args.cord_radius is not None:
-        cfg = PhantomConfig(dims=tuple(args.dims), cord_radius=args.cord_radius,
-                            seed=args.seed)
-    else:
-        cfg = PhantomConfig.fitted(args.dims, seed=args.seed)
-    mag, phs, labels = generate(cfg)
+    mag, phs, labels = generate(PhantomConfig.fitted(args.dims, seed=args.seed))
     out = args.out_dir
     _write_volume(os.path.join(out, "magnitude.nii.gz"), mag, args.dry_run)
     _write_volume(os.path.join(out, "phase.nii.gz"), phs, args.dry_run)
@@ -570,8 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phantom", help="generate a synthetic cord phantom triplet")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", type=int, nargs=3, default=[64, 64, 64])
-    p.add_argument("--cord-radius", type=float,
-                   help="override the cord radius scaled from the plane extent")
     p.add_argument("--annotate-every", type=int, default=8)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--dry-run", action="store_true")

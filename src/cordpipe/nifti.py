@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 import struct
 import zlib
@@ -156,35 +157,26 @@ def _unpack(raw: bytes, order: str, name: str):
 
 @dataclass
 class NiftiHeader:
-    """Decoded subset of the 348-byte NIfTI-1 header."""
+    """What the readers need of the 348-byte NIfTI-1 header."""
 
-    dim: tuple[int, ...]
-    datatype: int
-    bitpix: int
-    pixdim: tuple[float, ...]
+    shape: tuple[int, int, int]
+    dtype: np.dtype  # the payload's, in the stream's byte order
+    spacing: Spacing
     vox_offset: int
+    end: int  # the stream offset one past the last payload byte
     scl_slope: float
     scl_inter: float
-    magic: bytes
-    byte_order: str  # "<" or ">"
-    unit_code: int  # spatial unit code, a key of _MM_PER_UNIT
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        nd = self.dim[0]
-        h, w = self.dim[1], self.dim[2]
-        z = self.dim[3] if nd >= 3 else 1
-        return (h, w, z)
-
-    @property
-    def spacing(self) -> Spacing:
-        dx, dy = (_mm(p, self.unit_code) for p in self.pixdim[1:3])
-        dz = _mm(self.pixdim[3], self.unit_code) if self.dim[0] >= 3 else 1.0
-        return Spacing(dx, dy, dz)
 
 
 def parse_header(raw: bytes) -> NiftiHeader:
-    """Parse and validate the fixed 348-byte header of a decompressed stream."""
+    """Parse and validate the fixed 348-byte header of a decompressed stream.
+
+    Returns the payload geometry: an (H, W, Z) shape (Z is 1 for a 2D
+    file), the dtype in the stream's byte order, the spacing in mm, and
+    the payload's byte range ``[vox_offset, end)``. A two-file (``ni1``)
+    header, a non-positive dim or a ``vox_offset`` inside the header is a
+    ``FormatError``.
+    """
     if len(raw) < HEADER_SIZE:
         raise TruncatedPayloadError(f"stream of {len(raw)} bytes is shorter than a header")
 
@@ -221,43 +213,36 @@ def parse_header(raw: bytes) -> NiftiHeader:
         raise FormatError(f"pixdim[1:{nd + 1}] must be positive and finite in mm, got {steps}")
     if not np.isfinite(fields["vox_offset"]):
         raise FormatError(f"vox_offset must be finite, got {fields['vox_offset']}")
+    if magic == b"ni1\x00":
+        raise FormatError("two-file (ni1) streams carry no payload; only n+1 is readable")
+    shape = tuple(int(d) for d in fields["dim"][1:nd + 1]) + (1,) * (3 - nd)
+    if min(shape) <= 0:
+        raise FormatError(f"non-positive header dims {shape}")
+    vox_offset = int(fields["vox_offset"])
+    if vox_offset < HEADER_SIZE:
+        raise FormatError(f"vox_offset {vox_offset} overlaps the header")
 
+    dtype = _DTYPES[dt][0].newbyteorder(order)
     return NiftiHeader(
-        dim=tuple(int(d) for d in fields["dim"]),
-        datatype=int(dt),
-        bitpix=int(fields["bitpix"]),
-        pixdim=tuple(float(p) for p in fields["pixdim"]),
-        vox_offset=int(fields["vox_offset"]),
+        shape=shape,
+        dtype=dtype,
+        spacing=Spacing(*steps, *(1.0,) * (3 - nd)),
+        vox_offset=vox_offset,
+        end=vox_offset + math.prod(shape) * dtype.itemsize,
         scl_slope=float(fields["scl_slope"]),
         scl_inter=float(fields["scl_inter"]),
-        magic=magic,
-        byte_order=order,
-        unit_code=unit_code,
     )
-
-
-def _payload_end(hdr: NiftiHeader) -> int:
-    """The stream offset one past the last payload byte ``hdr`` declares."""
-    if hdr.magic == b"ni1\x00":
-        raise FormatError("two-file (ni1) streams carry no payload; only n+1 is readable")
-    h, w, z = hdr.shape
-    if min(h, w, z) <= 0:
-        raise FormatError(f"non-positive header dims {hdr.shape}")
-    if hdr.vox_offset < HEADER_SIZE:
-        raise FormatError(f"vox_offset {hdr.vox_offset} overlaps the header")
-    return hdr.vox_offset + h * w * z * _DTYPES[hdr.datatype][0].itemsize
 
 
 def _read_payload(raw, hdr: NiftiHeader) -> np.ndarray:
     """The payload as an (H, W, Z) view on ``raw``, in the header's dtype."""
-    end = _payload_end(hdr)
-    start = hdr.vox_offset
+    start, end = hdr.vox_offset, hdr.end
     if len(raw) < end:
         raise TruncatedPayloadError(
             f"payload needs {end - start} bytes at offset {start}, stream has {len(raw) - start}"
         )
-    dtype = _DTYPES[hdr.datatype][0].newbyteorder(hdr.byte_order)
-    flat = np.frombuffer(raw, dtype=dtype, count=(end - start) // dtype.itemsize, offset=start)
+    flat = np.frombuffer(raw, dtype=hdr.dtype, count=(end - start) // hdr.dtype.itemsize,
+                         offset=start)
     # Serialized order is x fastest, matching Fortran order of (H, W, Z).
     return flat.reshape(hdr.shape, order="F")
 
@@ -306,7 +291,7 @@ def _gunzip(raw: bytes) -> tuple[NiftiHeader, np.ndarray]:
         if len(head) >= SINGLE_FILE_VOX_OFFSET:
             break
     hdr = parse_header(head)
-    end = _payload_end(hdr)
+    end = hdr.end
     if end > _MAX_INFLATE_RATIO * len(raw):
         raise TruncatedPayloadError(
             f"payload ends at byte {end} of the stream, but a {len(raw)}-byte gzip "
@@ -350,15 +335,14 @@ def read_nifti(raw: bytes, labels: bool = False):
     # it must be aligned and not a view on the caller's ``raw``.
     if arr.dtype == (np.uint8 if labels else np.float32) and not (owned and arr.flags.aligned):
         arr = arr.copy()
-    spacing = hdr.spacing
 
     if labels:
-        if hdr.datatype == DT_FLOAT32:
+        if hdr.dtype.kind == "f":
             raise UnsupportedDatatypeError("label volumes require an integer datatype")
         if hdr.scl_slope not in (0.0, 1.0) or hdr.scl_inter != 0.0:
             raise FormatError("label volumes must not carry intensity scaling")
         try:
-            return LabelVolume(arr, spacing)
+            return LabelVolume(arr, hdr.spacing)
         except ValidationError as exc:
             raise LabelRangeError(str(exc)) from exc
 
@@ -366,7 +350,7 @@ def read_nifti(raw: bytes, labels: bool = False):
         arr = arr.astype(np.float32, copy=False) * np.float32(hdr.scl_slope) \
             + np.float32(hdr.scl_inter)
     try:
-        return ScalarVolume(arr, spacing)
+        return ScalarVolume(arr, hdr.spacing)
     except ValidationError as exc:
         raise FormatError(str(exc)) from exc
 

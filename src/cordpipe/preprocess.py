@@ -31,9 +31,8 @@ from .volume import ScalarVolume
 
 OTSU_BINS = 256
 
-# Voxels per flat block of ``otsu_mask`` and ``percentile_stretch``: their
-# float64 scratch is then 512 KiB, which stays in cache, instead of a
-# float64 copy of the whole volume.
+# Voxels per float64 buffer of ``percentile_stretch``'s mapping: 512 KiB,
+# which stays in cache, instead of a float64 copy of the whole volume.
 _BLOCK_VOXELS = 1 << 16
 
 
@@ -92,22 +91,17 @@ def otsu_mask(mag: ScalarVolume) -> OtsuResult:
     thresholds are the bin boundaries and the winner is the first
     maximizer. The mask is 1 strictly above the threshold.
 
-    Counts are summed over flat blocks of ``_BLOCK_VOXELS``, each binned
-    as a float64 copy with the same ``range``. The edges depend on the
-    range alone, so every voxel falls in the bin of a whole-volume call.
+    The range ends are float64, so ``np.histogram`` bins the voxels, in
+    memory order and its own cache-sized blocks, as float64 copies:
+    every voxel falls in the bin of a whole-volume float64 call, whatever
+    the storage dtype.
     """
     data = mag.data
-    lo, hi = float(data.min()), float(data.max())
+    lo, hi = np.float64(data.min()), np.float64(data.max())
     if lo == hi:
         raise DegenerateHistogramError("constant volume admits no histogram split")
 
-    # float64 keeps the bin edges exact regardless of the storage dtype
-    flat = data.ravel(order="K")
-    hist = np.zeros(OTSU_BINS, np.int64)
-    for s in range(0, flat.size, _BLOCK_VOXELS):
-        counts, edges = np.histogram(flat[s:s + _BLOCK_VOXELS].astype(np.float64),
-                                     bins=OTSU_BINS, range=(lo, hi))
-        hist += counts
+    hist, edges = np.histogram(data.ravel(order="K"), bins=OTSU_BINS, range=(lo, hi))
     centers = (edges[:-1] + edges[1:]) / 2.0
 
     total = hist.sum()
@@ -181,6 +175,21 @@ def _tile_edges(extent: int, count: int) -> np.ndarray:
     return np.linspace(0, extent, count + 1).round().astype(int)
 
 
+def _blend(edges: np.ndarray, extent: int):
+    """Bilinear blend of tile mappings along one axis of ``extent``
+    pixels, tiled at ``edges``: each pixel's lower tile, its upper tile
+    and the weight of the upper one. Positions beyond the outermost tile
+    centers clamp to the edge tile."""
+    centers = (edges[:-1] + edges[1:] - 1) / 2.0
+    last = centers.size - 1
+    pos = np.arange(extent, dtype=np.float64)
+    lower = np.clip(np.searchsorted(centers, pos, side="right") - 1, 0, last)
+    upper = np.minimum(lower + 1, last)
+    span = centers[upper] - centers[lower]
+    weight = np.where(span > 0, (pos - centers[lower]) / np.where(span > 0, span, 1), 0.0)
+    return lower, upper, np.clip(weight, 0.0, 1.0)
+
+
 def _clahe(data: np.ndarray, cfg: ClaheConfig) -> np.ndarray:
     """CLAHE of every plane ``data[:, :, z]``, as float32 of the same shape.
 
@@ -214,31 +223,14 @@ def _clahe(data: np.ndarray, cfg: ClaheConfig) -> np.ndarray:
     tile_bin = np.asarray((np.repeat(np.arange(tx), sx)[:, None] * ty
                            + np.repeat(np.arange(ty), sy)[None, :]) * nbins, order=order)
 
-    # Bilinear blend of tile mappings; positions beyond the outermost tile
-    # centers clamp to the edge tile.
-    centers_x = (xe[:-1] + xe[1:] - 1) / 2.0
-    centers_y = (ye[:-1] + ye[1:] - 1) / 2.0
-    gx = np.arange(h, dtype=np.float64)
-    gy = np.arange(w, dtype=np.float64)
-    ix = np.clip(np.searchsorted(centers_x, gx, side="right") - 1, 0, tx - 1)
-    iy = np.clip(np.searchsorted(centers_y, gy, side="right") - 1, 0, ty - 1)
-    ix1 = np.minimum(ix + 1, tx - 1)
-    iy1 = np.minimum(iy + 1, ty - 1)
-
-    span_x = centers_x[ix1] - centers_x[ix]
-    fx = np.where(span_x > 0, (gx - centers_x[ix]) / np.where(span_x > 0, span_x, 1), 0.0)
-    fx = np.clip(fx, 0.0, 1.0)
-    span_y = centers_y[iy1] - centers_y[iy]
-    fy = np.where(span_y > 0, (gy - centers_y[iy]) / np.where(span_y > 0, span_y, 1), 0.0)
-    fy = np.clip(fy, 0.0, 1.0)
-
+    ix, ix1, fx = _blend(xe, h)
+    iy, iy1, fy = _blend(ye, w)
+    fx, fy = fx[:, None], fy[None, :]
     # Weight factors are multiplied in the order of the per-pixel formula
     # (1-fx)(1-fy)v00 + (1-fx)fy v01 + fx(1-fy)v10 + fx fy v11, so the
     # float64 products, and with them the output bytes, are unchanged.
-    fxg = fx[:, None]
-    fyg = fy[None, :]
     weights = [np.asarray(wgt, order=order) for wgt in
-               ((1 - fxg) * (1 - fyg), (1 - fxg) * fyg, fxg * (1 - fyg), fxg * fyg)]
+               ((1 - fx) * (1 - fy), (1 - fx) * fy, fx * (1 - fy), fx * fy)]
     corners = [np.asarray((a[:, None] * ty + b[None, :]) * nbins, order=order)
                for a, b in ((ix, iy), (ix, iy1), (ix1, iy), (ix1, iy1))]
 
@@ -278,20 +270,22 @@ def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),
     applies to the whole volume.
 
     Percentiles do not depend on element order, so the masked scope is
-    gathered in the data's own memory order. The mapping walks that order
-    in flat blocks of ``_BLOCK_VOXELS``: each block is copied to float64,
-    shifted, divided and clipped in place, and cast into the float32
-    output, the same ops per element as on a whole-volume copy.
+    gathered in one memory order shared by the data and the mask. The
+    mapping is one buffered ``np.nditer`` in memory order: float64 blocks
+    of ``_BLOCK_VOXELS`` are shifted, divided and clipped, and cast into
+    the float32 output, the same ops per element as on a whole-volume
+    float64 copy.
     """
     data = vol.data
-    order = "F" if data.flags.f_contiguous and not data.flags.c_contiguous else "C"
     if mask is None:
         scope = data
     else:
         mask = np.asarray(mask)
         if mask.shape != data.shape:
             raise DimensionError(f"mask shape {mask.shape} != volume dims {vol.dims}")
-        scope = data.ravel(order)[mask.ravel(order) > 0]
+        # the iterator's views of both, with their axes in one memory order
+        data_k, mask_k = np.nditer([data, mask], order="K").itviews
+        scope = data_k.ravel()[mask_k.ravel() > 0]
     if scope.size == 0:
         raise ValidationError("percentile scope is empty")
     q_low, q_high = np.percentile(scope.astype(np.float64), [cfg.p_low, cfg.p_high],
@@ -302,18 +296,15 @@ def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),
         )
     del scope  # a masked gather is freed before the output is allocated
     span = q_high - q_low
-    src = data.ravel(order)
-    out = np.empty(data.shape, np.float32, order=order)
-    dst = out.ravel(order)  # a view: out is contiguous in this order
-    scratch = np.empty(min(src.size, _BLOCK_VOXELS))
-    for s in range(0, src.size, _BLOCK_VOXELS):
-        block = scratch[:min(_BLOCK_VOXELS, src.size - s)]
-        block[...] = src[s:s + block.size]
-        block -= q_low
-        block /= span
-        np.clip(block, 0.0, 1.0, out=block)
-        dst[s:s + block.size] = block
-    return ScalarVolume(out, vol.spacing)
+    with np.nditer([data, None], flags=["external_loop", "buffered", "zerosize_ok"],
+                   op_flags=[["readonly"], ["writeonly", "allocate"]],
+                   op_dtypes=[np.float64, np.float32], order="K",
+                   buffersize=_BLOCK_VOXELS) as blocks:
+        for src, dst in blocks:
+            shifted = src - q_low
+            shifted /= span
+            np.clip(shifted, 0.0, 1.0, out=dst)
+        return ScalarVolume(blocks.operands[1], vol.spacing)
 
 
 def zscore_normalize(vol: ScalarVolume, mask: np.ndarray | None = None) -> ScalarVolume:

@@ -20,9 +20,9 @@ only the identity pass, which is exact: its flipped passes would give
 equal values, whose mean is that value. A single pass (identity-only
 TTA, or a flip-equivariant predictor) skips the float64 sum and hands
 on the predictor's float32 channels without a copy.
-:class:`MockPredictor` walks each block in flat runs of
-``_BLOCK_VOXELS``, so its float64 distance grids are cache-sized scratch
-rather than per-chunk temporaries.
+:class:`MockPredictor` walks each block with one buffered ``np.nditer``
+in float64 buffers of ``_BLOCK_VOXELS``, so its float64 distance grids
+are cache-sized scratch rather than per-chunk temporaries.
 :func:`stack_slices` assembles per-slice predictions read from disk
 (slice-dir ``stack``).
 """
@@ -61,9 +61,9 @@ FLIP_NAMES = ("identity", "flip-x", "flip-y", "flip-xy")
 # whatever the volume's z extent.
 _CHUNK_VOXELS = 1 << 19
 
-# Voxels per flat block of ``MockPredictor.predict``: its float64 scratch
-# (distances, running minimum, float64 copies of both channels) is then
-# ~1.3 MB, which stays in a 4 MB L2 cache.
+# Voxels per ``np.nditer`` buffer of ``MockPredictor.predict``: its float64
+# scratch (distances, running minimum, float64 buffers of both channels)
+# is then ~1.3 MB, which stays in a 4 MB L2 cache.
 _BLOCK_VOXELS = 1 << 15
 
 # Seconds a ``SubprocessPredictor`` command may take for one slice.
@@ -161,48 +161,46 @@ class MockPredictor(SlicePredictor):
                 phase: np.ndarray | None = None) -> RegionStack:
         """Classify every pixel of a plane or an (H, W, n) block.
 
-        The input is walked in flat blocks of ``_BLOCK_VOXELS`` in one
-        memory order shared by both channels and the outputs (a channel
-        not contiguous in that order is copied once), so the float64
-        distance grids stay cache-sized. Each element takes the same
-        float64 ops as a whole-array pass: ``(m-m0)**2 + (p-p0)**2`` per
-        class, in class-id order.
+        One buffered ``np.nditer`` walks both channels and the three
+        float32 outputs in memory order, in float64 blocks of
+        ``_BLOCK_VOXELS``, so the distance grids stay cache-sized. Each
+        element takes the same float64 ops as a whole-array pass:
+        ``(m-m0)**2 + (p-p0)**2`` per class, in class-id order, with a
+        missing phase read as zeros.
         """
         mag = np.asarray(magnitude)
-        phs = None if phase is None else np.asarray(phase)
-        if phs is not None and phs.shape != mag.shape:
-            raise DimensionError("magnitude and phase planes disagree on shape")
-        order = "F" if mag.flags.f_contiguous and not mag.flags.c_contiguous else "C"
-        m = mag.ravel(order)
-        p = None if phs is None else phs.ravel(order)
-        out = [np.empty(mag.shape, np.float32, order=order) for _ in range(3)]
-        flat_out = [o.ravel(order) for o in out]
-        size = min(m.size, _BLOCK_VOXELS)
-        m64, p64 = np.empty(size), np.zeros(size)  # a missing phase reads as zeros
+        if phase is None:
+            phs = np.broadcast_to(np.float32(0), mag.shape)
+        else:
+            phs = np.asarray(phase)
+            if phs.shape != mag.shape:
+                raise DimensionError("magnitude and phase planes disagree on shape")
+        size = min(mag.size, _BLOCK_VOXELS)
         d2, term, best = np.empty(size), np.empty(size), np.empty(size)
         less = np.empty(size, bool)
         nearest = np.empty(size, np.min_scalar_type(len(self.centers) - 1))  # uint8
         centers = [self.centers[c] for c in sorted(self.centers)]
-        for s in range(0, m.size, _BLOCK_VOXELS):
-            n = min(_BLOCK_VOXELS, m.size - s)
-            mb, pb, d, t, b, lt, near = (a[:n] for a in (m64, p64, d2, term, best, less, nearest))
-            mb[...] = m[s:s + n]
-            if p is not None:
-                pb[...] = p[s:s + n]
-            # Running argmin over classes in id order: a strict ``<`` keeps
-            # the first of tied classes, as ``np.argmin`` does.
-            near.fill(0)
-            for i, (m0, p0) in enumerate(centers):
-                dist = b if i == 0 else d
-                np.square(np.subtract(mb, m0, out=dist), out=dist)
-                np.add(dist, np.square(np.subtract(pb, p0, out=t), out=t), out=dist)
-                if i:
-                    np.copyto(near, i, where=np.less(d, b, out=lt))
-                    np.minimum(b, d, out=b)
-            for col, o in zip(self._regions.T, flat_out):
-                # every index is in range, so "clip" only skips the bounds check
-                np.take(col, near, out=o[s:s + n], mode="clip")
-        return RegionStack(*out)
+        with np.nditer([mag, phs, None, None, None],
+                       flags=["external_loop", "buffered", "zerosize_ok"],
+                       op_flags=[["readonly"]] * 2 + [["writeonly", "allocate"]] * 3,
+                       op_dtypes=[np.float64] * 2 + [np.float32] * 3, order="K",
+                       buffersize=_BLOCK_VOXELS) as blocks:
+            for m, p, *outs in blocks:
+                d, t, b, lt, near = (a[:m.size] for a in (d2, term, best, less, nearest))
+                # Running argmin over classes in id order: a strict ``<`` keeps
+                # the first of tied classes, as ``np.argmin`` does.
+                near.fill(0)
+                for i, (m0, p0) in enumerate(centers):
+                    dist = b if i == 0 else d
+                    np.square(np.subtract(m, m0, out=dist), out=dist)
+                    np.add(dist, np.square(np.subtract(p, p0, out=t), out=t), out=dist)
+                    if i:
+                        np.copyto(near, i, where=np.less(d, b, out=lt))
+                        np.minimum(b, d, out=b)
+                for col, o in zip(self._regions.T, outs):
+                    # every index is in range, so "clip" only skips the bounds check
+                    np.take(col, near, out=o, mode="clip")
+            return RegionStack(*blocks.operands[2:])
 
     def predict_batch(self, magnitude: np.ndarray,
                       phase: np.ndarray | None = None) -> RegionStack:
@@ -328,8 +326,10 @@ def stack_slices(plane_stacks: dict[int, RegionStack], z_extent: int) -> RegionS
 
 def thread_map(fn, items, threads: int | None) -> list:
     """``[fn(x) for x in items]``, in input order, on up to ``threads``
-    threads."""
-    n = threads if threads and threads > 0 else 1
+    threads; ``None`` means one. A count below 1 is a ``ValidationError``."""
+    n = 1 if threads is None else threads
+    if n < 1:
+        raise ValidationError(f"thread count must be at least 1, got {threads}")
     if n == 1:
         return [fn(x) for x in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
@@ -360,7 +360,9 @@ def _predict_chunks(predictor: SlicePredictor, magnitude: ScalarVolume,
         emit(zs, _tta(predictor, magnitude.data[:, :, zs],
                       None if phase is None else phase.data[:, :, zs], cfg))
 
-    thread_map(run, range(0, z_extent, k), threads if predictor.thread_safe else 1)
+    if not predictor.thread_safe and threads is not None:
+        threads = min(threads, 1)  # serial, but a count below 1 is still rejected
+    thread_map(run, range(0, z_extent, k), threads)
 
 
 def predict_volume(predictor: SlicePredictor, magnitude: ScalarVolume,

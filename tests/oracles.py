@@ -351,6 +351,28 @@ def loop_warp_labels(plane: np.ndarray, matrix, fill: int = 0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# memory layouts
+
+
+LAYOUTS = ["C", "F", "reversed", "strided"]
+
+
+def laid_out(data, layout):
+    """``data`` with equal values in another memory layout."""
+    if layout == "C":
+        return np.ascontiguousarray(data)
+    if layout == "F":
+        return np.asfortranarray(data)
+    if layout == "reversed":
+        flip = (slice(None, None, -1),) * data.ndim
+        return np.ascontiguousarray(data[flip])[flip]
+    # every other element of a larger buffer
+    wide = np.zeros(data.shape[:-1] + (2 * data.shape[-1],), data.dtype)
+    wide[..., ::2] = data
+    return wide[..., ::2]
+
+
+# ---------------------------------------------------------------------------
 # nearest-centroid prediction and region merge
 
 

@@ -476,6 +476,20 @@ def test_stack_tta_flips_from_config(tmp_path):
     assert rc == 0
 
 
+def test_stack_tta_takes_a_single_flip_name(tmp_path):
+    mag, phs, labels = generate(PhantomConfig.fitted((24, 24, 4), seed=6))
+    inputs = ["--input", _write(tmp_path / "mag.nii", mag),
+              "--phase", _write(tmp_path / "phs.nii", phs),
+              "--fit-labels", _write(tmp_path / "lab.nii", labels)]
+    cfg = tmp_path / "tta.cfg"
+    cfg.write_text("tta.flips = identity\n")
+    plain, tta = tmp_path / "plain.nii.gz", tmp_path / "tta.nii.gz"
+    assert main(["stack", "--predictor", "mock", *inputs, "--out", str(plain)]) == 0
+    assert main(["stack", "--predictor", "mock", *inputs, "--tta", "--config", str(cfg),
+                 "--out", str(tta)]) == 0
+    assert tta.read_bytes() == plain.read_bytes()
+
+
 def _slice_dir(d, probs, name):
     d.mkdir()
     for zi in range(probs.shape[3]):
@@ -834,6 +848,30 @@ def test_stack_rejects_a_bad_threshold_before_loading_or_predicting(
     assert rc == 1, err
     assert "kind=ConfigError" in err and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--predictor", "foo", "--input", "missing.nii"], "unknown predictor 'foo'"),
+    (["--predictor", "foo", "--input", "mag"], "unknown predictor 'foo'"),
+    (["--predictor", "mock", "--input", "mag", "--phase", "phase"], "--fit-labels"),
+    (["--predictor", "mock", "--input", "mag", "--fit-labels", "labels"], "--phase"),
+    (["--predictor", "mock", "--input", "mag"], "--fit-labels"),
+], ids=["unknown-missing-input", "unknown", "mock-no-fit-labels", "mock-no-phase",
+        "mock-no-flags"])
+def test_stack_checks_its_predictor_flags_before_reading(grids, tmp_path, capsys,
+                                                         monkeypatch, argv, message):
+    import cordpipe.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("stack read a file before checking its predictor flags")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_read_file", must_not_run)
+    assert main(["stack", *[grids.get(a, a) for a in argv], "--out", "o.nii"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cordpipe-error kind=ValidationError"), err
+    assert message in err[0]
+    assert not (tmp_path / "o.nii").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [

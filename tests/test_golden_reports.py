@@ -31,6 +31,10 @@ input in cache-sized blocks. Its ``ph/`` lines hold the decoded
 ``preprocess`` and ``stack`` calls on ``phantom --seed 7 --dims 64 64
 160``, whose 160 slices make two z-chunks of ``predict_volume``,
 written before ``stack`` merged each chunk into its labels.
+``chain300/payloads.sha256`` holds them for ``--dims 64 64 300``, three
+z-chunks with a remainder of 44 slices, written before ``otsu_mask``,
+``percentile_stretch`` and ``MockPredictor.predict`` left their blocks
+to ``np.histogram`` and ``np.nditer``.
 """
 
 import gzip
@@ -127,3 +131,22 @@ def test_two_chunk_stack_decodes_to_the_golden_digest_on_1_and_2_threads(tmp_pat
                      "--tta", "--threads", threads, "--out", str(pseudo)]) == 0
         digest = hashlib.sha256(gzip.decompress(pseudo.read_bytes())).hexdigest()
         assert digest == CHAIN160["pseudo.nii.gz"], threads
+
+
+CHAIN300 = {name: digest for digest, name in (
+    line.split("  ") for line in
+    (GOLDEN.parent / "chain300" / "payloads.sha256").read_text().splitlines())}
+
+
+def test_three_chunk_chain_decodes_to_the_golden_digests(tmp_path):
+    ph, pre, pseudo = tmp_path / "ph", str(tmp_path / "pre.nii.gz"), tmp_path / "pseudo.nii.gz"
+    assert main(["phantom", "--seed", "7", "--dims", "64", "64", "300",
+                 "--out-dir", str(ph)]) == 0
+    assert main(["preprocess", str(ph / "magnitude.nii.gz"), "--otsu", "--stretch", "--clahe",
+                 "--out", pre]) == 0
+    assert main(["stack", "--predictor", "mock", "--input", pre,
+                 "--phase", str(ph / "phase.nii.gz"), "--fit-labels", str(ph / "labels.nii.gz"),
+                 "--tta", "--out", str(pseudo)]) == 0
+    for name, path in (("pre.nii.gz", Path(pre)), ("pseudo.nii.gz", pseudo)):
+        digest = hashlib.sha256(gzip.decompress(path.read_bytes())).hexdigest()
+        assert digest == CHAIN300[name], name

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +23,16 @@ from cordpipe.errors import (
     ValidationError,
     ZeroVarianceError,
 )
+from cordpipe import preprocess
 from cordpipe.preprocess import _clip_and_redistribute
 
-from oracles import exhaustive_otsu_bin, global_hist_equalize, loop_clahe_plane
+from oracles import (
+    LAYOUTS,
+    exhaustive_otsu_bin,
+    global_hist_equalize,
+    laid_out,
+    loop_clahe_plane,
+)
 
 ISO = Spacing.isotropic()
 
@@ -357,6 +366,38 @@ def test_stretch_constant_degenerate():
 def test_stretch_config_validation():
     with pytest.raises(ConfigError):
         StretchConfig(p_low=70, p_high=15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(2, 6)),
+       block=st.integers(1, 9), layout=st.sampled_from(LAYOUTS),
+       mask_layout=st.sampled_from(LAYOUTS + [None]), seed=st.integers(0, 2**16))
+def test_stretch_and_otsu_are_the_same_in_every_layout(shape, block, layout, mask_layout,
+                                                      seed):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(0, 10, shape).astype(np.float32)  # distinct values: no degenerate range
+    mask = None
+    if mask_layout is not None:
+        mask = (rng.random(shape) < 0.6).astype(np.uint8)
+        mask.flat[[0, -1]] = 1  # at least two voxels in scope
+    cfg = StretchConfig(p_low=float(rng.uniform(0, 50)), p_high=float(rng.uniform(50, 100)))
+    scope = (data if mask is None else data[mask > 0]).astype(np.float64)
+    q_low, q_high = np.percentile(scope, [cfg.p_low, cfg.p_high])
+    want = np.clip((data.astype(np.float64) - q_low) / (q_high - q_low), 0.0, 1.0)
+    want = want.astype(np.float32)
+    lo, hi = float(data.min()), float(data.max())
+    want_hist, _ = np.histogram(data.astype(np.float64), bins=256, range=(lo, hi))
+
+    vol = _vol(laid_out(data, layout))
+    laid_mask = None if mask is None else laid_out(mask, mask_layout)
+    with mock.patch.object(preprocess, "_BLOCK_VOXELS", block):
+        got = percentile_stretch(vol, cfg, mask=laid_mask).data
+        otsu, contiguous = otsu_mask(vol), otsu_mask(_vol(data))
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    assert otsu.threshold == contiguous.threshold
+    assert np.array_equal(otsu.histogram, want_hist)
+    assert np.array_equal(contiguous.histogram, want_hist)
+    assert otsu.mask.tobytes() == contiguous.mask.tobytes()
 
 
 # ---------------------------------------------------------------------------

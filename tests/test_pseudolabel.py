@@ -28,7 +28,7 @@ from cordpipe.errors import ConfigError, DimensionError, ValidationError
 from cordpipe import merge_regions, pseudolabel
 from cordpipe.pseudolabel import FLIP_NAMES, SlicePredictor, _flip
 
-from oracles import argmin_nearest_class
+from oracles import LAYOUTS, argmin_nearest_class, laid_out
 
 ISO = Spacing.isotropic()
 
@@ -191,6 +191,18 @@ def test_predict_volume_threaded_matches_serial():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("threads", [0, -7])
+def test_thread_counts_below_1_are_rejected(threads):
+    mag, phs, labels = generate(PhantomConfig.fitted((32, 32, 8), seed=5))
+    with pytest.raises(ValidationError, match=f"got {threads}"):
+        pseudolabel.thread_map(abs, [1, 2, 3], threads)
+    # a thread-safe predictor, and one that runs serially whatever the count
+    for pred in (MockPredictor.fit(mag, phs, labels), PassCountingPredictor()):
+        with pytest.raises(ValidationError, match=f"got {threads}"):
+            predict_volume(pred, mag, phs, threads=threads)
+    assert pseudolabel.thread_map(abs, [1, -2, 3], None) == [1, 2, 3]
+
+
 def test_jitter_direction_on_phantom():
     # smooth phantom scores near 1; per-slice jitter strictly lowers every
     # class, the same ordering as stacked-2D vs native-3D predictions
@@ -242,24 +254,6 @@ def _assert_regions_of(stack, cls_map):
     assert np.array_equal(stack.lesion, np.isin(cls_map, (3, 4)))
 
 
-def _laid_out(data, layout):
-    """``data`` with equal values in another memory layout."""
-    if layout == "C":
-        return np.ascontiguousarray(data)
-    if layout == "F":
-        return np.asfortranarray(data)
-    if layout == "reversed":
-        flip = (slice(None, None, -1),) * data.ndim
-        return np.ascontiguousarray(data[flip])[flip]
-    # every other element of a larger buffer
-    wide = np.zeros(data.shape[:-1] + (2 * data.shape[-1],), data.dtype)
-    wide[..., ::2] = data
-    return wide[..., ::2]
-
-
-LAYOUTS = ["C", "F", "reversed", "strided"]
-
-
 @settings(max_examples=120, deadline=None)
 @given(shape=st.lists(st.integers(1, 7), min_size=2, max_size=3).map(tuple),
        block=st.integers(1, 9), mag_layout=st.sampled_from(LAYOUTS),
@@ -274,9 +268,9 @@ def test_blocked_predict_matches_argmin_reference(shape, block, mag_layout, phas
     centers = {c: tuple(rng.integers(0, 5, 2) / 4) for c in range(5)}
     if extra_class:
         centers[7] = (0.25, 0.25)
-    mag = _laid_out((rng.integers(0, 5, shape) / 4).astype(dtype), mag_layout)
+    mag = laid_out((rng.integers(0, 5, shape) / 4).astype(dtype), mag_layout)
     phs = None if phase_layout is None else \
-        _laid_out((rng.integers(0, 5, shape) / 4).astype(dtype), phase_layout)
+        laid_out((rng.integers(0, 5, shape) / 4).astype(dtype), phase_layout)
     with mock.patch.object(pseudolabel, "_BLOCK_VOXELS", block):
         got = MockPredictor(centers).predict(mag, phs)
     assert got.shape == shape
@@ -307,7 +301,7 @@ def test_fit_centers_equal_masked_means_bit_for_bit(layouts):
     phs = rng.standard_normal(shape).astype(np.float32)
     want = {c: (float(mag[labels == c].mean()), float(phs[labels == c].mean()))
             for c in range(5)}
-    m, p, lab = (_laid_out(a, lay) for a, lay in zip((mag, phs, labels), layouts))
+    m, p, lab = (laid_out(a, lay) for a, lay in zip((mag, phs, labels), layouts))
     got = MockPredictor.fit(ScalarVolume(m, ISO), ScalarVolume(p, ISO),
                             LabelVolume(lab, ISO)).centers
     assert got == want
