@@ -9,8 +9,10 @@ fully reproducible from (profile, seed).
 Warping uses inverse mapping: bilinear interpolation for images,
 nearest neighbor for labels (which therefore never invents class ids).
 One draw is mapped once (one inverse map, one set of bilinear corners)
-and every plane of a pair samples from that map; the bytes are those of
-a per-pixel loop, pinned to the oracle in ``tests/oracles.py``.
+and every plane of a pair samples from that map. Each plane is read from
+a padded copy whose border holds the fill, with corners clipped into the
+border, so no sample needs a bounds test; the bytes are those of a
+per-pixel loop, pinned to the oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ class SampledTransform:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (3, 3):
             raise TransformError(f"matrix must be 3x3, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise TransformError("transform matrix has a non-finite entry")
         if abs(np.linalg.det(m)) <= 1e-9:
             raise TransformError("transform matrix is not invertible")
         object.__setattr__(self, "matrix", m)
@@ -168,28 +172,43 @@ def slice_seed(seed: int, z: int) -> int:
     return int(np.random.SeedSequence((seed, z)).generate_state(1)[0])
 
 
-def _inverse_coords(t: SampledTransform, shape: tuple[int, int]):
+def _inverse_coords(t: SampledTransform, shape: tuple[int, int]) -> np.ndarray:
+    """Source (x, y) of every pixel of an (h, w) plane, as a (2, h, w) array."""
     h, w = shape
     cx, cy = (h - 1) / 2.0, (w - 1) / 2.0
-    inv = np.linalg.inv(t.matrix)
-    xs, ys = np.meshgrid(np.arange(h, dtype=np.float64) - cx,
-                         np.arange(w, dtype=np.float64) - cy, indexing="ij")
-    u = inv[0, 0] * xs + inv[0, 1] * ys + inv[0, 2]
-    v = inv[1, 0] * xs + inv[1, 1] * ys + inv[1, 2]
-    d = inv[2, 0] * xs + inv[2, 1] * ys + inv[2, 2]
+    inv = np.linalg.inv(t.matrix)[:, :, None, None]
+    # an (h, 1) column and a (w,) row broadcast to the centered grid, with
+    # the same float64 ops per pixel as on a meshgrid
+    xs = (np.arange(h, dtype=np.float64) - cx)[:, None]
+    ys = np.arange(w, dtype=np.float64) - cy
+    uvd = inv[:, 0] * xs + inv[:, 1] * ys
+    uvd += inv[:, 2]
+    src, d = uvd[:2], uvd[2]
     bad = np.abs(d) < 1e-12
-    d = np.where(bad, 1.0, d)
-    src_x = u / d + cx
-    src_y = v / d + cy
-    src_x[bad] = -1e9  # divergent rays land outside and take the fill
-    return src_x, src_y
+    d[bad] = 1.0
+    src /= d
+    src += np.array([cx, cy])[:, None, None]
+    src[0, bad] = -1e9  # divergent rays land outside and take the fill
+    return src
 
 
-def _flat_index(xi, yi, shape):
-    """C-order flat index of each (xi, yi); h*w, the fill slot, outside."""
-    h, w = shape
-    inside = (xi >= 0) & (xi < h) & (yi >= 0) & (yi < w)
-    return np.where(inside, xi * w + yi, h * w).astype(np.intp)
+def _padded_index(corner: np.ndarray) -> np.ndarray:
+    """Flat index of each (x0, y0) of a (2, h, w) ``corner`` into the
+    plane padded by two on every side, where the fill is.
+
+    Corners are clipped to [-2, h] and [-2, w], where x0 and x0 + 1 both
+    still read the fill; NaN clips to -2, so a non-finite source reads
+    the fill and no index leaves the plane.
+    """
+    _, h, w = corner.shape
+    row = w + 4
+    clipped = np.fmax(corner, -2)
+    np.fmin(clipped, np.array([h, w])[:, None, None], out=clipped)
+    xi, yi = clipped.astype(np.intp)
+    xi *= row
+    xi += yi
+    xi += 2 * (row + 1)
+    return xi
 
 
 def warp_pair(image_planes, label_plane: np.ndarray, t: SampledTransform):
@@ -200,6 +219,13 @@ def warp_pair(image_planes, label_plane: np.ndarray, t: SampledTransform):
     is sampled by nearest neighbor in its own dtype, so it never invents
     a class id, and a sample outside the plane reads ``BACKGROUND``.
     Returns ``(planes, labels)``; the identity returns exact copies.
+
+    Each plane is read from a copy padded by two on every side: image
+    planes from one float64 plane with a zero border, labels from one
+    with a ``BACKGROUND`` border. Corners are clipped into that border,
+    so one base index per draw serves the four corners (``base``,
+    ``+1``, ``+row``, ``+row+1``) and the nearest sample, and no bounds
+    test is made per plane.
     """
     planes = [np.asarray(p, dtype=np.float32) for p in image_planes]
     labels = np.asarray(label_plane)
@@ -211,17 +237,31 @@ def warp_pair(image_planes, label_plane: np.ndarray, t: SampledTransform):
         raise DimensionError(f"expected 2D plane, got shape {shape}")
     if t.is_identity:
         return [p.copy() for p in planes], labels.copy()
-    src_x, src_y = _inverse_coords(t, shape)
-    x0, y0 = np.floor(src_x), np.floor(src_y)
-    fx, fy = src_x - x0, src_y - y0
-    corners = [(wgt, _flat_index(x0 + dx, y0 + dy, shape)) for dx, dy, wgt in (
-        (0, 0, (1 - fx) * (1 - fy)), (0, 1, (1 - fx) * fy),
-        (1, 0, fx * (1 - fy)), (1, 1, fx * fy))]
+    h, w = shape
+    src = _inverse_coords(t, shape)
+    corner = np.floor(src)
+    fx, fy = frac = src - corner
+    gx, gy = 1 - frac
+    # the weights of corners (0,0), (0,1), (1,0), (1,1), with gx = 1 - fx
+    weights = np.empty((4, h, w))
+    for k, (a, b) in enumerate(((gx, gy), (gx, fy), (fx, gy), (fx, fy))):
+        np.multiply(a, b, out=weights[k])
+    row = w + 4
+    base = _padded_index(corner)
+    index = base + np.array([0, 1, row, row + 1])[:, None, None]
+    padded = np.zeros((h + 4, row))
     warped = []
     for p in planes:
-        flat, out = np.append(p.ravel(), np.float64(0.0)), np.zeros(shape)
-        for wgt, index in corners:
-            out += wgt * flat[index]
+        padded[2:-2, 2:-2] = p
+        terms = padded.take(index)
+        np.multiply(weights, terms, out=terms)
+        out = np.zeros(shape)  # summed from +0.0 in corner order, as the loop does
+        for term in terms:
+            out += term
         warped.append(out.astype(np.float32))
-    flat = np.append(labels.ravel(), np.full(1, BACKGROUND, labels.dtype))
-    return warped, flat[_flat_index(np.rint(src_x), np.rint(src_y), shape)]
+    # the nearest sample is the corner that rint rounds to; a NaN or
+    # infinite source compares false and keeps its corner in the border
+    up = np.rint(src) > corner
+    padded = np.full((h + 4, row), BACKGROUND, labels.dtype)
+    padded[2:-2, 2:-2] = labels
+    return warped, padded.take(base + up[0] * row + up[1])

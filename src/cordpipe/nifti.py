@@ -317,10 +317,11 @@ def read_nifti(raw: bytes, labels: bool = False):
     the NIfTI header, with each member framed and checked by zlib; bytes
     decoded past the payload are not kept. When the payload is stored in
     the native dtype, the returned data is a view on that buffer. A plain
-    stream's payload is always copied, so the result never shares memory
-    with ``raw``. The volume types make the one pass over the payload
-    (finite intensities, or label ids in range before the cast to uint8);
-    their ``ValidationError`` is re-raised as a ``FormatError``.
+    stream's payload is always copied, x fastest as stored, so the result
+    never shares memory with ``raw`` and has the layout of a gzip read.
+    The volume types make the one pass over the payload (finite
+    intensities, or label ids in range before the cast to uint8); their
+    ``ValidationError`` is re-raised as a ``FormatError``.
     """
     owned = raw[:2] == b"\x1f\x8b"
     if owned:
@@ -334,7 +335,7 @@ def read_nifti(raw: bytes, labels: bool = False):
     # The volume types keep a payload already in their dtype as it is, so
     # it must be aligned and not a view on the caller's ``raw``.
     if arr.dtype == (np.uint8 if labels else np.float32) and not (owned and arr.flags.aligned):
-        arr = arr.copy()
+        arr = arr.copy(order="F")
 
     if labels:
         if hdr.dtype.kind == "f":

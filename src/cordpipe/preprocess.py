@@ -269,8 +269,10 @@ def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),
     mask, they are computed over masked-in voxels only, while the mapping
     applies to the whole volume.
 
-    Percentiles do not depend on element order, so the masked scope is
-    gathered in one memory order shared by the data and the mask. The
+    Percentiles do not depend on element order, so the scope is taken in
+    memory order: the whole volume as a flat view, or the masked voxels
+    gathered in one memory order shared by the data and the mask, so
+    ``np.percentile`` partitions one float64 copy in place. The
     mapping is one buffered ``np.nditer`` in memory order: float64 blocks
     of ``_BLOCK_VOXELS`` are shifted, divided and clipped, and cast into
     the float32 output, the same ops per element as on a whole-volume
@@ -278,7 +280,7 @@ def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),
     """
     data = vol.data
     if mask is None:
-        scope = data
+        scope = data.ravel(order="K")
     else:
         mask = np.asarray(mask)
         if mask.shape != data.shape:

@@ -57,12 +57,12 @@ def to_regions(labels: LabelVolume | np.ndarray) -> RegionStack:
 
     wm covers healthy and lesioned white matter, gm likewise for gray
     matter, and lesion covers lesions of either tissue, so Lesion WM is
-    recoverable as the intersection of wm and lesion.
+    recoverable as the intersection of wm and lesion. Each channel is
+    two id comparisons, so a plane in any integer dtype works alike.
     """
     data = labels.data if isinstance(labels, LabelVolume) else np.asarray(labels)
-    wm = np.isin(data, (HEALTHY_WM, LESION_WM)).astype(np.float32)
-    gm = np.isin(data, (HEALTHY_GM, LESION_GM)).astype(np.float32)
-    lesion = np.isin(data, (LESION_WM, LESION_GM)).astype(np.float32)
+    wm, gm, lesion = (((data == a) | (data == b)).astype(np.float32) for a, b in (
+        (HEALTHY_WM, LESION_WM), (HEALTHY_GM, LESION_GM), (LESION_WM, LESION_GM)))
     return RegionStack(wm, gm, lesion)
 
 

@@ -200,10 +200,12 @@ def extract_patch(vol, origin, spec: PatchSpec):
     h, w, z = vol.dims
     px, py, pz = spec.as_tuple()
 
+    # laid out like the source, so the overlap copies run in memory order
+    order = "F" if np.isfortran(vol.data) else "C"
     if is_labels:
-        out = np.full((px, py, pz), BACKGROUND, dtype=np.uint8)
+        out = np.full((px, py, pz), BACKGROUND, dtype=np.uint8, order=order)
     else:
-        out = np.zeros((px, py, pz), dtype=np.float32)
+        out = np.zeros((px, py, pz), dtype=np.float32, order=order)
 
     # Overlap between the requested box and the volume, in both frames.
     sx0, sx1 = max(ox, 0), min(ox + px, h)

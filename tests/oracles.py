@@ -350,6 +350,44 @@ def loop_warp_labels(plane: np.ndarray, matrix, fill: int = 0) -> np.ndarray:
     return out
 
 
+def where_warp(plane: np.ndarray, labels: np.ndarray, matrix):
+    """Bilinear and nearest-neighbor inverse warps with whole-grid numpy
+    comparisons: the formula of the earlier vectorized ``warp_pair``.
+
+    Unlike the loops above it accepts non-finite source coordinates: a
+    NaN or infinite coordinate fails every bounds comparison, so each
+    corner and sample reads the fill, and the NaN weights it gets carry
+    into the image as in the per-corner float64 sum.
+    """
+    plane = np.asarray(plane, dtype=np.float32)
+    labels = np.asarray(labels)
+    h, w = plane.shape
+    cx, cy = (h - 1) / 2.0, (w - 1) / 2.0
+    inv = np.linalg.inv(np.asarray(matrix, dtype=np.float64))
+    xs, ys = np.meshgrid(np.arange(h, dtype=np.float64) - cx,
+                         np.arange(w, dtype=np.float64) - cy, indexing="ij")
+    u = inv[0, 0] * xs + inv[0, 1] * ys + inv[0, 2]
+    v = inv[1, 0] * xs + inv[1, 1] * ys + inv[1, 2]
+    d = inv[2, 0] * xs + inv[2, 1] * ys + inv[2, 2]
+    bad = np.abs(d) < 1e-12
+    d = np.where(bad, 1.0, d)
+    src_x, src_y = u / d + cx, v / d + cy
+    src_x[bad] = -1e9
+
+    def flat_index(xi, yi):  # h * w, the fill slot, outside the plane
+        inside = (xi >= 0) & (xi < h) & (yi >= 0) & (yi < w)
+        return np.where(inside, xi * w + yi, h * w).astype(np.intp)
+
+    x0, y0 = np.floor(src_x), np.floor(src_y)
+    fx, fy = src_x - x0, src_y - y0
+    flat, image = np.append(plane.ravel(), np.float64(0.0)), np.zeros((h, w))
+    for dx, dy, wgt in ((0, 0, (1 - fx) * (1 - fy)), (0, 1, (1 - fx) * fy),
+                        (1, 0, fx * (1 - fy)), (1, 1, fx * fy)):
+        image += wgt * flat[flat_index(x0 + dx, y0 + dy)]
+    flat = np.append(labels.ravel(), np.zeros(1, labels.dtype))
+    return image.astype(np.float32), flat[flat_index(np.rint(src_x), np.rint(src_y))]
+
+
 # ---------------------------------------------------------------------------
 # memory layouts
 

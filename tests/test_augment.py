@@ -16,7 +16,7 @@ from cordpipe import (
 from cordpipe import augment
 from cordpipe.errors import ConfigError, DimensionError, TransformError
 
-from oracles import loop_warp_image, loop_warp_labels
+from oracles import loop_warp_image, loop_warp_labels, where_warp
 
 PLANE = (32, 32)
 
@@ -175,6 +175,17 @@ def test_singular_matrix_rejected():
         SampledTransform(m, (0, 0), 0.0, 1.0, 0.0, (0, 0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_rejected(bad):
+    for at in ((0, 0), (1, 2), (2, 2)):
+        m = np.eye(3)
+        m[at] = bad
+        with pytest.raises(TransformError):
+            SampledTransform(m, (0, 0), 0.0, 1.0, 0.0, (0, 0))
+    with pytest.raises(TransformError):
+        SampledTransform(np.full((3, 3), bad), (0, 0), 0.0, 1.0, 0.0, (0, 0))
+
+
 def test_slice_seed_deterministic_and_distinct():
     assert slice_seed(7, 3) == slice_seed(7, 3)
     assert slice_seed(7, 3) != slice_seed(7, 4)
@@ -259,3 +270,67 @@ def test_warps_match_loop_oracle(case):
     same(got_mag, loop_warp_image(mag, t.matrix))
     same(got_phase, loop_warp_image(phase, t.matrix))
     same(got_labels, loop_warp_labels(labels, t.matrix))
+
+
+def _edge_translations(h, w):
+    """Translations that put pixel (0, 0)'s bilinear corner x0 at -3, -2,
+    -1, h-1, h and h+1 (and y0 likewise), with the source on the corner
+    or a quarter, half or three quarters past it, so nearest samples also
+    land at -1 and h."""
+    def offsets(n):
+        return (-3, -2, -1, n - 1, n, n + 1)
+
+    for frac in (0.0, 0.25, 0.5, 0.75):
+        for x0 in offsets(h):
+            for y0 in offsets(w):
+                yield -(x0 + frac), -(y0 + (frac + 0.25) % 1)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (4, 6)])
+def test_warps_at_the_clip_edges_match_loop_oracle(shape):
+    rng = np.random.default_rng(39)
+    mag = rng.normal(size=shape).astype(np.float32)
+    labels = rng.integers(1, 5, shape).astype(np.uint8)
+    for translation in _edge_translations(*shape):
+        matrix = build_matrix(translation=translation)
+        (got,), got_labels = warp_pair([mag], labels, SampledTransform(
+            matrix, (0, 0), 0.0, 1.0, 0.0, (0, 0)))
+        assert got.tobytes() == loop_warp_image(mag, matrix).tobytes(), translation
+        assert got_labels.tobytes() == loop_warp_labels(labels, matrix).tobytes(), translation
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (5, 4)])
+def test_divergent_rays_read_the_fill(shape):
+    # the inverse's last row is (1, 0, 0), so the homogeneous divisor is
+    # the centered x: exactly zero on the middle row of an odd plane
+    matrix = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    rng = np.random.default_rng(42)
+    mag = rng.normal(size=shape).astype(np.float32)
+    labels = rng.integers(1, 5, shape).astype(np.uint8)
+    (got,), got_labels = warp_pair([mag], labels, SampledTransform(
+        matrix, (0, 0), 0.0, 1.0, 0.0, (0, 0)))
+    middle = shape[0] // 2
+    assert (got[middle] == 0).all() and (got_labels[middle] == 0).all()
+    assert got.tobytes() == loop_warp_image(mag, matrix).tobytes()
+    assert got_labels.tobytes() == loop_warp_labels(labels, matrix).tobytes()
+
+
+def test_non_finite_source_reads_the_fill():
+    # finite and invertible, but its inverse is ~1e307 wide: the source
+    # coordinates of most pixels overflow to +-inf, and to NaN where an
+    # overflowing x term meets an overflowing y term of the other sign
+    matrix = np.array([[5e-308, -5e306, 0.0], [5e-308, 5e306, 0.0], [0.0, 0.0, 1.0]])
+    t = SampledTransform(matrix, (0, 0), 0.0, 1.0, 0.0, (0, 0))
+    shape = (40, 41)
+    with np.errstate(all="ignore"):
+        src = augment._inverse_coords(t, shape)
+        rng = np.random.default_rng(40)
+        mag = rng.normal(size=shape).astype(np.float32)
+        labels = rng.integers(1, 5, shape).astype(np.uint8)
+        (got,), got_labels = warp_pair([mag], labels, t)
+        want, want_labels = where_warp(mag, labels, matrix)
+    non_finite = ~np.isfinite(src).all(axis=0)
+    assert np.isnan(src).any() and np.isinf(src).any() and (~non_finite).any()
+    assert (got_labels[non_finite] == 0).all()
+    assert got.tobytes() == want.tobytes()
+    assert got_labels.tobytes() == want_labels.tobytes()

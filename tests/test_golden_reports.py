@@ -35,6 +35,15 @@ written before ``stack`` merged each chunk into its labels.
 z-chunks with a remainder of 44 slices, written before ``otsu_mask``,
 ``percentile_stretch`` and ``MockPredictor.predict`` left their blocks
 to ``np.histogram`` and ``np.nditer``.
+
+``targets/payloads.sha256`` holds the decoded sha256 of the nine training
+targets of one patch, built as the benchmark's ``train-targets`` loop
+builds them: per-slice ``sample_transform(AUG2)`` and ``warp_pair``,
+then ``soften(SOFT2)`` and ``to_regions``. The patch is
+``patch1(64, 64)`` at (20, 12, 0) of a seed-7 80x72x144 phantom read
+back from plain ``.nii``, so it overhangs the phantom in x and y; the
+augment seed is 2026. They were written before ``warp_pair`` read
+padded planes and ``to_regions`` compared ids.
 """
 
 import gzip
@@ -42,8 +51,10 @@ import hashlib
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cordpipe as cp
 from cordpipe.cli import main
 
 from oracles import deflate_stream
@@ -150,3 +161,34 @@ def test_three_chunk_chain_decodes_to_the_golden_digests(tmp_path):
     for name, path in (("pre.nii.gz", Path(pre)), ("pseudo.nii.gz", pseudo)):
         digest = hashlib.sha256(gzip.decompress(path.read_bytes())).hexdigest()
         assert digest == CHAIN300[name], name
+
+
+TARGETS = {name: digest for digest, name in (
+    line.split("  ") for line in
+    (GOLDEN.parent / "targets" / "payloads.sha256").read_text().splitlines())}
+
+
+def test_training_targets_decode_to_the_golden_digests():
+    sources = cp.generate(cp.PhantomConfig.fitted((80, 72, 144), seed=7))
+    mag, phs, lab = (cp.read_nifti(cp.write_nifti(v), labels=isinstance(v, cp.LabelVolume))
+                     for v in sources)
+    spec, seed = cp.patch1(64, 64), 2026
+    mag, phs, lab = (cp.extract_patch(v, (20, 12, 0), spec) for v in (mag, phs, lab))
+    h, w, depth = spec.as_tuple()
+    wmag, wphs = np.empty((h, w, depth), np.float32), np.empty((h, w, depth), np.float32)
+    wlab = np.empty((h, w, depth), np.uint8)
+    for z in range(depth):
+        t = cp.sample_transform(cp.AUG2, cp.slice_seed(seed, z), plane_shape=(h, w))
+        (wmag[:, :, z], wphs[:, :, z]), wlab[:, :, z] = cp.warp_pair(
+            [mag.data[:, :, z], phs.data[:, :, z]], lab.data[:, :, z], t)
+    warped = cp.LabelVolume(wlab, lab.spacing)
+    soft, regions = cp.soften(warped, cp.SOFT2), cp.to_regions(warped)
+    arrays = {"warped_magnitude": wmag, "warped_phase": wphs,
+              "region_wm": regions.wm, "region_gm": regions.gm, "region_lesion": regions.lesion}
+    for cid in cp.FOREGROUND_CLASSES:
+        arrays[f"soft_{cp.CLASS_NAMES[cid]}"] = soft.class_channel(cid)
+    assert sorted(f"{name}.nii.gz" for name in arrays) == sorted(TARGETS)
+    for name, arr in arrays.items():
+        zipped = cp.gzip_nifti(cp.write_nifti(cp.ScalarVolume(arr, lab.spacing)))
+        digest = hashlib.sha256(gzip.decompress(zipped)).hexdigest()
+        assert digest == TARGETS[f"{name}.nii.gz"], name

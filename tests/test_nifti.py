@@ -129,6 +129,18 @@ def test_gzip_and_plain_decode_identically():
     assert np.array_equal(read_nifti(gzip.compress(raw)).data, plain.data)
 
 
+@pytest.mark.parametrize("labels", [False, True])
+def test_plain_and_gzip_reads_keep_x_fastest_order(labels):
+    rng = np.random.default_rng(4)
+    vol = (LabelVolume(rng.integers(0, 5, (5, 6, 7)).astype(np.uint8), ISO) if labels
+           else _random_scalar(rng, (5, 6, 7)))
+    raw = write_nifti(vol)
+    for stream in (raw, gzip_nifti(raw)):
+        data = read_nifti(stream, labels=labels).data
+        assert data.flags.f_contiguous and not data.flags.c_contiguous
+        assert np.array_equal(data, vol.data)
+
+
 def _check_gzip_member(zipped, raw):
     assert zipped[:3] == b"\x1f\x8b\x08"        # gzip magic, deflate
     assert zipped[3] == 0                           # no FNAME (or other) flag

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -356,6 +357,24 @@ def test_stretch_masked_scope():
     mask[2:] = 1  # percentiles over the 100s only -> degenerate
     with pytest.raises(DegenerateRangeError):
         percentile_stretch(_vol(data), mask=mask)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_unmasked_stretch_copies_the_volume_once(order):
+    # one float64 copy for np.percentile: twice the float32 volume
+    rng = np.random.default_rng(12)
+    data = np.asarray(rng.normal(size=(128, 128, 64)).astype(np.float32), order=order)
+    vol = _vol(data)
+    want = percentile_stretch(vol, mask=np.ones(data.shape, np.uint8)).data
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        got = percentile_stretch(vol).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * data.nbytes
+    assert got.tobytes("K") == want.tobytes("K")
 
 
 def test_stretch_constant_degenerate():

@@ -46,6 +46,19 @@ def test_region_expansion_per_class():
     assert v(stack.lesion) == [0, 0, 0, 1, 1]
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int16, np.uint32, np.int64])
+def test_region_channels_of_any_integer_plane(dtype):
+    # a plane in any integer dtype, ids outside 0..4 included, against set membership
+    rng = np.random.default_rng(41)
+    data = rng.integers(-3, 9, (7, 9)).astype(dtype)
+    stack = to_regions(data)
+    for channel, ids in ((stack.wm, (HEALTHY_WM, LESION_WM)),
+                         (stack.gm, (HEALTHY_GM, LESION_GM)),
+                         (stack.lesion, (LESION_WM, LESION_GM))):
+        want = np.array([[float(v in ids) for v in row] for row in data.tolist()], np.float32)
+        assert channel.dtype == np.float32 and channel.tobytes() == want.tobytes()
+
+
 def test_merge_examples():
     assert _scalar_merge(0.9, 0.1, 0.8) == LESION_WM
     out = merge_region_arrays(np.array([0.9]), np.array([0.1]), np.array([0.8]))

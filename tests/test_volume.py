@@ -116,6 +116,21 @@ def test_label_patch_pads_with_background():
     assert set(np.unique(patch.data)) == {0, 2}
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("labels", [False, True])
+def test_patch_keeps_the_source_memory_order(order, labels):
+    rng = np.random.default_rng(2)
+    data = np.asarray(rng.integers(0, 5, (6, 7, 8)), np.uint8 if labels else np.float32,
+                      order=order)
+    vol = (LabelVolume if labels else ScalarVolume)(data, ISO)
+    for origin in ((1, 1, 1), (-2, 3, 5)):
+        patch = extract_patch(vol, origin, PatchSpec(4, 5, 6))
+        assert patch.data.flags[f"{order}_CONTIGUOUS"]
+        assert patch.data.flags.writeable and not np.shares_memory(patch.data, data)
+    assert np.array_equal(extract_patch(vol, (1, 1, 1), PatchSpec(4, 5, 6)).data,
+                          data[1:5, 1:6, 1:7])
+
+
 def test_axial_slice_corpus_scale_iteration():
     # 43,719 slices, the full corpus slice count, in one volume.
     vol = ScalarVolume(np.zeros((2, 2, 43719), np.float32), ISO)
