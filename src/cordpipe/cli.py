@@ -12,6 +12,7 @@ Errors print to stderr as single-line machine-parseable records.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -116,65 +117,15 @@ def _load_on_grid(path: str, ref_path: str, ref, labels: bool = False):
 
 
 def _err_record(exc: Exception, path: str | None = None) -> str:
-    kind = type(exc).__name__
-    parts = [f"kind={kind}"]
-    if path:
-        parts.append(f"file={path}")
+    where = f" file={path}" if path else ""
     msg = str(exc).replace('"', "'").replace("\n", " ")
-    parts.append(f'msg="{msg}"')
-    return "cordpipe-error " + " ".join(parts)
+    return f'cordpipe-error kind={type(exc).__name__}{where} msg="{msg}"'
 
 
-# ---------------------------------------------------------------------------
-# preprocess
-
-
-def _cmd_preprocess(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    use_otsu = args.otsu if args.otsu is not None else get_typed(cfg, "preprocess.otsu", bool, False)
-    p_low = args.stretch_low if args.stretch_low is not None else \
-        get_typed(cfg, "preprocess.stretch.p_low", float, None)
-    p_high = args.stretch_high if args.stretch_high is not None else \
-        get_typed(cfg, "preprocess.stretch.p_high", float, None)
-    use_stretch = p_low is not None or p_high is not None or args.stretch
-    use_clahe = args.clahe or get_typed(cfg, "preprocess.clahe.enabled", bool, False)
-    use_zscore = args.zscore or get_typed(cfg, "preprocess.zscore", bool, False)
-
-    vol = _load_volume(args.input)
-
-    mask = None
-    if use_otsu:
-        mask = otsu_mask(vol if args.mask_from is None else
-                         _load_on_grid(args.mask_from, args.input, vol)).mask
-        vol = apply_mask(vol, mask)  # the unmasked input is freed here
-
-    if use_stretch:
-        vol = percentile_stretch(vol, StretchConfig(**_given(p_low=p_low, p_high=p_high)),
-                                 mask=mask)
-
-    if use_clahe:
-        tiles = args.clahe_tiles or get_typed(cfg, "preprocess.clahe.tiles", tuple, None)
-        clip = args.clahe_clip if args.clahe_clip is not None else \
-            get_typed(cfg, "preprocess.clahe.clip", float, None)
-        bins = args.clahe_bins if args.clahe_bins is not None else \
-            get_typed(cfg, "preprocess.clahe.bins", int, None)
-        try:
-            clahe = ClaheConfig(**_given(tiles=tiles, clip_limit=clip, bins=bins))
-        except ConfigError as exc:
-            # ClaheConfig names the field first, e.g. "tiles must be ..."
-            raise ConfigError(f"preprocess.clahe.{exc}") from exc
-        if vol.data.min() < 0 or vol.data.max() > 1:
-            vol = minmax_rescale(vol)
-        vol = clahe_slicewise(vol, clahe)
-
-    if use_zscore:
-        vol = zscore_normalize(vol, mask=mask)
-
-    _write_volume(args.out, vol, args.dry_run)
-    print(f"preprocess ok in={args.input} out={args.out} "
-          f"otsu={int(use_otsu)} stretch={int(bool(use_stretch))} "
-          f"clahe={int(use_clahe)} zscore={int(use_zscore)}")
-    return 0
+def _setting(args, cfg: dict, flag: str, key: str, kind: type, default=None):
+    """The value of flag ``flag`` if given, else config ``key``, else ``default``."""
+    value = getattr(args, flag, None)
+    return value if value is not None else get_typed(cfg, key, kind, default)
 
 
 def _given(**kwargs) -> dict:
@@ -184,17 +135,71 @@ def _given(**kwargs) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# preprocess
+
+
+def _cmd_preprocess(args, cfg: dict) -> int:
+    use_otsu = _setting(args, cfg, "otsu", "preprocess.otsu", bool, False)
+    p_low = _setting(args, cfg, "stretch_low", "preprocess.stretch.p_low", float)
+    p_high = _setting(args, cfg, "stretch_high", "preprocess.stretch.p_high", float)
+    stretch = None
+    if args.stretch or p_low is not None or p_high is not None:
+        stretch = StretchConfig(**_given(p_low=p_low, p_high=p_high))
+    clahe = None
+    if _setting(args, cfg, "clahe", "preprocess.clahe.enabled", bool, False):
+        given = _given(
+            tiles=_setting(args, cfg, "clahe_tiles", "preprocess.clahe.tiles", tuple),
+            clip_limit=_setting(args, cfg, "clahe_clip", "preprocess.clahe.clip", float),
+            bins=_setting(args, cfg, "clahe_bins", "preprocess.clahe.bins", int))
+        try:
+            clahe = ClaheConfig(**given)
+        except ConfigError as exc:
+            # ClaheConfig names the field first, e.g. "tiles must be ..."
+            raise ConfigError(f"preprocess.clahe.{exc}") from exc
+    use_zscore = _setting(args, cfg, "zscore", "preprocess.zscore", bool, False)
+
+    vol = _load_volume(args.input)
+
+    mask = None
+    if use_otsu:
+        mask = otsu_mask(vol if args.mask_from is None else
+                         _load_on_grid(args.mask_from, args.input, vol)).mask
+        vol = apply_mask(vol, mask)  # the unmasked input is freed here
+
+    if stretch is not None:
+        vol = percentile_stretch(vol, stretch, mask=mask)
+
+    if clahe is not None:
+        if vol.data.min() < 0 or vol.data.max() > 1:
+            vol = minmax_rescale(vol)
+        vol = clahe_slicewise(vol, clahe)
+
+    if use_zscore:
+        vol = zscore_normalize(vol, mask=mask)
+
+    _write_volume(args.out, vol, args.dry_run)
+    print(f"preprocess ok in={args.input} out={args.out} "
+          f"otsu={int(use_otsu)} stretch={int(stretch is not None)} "
+          f"clahe={int(clahe is not None)} zscore={int(use_zscore)}")
+    return 0
+
+
+# ---------------------------------------------------------------------------
 # softlabel
 
 
-def _cmd_softlabel(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    name = args.profile or get_typed(cfg, "softlabel.profile", str, "soft2")
+def _cmd_softlabel(args, cfg: dict) -> int:
+    name = _setting(args, cfg, "profile", "softlabel.profile", str, "soft2")
     base = SOFT_PROFILES.get(name)
     if base is None:
         raise ValidationError(f"unknown soft profile {name!r}; "
                               f"choose from {sorted(SOFT_PROFILES)}")
-    profile = _soft_profile_with_overrides(base, cfg)
+    # per-class config overrides such as softlabel.lesion_gm.weight
+    profile = SoftProfile(
+        {c: get_typed(cfg, f"softlabel.{CLASS_NAMES[c]}.weight", float, w)
+         for c, w in base.weights.items()},
+        {c: get_typed(cfg, f"softlabel.{CLASS_NAMES[c]}.kernel", int, k)
+         for c, k in base.kernels.items()})
     labels = _load_volume(args.input, labels=True)
     soft = soften(labels, profile)
     for cid in FOREGROUND_CLASSES:
@@ -205,38 +210,24 @@ def _cmd_softlabel(args) -> int:
     return 0
 
 
-def _soft_profile_with_overrides(base, cfg):
-    """Apply per-class config overrides like softlabel.lesion_gm.weight."""
-    weights = dict(base.weights)
-    kernels = dict(base.kernels)
-    touched = False
-    for cid in FOREGROUND_CLASSES:
-        wkey = f"softlabel.{CLASS_NAMES[cid]}.weight"
-        kkey = f"softlabel.{CLASS_NAMES[cid]}.kernel"
-        if wkey in cfg:
-            weights[cid] = get_typed(cfg, wkey, float, None)
-            touched = True
-        if kkey in cfg:
-            kernels[cid] = get_typed(cfg, kkey, int, None)
-            touched = True
-    if not touched:
-        return base
-    return SoftProfile(weights=weights, kernels=kernels, name=f"{base.name}+custom")
-
-
 # ---------------------------------------------------------------------------
 # regions
 
 
-def _cmd_regions(args) -> int:
-    if args.mode == "split":
-        needed = {"input": "INPUT", "out_dir": "--out-dir"}
-    else:
-        needed = {"wm": "--wm", "gm": "--gm", "lesion": "--lesion", "out": "--out"}
+def _merge_thresholds(args, cfg: dict) -> tuple[float, float]:
+    """The merge thresholds from flags or config, checked before any read."""
+    pair = tuple(_setting(args, cfg, name, f"merge.{name}", float, 0.5)
+                 for name in ("tissue_thresh", "lesion_thresh"))
+    check_thresholds(*pair)
+    return pair
+
+
+def _cmd_regions(args, cfg: dict) -> int:
+    needed = ({"input": "INPUT", "out_dir": "--out-dir"} if args.mode == "split" else
+              {"wm": "--wm", "gm": "--gm", "lesion": "--lesion", "out": "--out"})
     missing = [flag for dest, flag in needed.items() if getattr(args, dest) is None]
     if missing:
         raise ValidationError(f"regions {args.mode} needs {' and '.join(missing)}")
-    cfg = load_config(args.config) if args.config else {}
     if args.mode == "split":
         labels = _load_volume(args.input, labels=True)
         stack = to_regions(labels)
@@ -246,10 +237,7 @@ def _cmd_regions(args) -> int:
         print(f"regions split ok in={args.input} out_dir={args.out_dir}")
         return 0
 
-    tissue_thresh = args.tissue_thresh if args.tissue_thresh is not None else \
-        get_typed(cfg, "merge.tissue_thresh", float, 0.5)
-    lesion_thresh = args.lesion_thresh if args.lesion_thresh is not None else \
-        get_typed(cfg, "merge.lesion_thresh", float, 0.5)
+    tissue_thresh, lesion_thresh = _merge_thresholds(args, cfg)
     wm = _load_volume(args.wm)
     gm = _load_on_grid(args.gm, args.wm, wm)
     lesion = _load_on_grid(args.lesion, args.wm, wm)
@@ -267,10 +255,7 @@ def _cmd_regions(args) -> int:
 
 def _nifti_stem(name: str) -> str:
     """``name`` without its .nii.gz or .nii suffix (unchanged if it has neither)."""
-    for suffix in (".nii.gz", ".nii"):
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return name
+    return re.sub(r"\.nii(\.gz)?\Z", "", name)
 
 
 def _slice_index_from_name(name: str) -> int:
@@ -322,11 +307,8 @@ def _predictor_command(text: str) -> list[str]:
     return command
 
 
-def _cmd_stack(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    tissue_thresh = get_typed(cfg, "merge.tissue_thresh", float, 0.5)
-    lesion_thresh = get_typed(cfg, "merge.lesion_thresh", float, 0.5)
-    check_thresholds(tissue_thresh, lesion_thresh)  # before the costly prediction
+def _cmd_stack(args, cfg: dict) -> int:
+    tissue_thresh, lesion_thresh = _merge_thresholds(args, cfg)
 
     if args.predictor:
         # every predictor flag is checked before any input is read
@@ -418,7 +400,8 @@ def _nifti_stems(path: str) -> dict[str, str]:
     return out
 
 
-def _cmd_evaluate_batch(args) -> int:
+def _batch_reports(args) -> tuple[list, dict]:
+    """The reports of every volume both folders hold, and their JSON document."""
     preds = _nifti_stems(args.pred)
     gts = _nifti_stems(args.gt)
     stems = sorted(set(preds) & set(gts))
@@ -435,29 +418,25 @@ def _cmd_evaluate_batch(args) -> int:
                 from exc
 
     reports = thread_map(score, stems, args.threads)
+    return reports, {"volumes": [r.to_json_dict() for r in reports],
+                     "aggregate": fold_aggregate(reports).to_json_dict()}
 
-    agg = fold_aggregate(reports)
+
+def _cmd_evaluate(args, cfg: dict) -> int:
+    batch = os.path.isdir(args.pred) and os.path.isdir(args.gt)
+    if batch:
+        reports, doc = _batch_reports(args)
+    else:
+        report = _evaluate_one(args.pred, args.gt, args.volume_id or os.path.basename(args.pred))
+        reports, doc = [report], report.to_json_dict()
+    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if args.json:
+        _write_atomic(args.json, payload.encode(), args.dry_run)
     if args.csv:
         _write_atomic(args.csv, report_to_csv(reports).encode(), args.dry_run)
-    if args.json:
-        doc = {"volumes": [r.to_json_dict() for r in reports],
-               "aggregate": agg.to_json_dict()}
-        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        _write_atomic(args.json, payload.encode(), args.dry_run)
-    print(f"evaluate ok batch={len(reports)} pred_dir={args.pred}")
-    return 0
-
-
-def _cmd_evaluate(args) -> int:
-    if os.path.isdir(args.pred) and os.path.isdir(args.gt):
-        return _cmd_evaluate_batch(args)
-    volume_id = args.volume_id or os.path.basename(args.pred)
-    report = _evaluate_one(args.pred, args.gt, volume_id)
-    payload = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    if args.json:
-        _write_atomic(args.json, payload.encode(), args.dry_run)
-    if args.csv:
-        _write_atomic(args.csv, report_to_csv([report]).encode(), args.dry_run)
+    if batch:
+        print(f"evaluate ok batch={len(reports)} pred_dir={args.pred}")
+        return 0
     if not args.json and not args.csv:
         sys.stdout.write(payload)
     print(f"evaluate ok pred={args.pred} scope={report.evaluated_slices} "
@@ -470,12 +449,11 @@ def _cmd_evaluate(args) -> int:
 # phantom
 
 
-def _cmd_phantom(args) -> int:
+def _cmd_phantom(args, cfg: dict) -> int:
     mag, phs, labels = generate(PhantomConfig.fitted(args.dims, seed=args.seed))
     out = args.out_dir
-    _write_volume(os.path.join(out, "magnitude.nii.gz"), mag, args.dry_run)
-    _write_volume(os.path.join(out, "phase.nii.gz"), phs, args.dry_run)
-    _write_volume(os.path.join(out, "labels.nii.gz"), labels, args.dry_run)
+    for name, vol in (("magnitude", mag), ("phase", phs), ("labels", labels)):
+        _write_volume(os.path.join(out, f"{name}.nii.gz"), vol, args.dry_run)
 
     z_idx = list(range(0, labels.dims[2], args.annotate_every))
     ann = SparseAnnotation(f"phantom-{args.seed}", z_idx, labels.data[:, :, z_idx])
@@ -492,39 +470,43 @@ def _cmd_phantom(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cordpipe",
         description="Sparse-to-dense spinal cord segmentation pipeline tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    dry_run = argparse.ArgumentParser(add_help=False)
+    dry_run.add_argument("--dry-run", action="store_true")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config")
 
-    p = sub.add_parser("preprocess", help="mask, stretch, CLAHE and normalize a volume")
+    p = sub.add_parser("preprocess", parents=[config, dry_run],
+                       help="mask, stretch, CLAHE and normalize a volume")
     p.add_argument("input")
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.add_argument("--otsu", action="store_true", default=None)
     p.add_argument("--mask-from", help="compute the Otsu mask from this magnitude volume")
     p.add_argument("--stretch", action="store_true")
     p.add_argument("--stretch-low", type=float)
     p.add_argument("--stretch-high", type=float)
-    p.add_argument("--clahe", action="store_true")
+    p.add_argument("--clahe", action="store_true", default=None)
     p.add_argument("--clahe-tiles", type=int, nargs=2, metavar=("TX", "TY"))
     p.add_argument("--clahe-clip", type=float)
     p.add_argument("--clahe-bins", type=int)
-    p.add_argument("--zscore", action="store_true")
-    p.add_argument("--dry-run", action="store_true")
+    p.add_argument("--zscore", action="store_true", default=None)
     p.set_defaults(func=_cmd_preprocess)
 
-    p = sub.add_parser("softlabel", help="generate boundary-uncertainty soft targets")
+    p = sub.add_parser("softlabel", parents=[config, dry_run],
+                       help="generate boundary-uncertainty soft targets")
     p.add_argument("input")
     p.add_argument("--profile", help="soft1|soft2|soft3 (default from config or soft2)")
-    p.add_argument("--config")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=_cmd_softlabel)
 
-    p = sub.add_parser("regions", help="split labels into regions or merge regions back")
+    p = sub.add_parser("regions", parents=[config, dry_run],
+                       help="split labels into regions or merge regions back")
     p.add_argument("mode", choices=["split", "merge"])
     p.add_argument("input", nargs="?")
     p.add_argument("--out-dir")
@@ -534,11 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--tissue-thresh", type=float)
     p.add_argument("--lesion-thresh", type=float)
-    p.add_argument("--config")
-    p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=_cmd_regions)
 
-    p = sub.add_parser("stack", help="assemble per-slice predictions into dense labels")
+    p = sub.add_parser("stack", parents=[config, dry_run],
+                       help="assemble per-slice predictions into dense labels")
     p.add_argument("slice_dirs", nargs="*",
                    help="directories of per-slice 3-channel NIfTIs; several = ensemble")
     p.add_argument("--predictor", help="'mock' or 'cmd:<command...>'")
@@ -548,11 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tta", action="store_true")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=_cmd_stack)
 
-    p = sub.add_parser("evaluate", help="score predictions against ground truth")
+    p = sub.add_parser("evaluate", parents=[dry_run],
+                       help="score predictions against ground truth")
     p.add_argument("pred", help="labels NIfTI, or a directory for batch mode")
     p.add_argument("gt", help="dense labels NIfTI, sparse sidecar JSON, or a "
                                "directory matching pred by file name")
@@ -560,29 +540,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
     p.add_argument("--json")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("phantom", help="generate a synthetic cord phantom triplet")
+    p = sub.add_parser("phantom", parents=[dry_run],
+                       help="generate a synthetic cord phantom triplet")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dims", type=int, nargs=3, default=[64, 64, 64])
+    p.add_argument("--dims", type=int, nargs=3, default=(64, 64, 64))
     p.add_argument("--annotate-every", type=int, default=8)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=_cmd_phantom)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         for name in ("threads", "annotate_every"):  # counts, checked before any file
             if getattr(args, name, 1) < 1:
                 raise ValidationError(f"--{name.replace('_', '-')} must be at least 1, "
                                       f"got {getattr(args, name)}")
-        return args.func(args)
+        config = getattr(args, "config", None)
+        return args.func(args, load_config(_read_file(config), config) if config else {})
     except (FormatError, OSError) as exc:
         path = (getattr(exc, "path", None) or getattr(exc, "filename", None)
                 or getattr(args, "input", None) or getattr(args, "pred", None))

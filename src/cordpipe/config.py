@@ -58,9 +58,8 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def load_config(path: str) -> dict:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def load_config(raw: bytes, path: str) -> dict:
+    """Parse the bytes read from config file ``path``."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -493,10 +493,7 @@ def gzip_nifti(raw: bytes) -> bytes:
       to 10.22 MB (+11.6% and +19.2%), but gzip in 7-9 instead of
       122-131 ms and read back in 7-9 instead of 69-79 ms.
 
-    The stream decodes to ``raw`` exactly. Earlier versions compressed at
-    level 9, then 6, then 1 with the default strategy throughout, then
-    took ``Z_RLE`` for every noisy payload, so their ``.nii.gz`` bytes
-    differ from these while the decoded NIfTI bytes are the same.
+    The stream decodes to ``raw`` exactly.
     """
     deflate = _deflater(*_deflate_strategy(raw))
     trailer = struct.pack("<II", zlib.crc32(raw), len(raw) & 0xFFFFFFFF)

@@ -123,16 +123,21 @@ def otsu_mask(mag: ScalarVolume) -> OtsuResult:
     return OtsuResult(threshold=threshold, mask=mask, histogram=hist)
 
 
+def _checked_mask(mask, vol: ScalarVolume) -> np.ndarray:
+    """``mask`` as an array, which must have the dims of ``vol``."""
+    mask = np.asarray(mask)
+    if mask.shape != vol.dims:
+        raise DimensionError(f"mask shape {mask.shape} != volume dims {vol.dims}")
+    return mask
+
+
 def apply_mask(vol: ScalarVolume, mask: np.ndarray) -> ScalarVolume:
     """Set masked-out voxels to 0.0, leaving the rest untouched.
 
     The same (magnitude-derived) mask is meant to be applied to both
     channels so that background is uniform in each.
     """
-    mask = np.asarray(mask)
-    if mask.shape != vol.dims:
-        raise DimensionError(f"mask shape {mask.shape} != volume dims {vol.dims}")
-    out = np.where(mask > 0, vol.data, np.float32(0.0))
+    out = np.where(_checked_mask(mask, vol) > 0, vol.data, np.float32(0.0))
     return ScalarVolume(out, vol.spacing)
 
 
@@ -282,11 +287,8 @@ def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),
     if mask is None:
         scope = data.ravel(order="K")
     else:
-        mask = np.asarray(mask)
-        if mask.shape != data.shape:
-            raise DimensionError(f"mask shape {mask.shape} != volume dims {vol.dims}")
         # the iterator's views of both, with their axes in one memory order
-        data_k, mask_k = np.nditer([data, mask], order="K").itviews
+        data_k, mask_k = np.nditer([data, _checked_mask(mask, vol)], order="K").itviews
         scope = data_k.ravel()[mask_k.ravel() > 0]
     if scope.size == 0:
         raise ValidationError("percentile scope is empty")
@@ -311,7 +313,7 @@ def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),
 
 def zscore_normalize(vol: ScalarVolume, mask: np.ndarray | None = None) -> ScalarVolume:
     """Shift and scale so the (masked) scope has mean 0 and stddev 1."""
-    scope = vol.data if mask is None else vol.data[np.asarray(mask) > 0]
+    scope = vol.data if mask is None else vol.data[_checked_mask(mask, vol) > 0]
     if scope.size < 2:
         raise ValidationError("normalization scope needs at least 2 voxels")
     mean = float(scope.astype(np.float64).mean())

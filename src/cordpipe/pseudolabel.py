@@ -40,17 +40,8 @@ import numpy as np
 
 from .errors import DimensionError, FormatError, ValidationError
 from .nifti import read_nifti, write_nifti
-from .regions import RegionStack, check_thresholds, merge_region_arrays
-from .volume import (
-    FOREGROUND_CLASSES,
-    HEALTHY_GM,
-    HEALTHY_WM,
-    LESION_GM,
-    LESION_WM,
-    LabelVolume,
-    ScalarVolume,
-    Spacing,
-)
+from .regions import REGION_CLASSES, RegionStack, check_thresholds, merge_region_arrays
+from .volume import FOREGROUND_CLASSES, LabelVolume, ScalarVolume, Spacing
 from .metrics import inter_slice_dice
 
 FLIP_NAMES = ("identity", "flip-x", "flip-y", "flip-xy")
@@ -129,9 +120,8 @@ class MockPredictor(SlicePredictor):
         if not np.isfinite(list(self.centers.values())).all():
             raise ValidationError("mock predictor centers must be finite")
         # Row i maps the i-th smallest class id to its (wm, gm, lesion) values.
-        self._regions = np.array(
-            [(c in (HEALTHY_WM, LESION_WM), c in (HEALTHY_GM, LESION_GM),
-              c in (LESION_WM, LESION_GM)) for c in sorted(self.centers)], np.float32)
+        self._regions = np.array([[c in pair for pair in REGION_CLASSES]
+                                  for c in sorted(self.centers)], np.float32)
 
     @classmethod
     def fit(cls, magnitude: ScalarVolume, phase: ScalarVolume,

@@ -20,6 +20,11 @@ from .volume import (
 )
 
 
+# The two class ids each region channel covers, in channel order: wm, gm
+# and lesion.
+REGION_CLASSES = ((HEALTHY_WM, LESION_WM), (HEALTHY_GM, LESION_GM), (LESION_WM, LESION_GM))
+
+
 @dataclass(eq=False)
 class RegionStack:
     """Three probability grids of equal shape: wm, gm and all-lesions.
@@ -61,8 +66,8 @@ def to_regions(labels: LabelVolume | np.ndarray) -> RegionStack:
     two id comparisons, so a plane in any integer dtype works alike.
     """
     data = labels.data if isinstance(labels, LabelVolume) else np.asarray(labels)
-    wm, gm, lesion = (((data == a) | (data == b)).astype(np.float32) for a, b in (
-        (HEALTHY_WM, LESION_WM), (HEALTHY_GM, LESION_GM), (LESION_WM, LESION_GM)))
+    wm, gm, lesion = (((data == a) | (data == b)).astype(np.float32)
+                      for a, b in REGION_CLASSES)
     return RegionStack(wm, gm, lesion)
 
 

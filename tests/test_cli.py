@@ -896,3 +896,151 @@ def test_regions_names_a_missing_flag_before_reading(grids, tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("cordpipe-error kind=ValidationError")
     assert flag in err[0]
     assert not (tmp_path / "o.nii").exists() and not (tmp_path / "regions").exists()
+
+
+# ---------------------------------------------------------------------------
+# CLI paths pinned to the library calls they run
+
+
+def _preprocess_input(tmp_path):
+    """A 16x16x3 volume in [2, 150): a bright square on a dim background."""
+    rng = np.random.default_rng(11)
+    data = np.full((16, 16, 3), 2.0, np.float32)
+    data[4:12, 4:12, :] = 50 + 100 * rng.random((8, 8, 3), dtype=np.float32)
+    vol = ScalarVolume(data, ISO)
+    return vol, _write(tmp_path / "in.nii", vol)
+
+
+def test_preprocess_clahe_rescales_intensities_outside_the_unit_range(tmp_path, capsys):
+    from cordpipe import ClaheConfig, clahe_slicewise, minmax_rescale
+    vol, in_path = _preprocess_input(tmp_path)
+    assert vol.data.max() > 1
+    out = tmp_path / "o.nii"
+    assert main(["preprocess", in_path, "--clahe", "--out", str(out)]) == 0
+    want = clahe_slicewise(minmax_rescale(vol), ClaheConfig())
+    assert out.read_bytes() == write_nifti(want)
+    assert capsys.readouterr().out == (f"preprocess ok in={in_path} out={out} "
+                                       "otsu=0 stretch=0 clahe=1 zscore=0\n")
+
+
+@pytest.mark.parametrize("otsu", [False, True], ids=["whole", "otsu"])
+def test_preprocess_zscore_matches_the_library(tmp_path, capsys, otsu):
+    from cordpipe import apply_mask, otsu_mask, zscore_normalize
+    vol, in_path = _preprocess_input(tmp_path)
+    out = tmp_path / "o.nii"
+    assert main(["preprocess", in_path, "--zscore", "--out", str(out)]
+                + ["--otsu"] * otsu) == 0
+    if otsu:
+        mask = otsu_mask(vol).mask
+        want = zscore_normalize(apply_mask(vol, mask), mask=mask)
+    else:
+        want = zscore_normalize(vol)
+    assert out.read_bytes() == write_nifti(want)
+    assert capsys.readouterr().out == (f"preprocess ok in={in_path} out={out} "
+                                       f"otsu={int(otsu)} stretch=0 clahe=0 zscore=1\n")
+
+
+def test_softlabel_kernel_override_from_config(phantom_dir, tmp_path, capsys):
+    from cordpipe import SoftProfile, soften
+    from cordpipe.softlabel import SOFT2
+    cfg = tmp_path / "soft.cfg"
+    cfg.write_text("softlabel.healthy_wm.kernel = 5\n")
+    labels_path = phantom_dir / "labels.nii.gz"
+    out = tmp_path / "soft"
+    assert main(["softlabel", str(labels_path), "--config", str(cfg),
+                 "--out-dir", str(out)]) == 0
+    labels = _read_labels(labels_path)
+    soft = soften(labels, SoftProfile(dict(SOFT2.weights), {**SOFT2.kernels, 1: 5}))
+    changed = False
+    for cid, name in ((1, "healthy_wm"), (2, "healthy_gm"), (3, "lesion_wm"), (4, "lesion_gm")):
+        want = gzip_nifti(write_nifti(ScalarVolume(soft.class_channel(cid), labels.spacing)))
+        assert (out / f"soft_{name}.nii.gz").read_bytes() == want, name
+        changed |= not np.array_equal(soft.class_channel(cid),
+                                      soften(labels, SOFT2).class_channel(cid))
+    assert changed
+    assert capsys.readouterr().out == (f"softlabel ok in={labels_path} profile=soft2 "
+                                       f"out_dir={out}\n")
+
+
+def test_evaluate_without_json_or_csv_prints_the_report(phantom_dir, tmp_path, capsys):
+    from cordpipe import evaluate
+    labels_path = phantom_dir / "labels.nii.gz"
+    labels = _read_labels(labels_path)
+    pred_data = labels.data.copy()
+    pred_data[:, :, 3] = 0
+    pred_path = _write(tmp_path / "pred.nii", LabelVolume(pred_data, labels.spacing))
+    assert main(["evaluate", pred_path, str(labels_path)]) == 0
+    report = evaluate(LabelVolume(pred_data, labels.spacing), labels, volume_id="pred.nii")
+    payload = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == payload + (
+        f"evaluate ok pred={pred_path} scope={report.evaluated_slices} sparse=0 "
+        f"mean_dice={report.mean_dice:.6f}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ph", "pred.nii"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "stack needs slice directories or --predictor"),
+    (["--predictor", "mock", "--phase", "phase", "--fit-labels", "labels"],
+     "--predictor mode needs --input <magnitude.nii>"),
+], ids=["no-slice-dirs", "mock-no-input"])
+def test_stack_without_its_inputs_exits_1(grids, tmp_path, capsys, argv, message):
+    out = tmp_path / "o.nii"
+    assert main(["stack", *[grids.get(a, a) for a in argv], "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f'cordpipe-error kind=ValidationError msg="{message}"']
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Every setting is checked before any input is read
+
+
+@pytest.mark.parametrize("argv, cfg_text, kind, message", [
+    (["preprocess", "mag", "--stretch-low", "80", "--stretch-high", "20"], None,
+     "ConfigError", "p_low < p_high"),
+    (["preprocess", "mag", "--clahe", "--clahe-tiles", "0", "8"], None,
+     "ConfigError", "preprocess.clahe.tiles must be >= 1"),
+    (["preprocess", "mag", "--clahe"], "preprocess.clahe.clip = 2\n",
+     "ConfigError", "preprocess.clahe.clip_limit must be in (0, 1]"),
+    (["softlabel", "labels", "--out-dir", "soft"], "softlabel.lesion_wm.kernel = 4\n",
+     "ConfigError", "kernel size must be odd"),
+    (["regions", "merge", "--wm", "wm", "--gm", "gm", "--lesion", "lesion",
+      "--tissue-thresh", "1.5"], None, "ConfigError", "tissue_thresh must lie in [0, 1]"),
+], ids=["stretch-window", "clahe-tiles", "clahe-clip-config", "even-kernel", "merge-thresh"])
+def test_a_bad_setting_exits_1_before_any_volume_is_read(
+        grids, tmp_path, capsys, monkeypatch, argv, cfg_text, kind, message):
+    import cordpipe.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a volume was read before the settings were checked")
+
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setattr(cli, "_load_volume", must_not_run)
+    argv = [grids.get(a, a) for a in argv]
+    if cfg_text is not None:
+        (work / "bad.cfg").write_text(cfg_text)
+        argv += ["--config", "bad.cfg"]
+    if "--out-dir" not in argv:
+        argv += ["--out", "o.nii"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"cordpipe-error kind={kind} "), err
+    assert message in err[0]
+    assert sorted(p.name for p in work.iterdir()) == (["bad.cfg"] if cfg_text else [])
+
+
+@pytest.mark.parametrize("command", [
+    ["preprocess", "mag", "--out", "o.nii"],
+    ["softlabel", "labels", "--out-dir", "soft"],
+    ["regions", "merge", "--wm", "wm", "--gm", "gm", "--lesion", "lesion", "--out", "o.nii"],
+    ["stack", "--predictor", "mock", "--input", "mag", "--phase", "phase",
+     "--fit-labels", "labels", "--out", "o.nii"],
+], ids=["preprocess", "softlabel", "regions", "stack"])
+def test_a_missing_config_is_a_format_error_naming_it(grids, tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.cfg")
+    assert main([grids.get(a, a) for a in command] + ["--config", missing]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cordpipe-error kind=FormatError "), err
+    assert f"file={missing} " in err[0]

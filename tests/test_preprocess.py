@@ -456,3 +456,15 @@ def test_zscore_masked_scope():
 def test_zscore_constant_zero_variance():
     with pytest.raises(ZeroVarianceError):
         zscore_normalize(_vol(np.full((3, 3, 3), 2.0)))
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4), (4, 4, 4, 1)])
+@pytest.mark.parametrize("call", [
+    lambda vol, mask: apply_mask(vol, mask),
+    lambda vol, mask: percentile_stretch(vol, mask=mask),
+    lambda vol, mask: zscore_normalize(vol, mask=mask),
+], ids=["apply_mask", "percentile_stretch", "zscore_normalize"])
+def test_a_mask_of_another_shape_is_a_dimension_error(call, shape):
+    vol = _vol(np.arange(64, dtype=np.float32).reshape(4, 4, 4))
+    with pytest.raises(DimensionError, match=r"mask shape .* != volume dims \(4, 4, 4\)"):
+        call(vol, np.ones(shape, np.uint8))
