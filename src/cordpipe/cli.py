@@ -12,7 +12,6 @@ Errors print to stderr as single-line machine-parseable records.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import re
@@ -324,8 +323,6 @@ def _cmd_stack(args, cfg: dict) -> int:
             raise ValidationError("--predictor mode needs --input <magnitude.nii>")
         tta = None
         if args.tta:
-            if isinstance(cfg.get("tta.flips"), str):  # a single flip name
-                cfg["tta.flips"] = (cfg["tta.flips"],)
             tta = TtaConfig(**_given(transforms=get_typed(cfg, "tta.flips", tuple, None)))
         mag = _load_volume(args.input)
         phase = _load_on_grid(args.phase, args.input, mag) if args.phase else None
@@ -400,8 +397,19 @@ def _nifti_stems(path: str) -> dict[str, str]:
     return out
 
 
-def _batch_reports(args) -> tuple[list, dict]:
-    """The reports of every volume both folders hold, and their JSON document."""
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write_reports(args, reports: list, doc: dict) -> None:
+    """Write the JSON document and the CSV table that --json and --csv name."""
+    if args.json:
+        _write_atomic(args.json, _json_text(doc).encode(), args.dry_run)
+    if args.csv:
+        _write_atomic(args.csv, report_to_csv(reports).encode(), args.dry_run)
+
+
+def _cmd_evaluate_batch(args) -> int:
     preds = _nifti_stems(args.pred)
     gts = _nifti_stems(args.gt)
     stems = sorted(set(preds) & set(gts))
@@ -418,27 +426,20 @@ def _batch_reports(args) -> tuple[list, dict]:
                 from exc
 
     reports = thread_map(score, stems, args.threads)
-    return reports, {"volumes": [r.to_json_dict() for r in reports],
-                     "aggregate": fold_aggregate(reports).to_json_dict()}
+    _write_reports(args, reports, {"volumes": [r.to_json_dict() for r in reports],
+                                   "aggregate": fold_aggregate(reports).to_json_dict()})
+    print(f"evaluate ok batch={len(reports)} pred_dir={args.pred}")
+    return 0
 
 
 def _cmd_evaluate(args, cfg: dict) -> int:
-    batch = os.path.isdir(args.pred) and os.path.isdir(args.gt)
-    if batch:
-        reports, doc = _batch_reports(args)
-    else:
-        report = _evaluate_one(args.pred, args.gt, args.volume_id or os.path.basename(args.pred))
-        reports, doc = [report], report.to_json_dict()
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.json:
-        _write_atomic(args.json, payload.encode(), args.dry_run)
-    if args.csv:
-        _write_atomic(args.csv, report_to_csv(reports).encode(), args.dry_run)
-    if batch:
-        print(f"evaluate ok batch={len(reports)} pred_dir={args.pred}")
-        return 0
+    if os.path.isdir(args.pred) and os.path.isdir(args.gt):
+        return _cmd_evaluate_batch(args)
+    report = _evaluate_one(args.pred, args.gt, args.volume_id or os.path.basename(args.pred))
+    doc = report.to_json_dict()
+    _write_reports(args, [report], doc)
     if not args.json and not args.csv:
-        sys.stdout.write(payload)
+        sys.stdout.write(_json_text(doc))
     print(f"evaluate ok pred={args.pred} scope={report.evaluated_slices} "
           f"sparse={int(report.sparse_gt)} "
           f"mean_dice={'' if report.mean_dice is None else format(report.mean_dice, '.6f')}")
@@ -470,7 +471,6 @@ def _cmd_phantom(args, cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cordpipe",
@@ -545,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phantom", parents=[dry_run],
                        help="generate a synthetic cord phantom triplet")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dims", type=int, nargs=3, default=(64, 64, 64))
+    p.add_argument("--dims", type=int, nargs=3, default=[64, 64, 64])
     p.add_argument("--annotate-every", type=int, default=8)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_phantom)
@@ -561,7 +561,8 @@ def main(argv=None) -> int:
                 raise ValidationError(f"--{name.replace('_', '-')} must be at least 1, "
                                       f"got {getattr(args, name)}")
         config = getattr(args, "config", None)
-        return args.func(args, load_config(_read_file(config), config) if config else {})
+        cfg = load_config(_read_file(config), config) if config else {}
+        return args.func(args, cfg)
     except (FormatError, OSError) as exc:
         path = (getattr(exc, "path", None) or getattr(exc, "filename", None)
                 or getattr(args, "input", None) or getattr(args, "pred", None))

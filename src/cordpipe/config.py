@@ -74,6 +74,8 @@ def get_typed(cfg: dict, key: str, kind: type, default):
     val = cfg[key]
     if kind is float and type(val) is int:
         return float(val)
+    if kind is tuple and type(val) is not tuple:  # a list of one value
+        return (val,)
     if type(val) is not kind:
         expected = "true or false" if kind is bool else kind.__name__
         raise ConfigError(f"{key} must be {expected}, got {val!r}")

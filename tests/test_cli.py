@@ -24,6 +24,7 @@ from cordpipe import (
     write_sparse_annotation,
 )
 from cordpipe.cli import main
+from cordpipe.config import get_typed
 
 ISO = Spacing.isotropic()
 
@@ -612,6 +613,20 @@ def test_preprocess_malformed_clahe_tiles_exits_1(tmp_path, tiles, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "kind=ConfigError" in err and "preprocess.clahe.tiles" in err
+
+
+def test_a_list_key_given_one_value_reads_it_as_a_one_item_tuple(tmp_path, capsys):
+    assert get_typed({"tta.flips": "identity"}, "tta.flips", tuple, None) == ("identity",)
+    rng = np.random.default_rng(6)
+    in_path = _write(tmp_path / "in.nii",
+                     ScalarVolume(rng.random((8, 8, 2), dtype=np.float32), ISO))
+    cfg = tmp_path / "clahe.cfg"
+    cfg.write_text("preprocess.clahe.tiles = 8\n")
+    rc = main(["preprocess", in_path, "--out", str(tmp_path / "o.nii"),
+               "--clahe", "--config", str(cfg)])
+    assert rc == 1
+    assert 'msg="preprocess.clahe.tiles must be two integers, got (8,)"' in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["{bad", "[1, 2]",
