@@ -44,6 +44,11 @@ class AugProfile:
     name: str = ""
 
     def __post_init__(self):
+        # numpy's uniform draw rejects a range whose width is -0.0, so a
+        # -0.0 bound becomes 0.0 (adding 0.0 keeps every other value)
+        for name in ("translation_frac", "rotation_deg", "perspective"):
+            object.__setattr__(self, name, getattr(self, name) + 0.0)
+        object.__setattr__(self, "shear_deg", tuple(v + 0.0 for v in self.shear_deg))
         if not 0 <= self.translation_frac <= 1:
             raise ConfigError(f"translation_frac outside [0, 1]: {self.translation_frac}")
         if self.rotation_deg < 0:
@@ -128,17 +133,12 @@ def sample_transform(profile: AugProfile, seed: int | None = None,
                      plane_shape: tuple[int, int] | None = None) -> SampledTransform:
     """Draw one transform uniformly within the profile ranges.
 
-    A profile whose ranges are all zero (scale exactly 1) skips sampling
-    and returns an exact identity, whatever its name. ``plane_shape``
-    converts the translation fraction into voxels and normalizes the
-    perspective coefficients; it is required for any profile that uses
-    those parameters.
+    A profile whose ranges are all zero (scale exactly 1) draws zero
+    parameters and scale 1, whose matrix is exactly ``np.eye(3)``,
+    whatever its name. ``plane_shape`` converts the translation fraction
+    into voxels and normalizes the perspective coefficients; it is
+    required for any profile that uses those parameters.
     """
-    if (profile.translation_frac == 0 and profile.rotation_deg == 0
-            and profile.scale == (1.0, 1.0) and profile.shear_deg == (0.0, 0.0)
-            and profile.perspective == 0):
-        return SampledTransform(np.eye(3), (0.0, 0.0), 0.0, 1.0, 0.0, (0.0, 0.0), seed)
-
     rng = np.random.default_rng(seed)
     t = profile.translation_frac
     tx = rng.uniform(-t, t)

@@ -18,8 +18,6 @@ import re
 import sys
 import tempfile
 
-import numpy as np
-
 from .config import get_typed, load_config
 from .errors import ConfigError, FormatError, ValidationError
 from .metrics import evaluate, fold_aggregate, report_to_csv
@@ -47,6 +45,7 @@ from .pseudolabel import (
     MockPredictor,
     SubprocessPredictor,
     TtaConfig,
+    _region_planes,
     ensemble,
     predict_labels,
     stack_slices,
@@ -121,10 +120,36 @@ def _err_record(exc: Exception, path: str | None = None) -> str:
     return f'cordpipe-error kind={type(exc).__name__}{where} msg="{msg}"'
 
 
-def _setting(args, cfg: dict, flag: str, key: str, kind: type, default=None):
+# Every config key a subcommand reads, with its value type. A key that is
+# not here is a ConfigError; one read only by another subcommand, or by a
+# stage that is off, is not.
+_CONFIG_KEYS = {
+    "preprocess.otsu": bool,
+    "preprocess.stretch.p_low": float,
+    "preprocess.stretch.p_high": float,
+    "preprocess.clahe.enabled": bool,
+    "preprocess.clahe.tiles": tuple,
+    "preprocess.clahe.clip": float,
+    "preprocess.clahe.bins": int,
+    "preprocess.zscore": bool,
+    "softlabel.profile": str,
+    **{f"softlabel.{CLASS_NAMES[c]}.{part}": kind for c in FOREGROUND_CLASSES
+       for part, kind in (("weight", float), ("kernel", int))},
+    "merge.tissue_thresh": float,
+    "merge.lesion_thresh": float,
+    "tta.flips": tuple,
+}
+
+
+def _config(cfg: dict, key: str, default=None):
+    """Config ``key`` as the type ``_CONFIG_KEYS`` gives it, else ``default``."""
+    return get_typed(cfg, key, _CONFIG_KEYS[key], default)
+
+
+def _setting(args, cfg: dict, flag: str, key: str, default=None):
     """The value of flag ``flag`` if given, else config ``key``, else ``default``."""
     value = getattr(args, flag, None)
-    return value if value is not None else get_typed(cfg, key, kind, default)
+    return value if value is not None else _config(cfg, key, default)
 
 
 def _given(**kwargs) -> dict:
@@ -138,24 +163,26 @@ def _given(**kwargs) -> dict:
 
 
 def _cmd_preprocess(args, cfg: dict) -> int:
-    use_otsu = _setting(args, cfg, "otsu", "preprocess.otsu", bool, False)
-    p_low = _setting(args, cfg, "stretch_low", "preprocess.stretch.p_low", float)
-    p_high = _setting(args, cfg, "stretch_high", "preprocess.stretch.p_high", float)
+    use_otsu = _setting(args, cfg, "otsu", "preprocess.otsu", False)
+    p_low = _setting(args, cfg, "stretch_low", "preprocess.stretch.p_low")
+    p_high = _setting(args, cfg, "stretch_high", "preprocess.stretch.p_high")
     stretch = None
     if args.stretch or p_low is not None or p_high is not None:
         stretch = StretchConfig(**_given(p_low=p_low, p_high=p_high))
     clahe = None
-    if _setting(args, cfg, "clahe", "preprocess.clahe.enabled", bool, False):
-        given = _given(
-            tiles=_setting(args, cfg, "clahe_tiles", "preprocess.clahe.tiles", tuple),
-            clip_limit=_setting(args, cfg, "clahe_clip", "preprocess.clahe.clip", float),
-            bins=_setting(args, cfg, "clahe_bins", "preprocess.clahe.bins", int))
+    if _setting(args, cfg, "clahe", "preprocess.clahe.enabled", False):
+        given = _given(tiles=_setting(args, cfg, "clahe_tiles", "preprocess.clahe.tiles"),
+                       clip_limit=_setting(args, cfg, "clahe_clip", "preprocess.clahe.clip"),
+                       bins=_setting(args, cfg, "clahe_bins", "preprocess.clahe.bins"))
         try:
             clahe = ClaheConfig(**given)
         except ConfigError as exc:
-            # ClaheConfig names the field first, e.g. "tiles must be ..."
-            raise ConfigError(f"preprocess.clahe.{exc}") from exc
-    use_zscore = _setting(args, cfg, "zscore", "preprocess.zscore", bool, False)
+            # ClaheConfig names the field first, e.g. "tiles must be ...";
+            # the clip limit's setting is called clip
+            where = "; set by preprocess.clahe.clip or --clahe-clip" \
+                if str(exc).startswith("clip_limit") else ""
+            raise ConfigError(f"preprocess.clahe.{exc}{where}") from exc
+    use_zscore = _setting(args, cfg, "zscore", "preprocess.zscore", False)
 
     vol = _load_volume(args.input)
 
@@ -188,16 +215,16 @@ def _cmd_preprocess(args, cfg: dict) -> int:
 
 
 def _cmd_softlabel(args, cfg: dict) -> int:
-    name = _setting(args, cfg, "profile", "softlabel.profile", str, "soft2")
+    name = _setting(args, cfg, "profile", "softlabel.profile", "soft2")
     base = SOFT_PROFILES.get(name)
     if base is None:
         raise ValidationError(f"unknown soft profile {name!r}; "
                               f"choose from {sorted(SOFT_PROFILES)}")
     # per-class config overrides such as softlabel.lesion_gm.weight
     profile = SoftProfile(
-        {c: get_typed(cfg, f"softlabel.{CLASS_NAMES[c]}.weight", float, w)
+        {c: _config(cfg, f"softlabel.{CLASS_NAMES[c]}.weight", w)
          for c, w in base.weights.items()},
-        {c: get_typed(cfg, f"softlabel.{CLASS_NAMES[c]}.kernel", int, k)
+        {c: _config(cfg, f"softlabel.{CLASS_NAMES[c]}.kernel", k)
          for c, k in base.kernels.items()})
     labels = _load_volume(args.input, labels=True)
     soft = soften(labels, profile)
@@ -215,7 +242,7 @@ def _cmd_softlabel(args, cfg: dict) -> int:
 
 def _merge_thresholds(args, cfg: dict) -> tuple[float, float]:
     """The merge thresholds from flags or config, checked before any read."""
-    pair = tuple(_setting(args, cfg, name, f"merge.{name}", float, 0.5)
+    pair = tuple(_setting(args, cfg, name, f"merge.{name}", 0.5)
                  for name in ("tissue_thresh", "lesion_thresh"))
     check_thresholds(*pair)
     return pair
@@ -274,22 +301,22 @@ def _load_slice_dir(path: str) -> tuple[dict[int, RegionStack], tuple[int, int],
     first = None
     for name in names:
         z = _slice_index_from_name(name)
-        vol = _load_volume(os.path.join(path, name))
+        file = os.path.join(path, name)
+        vol = _load_volume(file)
         first = vol if first is None else first
         if vol.dims[:2] != first.dims[:2] or vol.spacing != first.spacing:
             raise ValidationError(
-                f"{os.path.join(path, name)}: plane dims {vol.dims[:2]} at spacing "
+                f"{file}: plane dims {vol.dims[:2]} at spacing "
                 f"{vol.spacing.as_tuple()} differ from {first.dims[:2]} at "
                 f"{first.spacing.as_tuple()} of {os.path.join(path, names[0])}"
             )
-        if vol.dims[2] != 3:
-            raise ValidationError(
-                f"{os.path.join(path, name)}: expected 3 probability planes, got {vol.dims[2]}"
-            )
+        try:
+            planes = _region_planes(vol)
+        except ValidationError as exc:
+            raise ValidationError(f"{file}: {exc}") from exc
         if z in out:
             raise ValidationError(f"duplicate slice index {z} in {path}")
-        probs = np.clip(vol.data, 0.0, 1.0)
-        out[z] = RegionStack(probs[:, :, 0], probs[:, :, 1], probs[:, :, 2])
+        out[z] = planes
     return out, first.dims[:2], first.spacing
 
 
@@ -323,7 +350,7 @@ def _cmd_stack(args, cfg: dict) -> int:
             raise ValidationError("--predictor mode needs --input <magnitude.nii>")
         tta = None
         if args.tta:
-            tta = TtaConfig(**_given(transforms=get_typed(cfg, "tta.flips", tuple, None)))
+            tta = TtaConfig(**_given(transforms=_config(cfg, "tta.flips")))
         mag = _load_volume(args.input)
         phase = _load_on_grid(args.phase, args.input, mag) if args.phase else None
         if args.predictor == "mock":
@@ -562,6 +589,9 @@ def main(argv=None) -> int:
                                       f"got {getattr(args, name)}")
         config = getattr(args, "config", None)
         cfg = load_config(_read_file(config), config) if config else {}
+        unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown config keys in {config}: {', '.join(unknown)}")
         return args.func(args, cfg)
     except (FormatError, OSError) as exc:
         path = (getattr(exc, "path", None) or getattr(exc, "filename", None)

@@ -37,10 +37,9 @@ from __future__ import annotations
 import csv
 import functools
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DimensionError, ValidationError
 from .nifti import SparseAnnotation
@@ -163,6 +162,9 @@ def _directed_distances(src_surface: np.ndarray, dst_surface: np.ndarray,
             if not idx.size:
                 return out
     # No dst surface within the shell: the exact transform over the box.
+    # scipy is imported only here, so the shell path never loads it.
+    from scipy import ndimage
+
     dist_to_dst = ndimage.distance_transform_edt(~dst_surface, sampling=sampling)
     out[pos] = dist_to_dst.ravel(order=order)[src_surface.ravel(order=order)][pos]
     return out
@@ -229,6 +231,10 @@ class ClassMetrics:
     present_in_pred: bool
 
 
+# The scores of ClassMetrics, each None where undefined: dice, hd95_mm, dscz.
+_SCORES = tuple(f.name for f in fields(ClassMetrics) if f.type == "float | None")
+
+
 @dataclass
 class MetricsReport:
     """Per-class metrics plus foreground means for one evaluated volume."""
@@ -251,12 +257,7 @@ class MetricsReport:
         }
         for cid, cm in sorted(self.per_class.items()):
             out["classes"][CLASS_NAMES[cid]] = {
-                "dice": cm.dice,
-                "hd95_mm": cm.hd95_mm,
-                "dscz": cm.dscz,
-                "present_in_gt": cm.present_in_gt,
-                "present_in_pred": cm.present_in_pred,
-            }
+                f.name: getattr(cm, f.name) for f in fields(cm) if f.name != "class_id"}
         return out
 
 
@@ -435,15 +436,10 @@ def fold_aggregate(reports: list[MetricsReport]) -> FoldAggregate:
     if not reports:
         raise ValidationError("cannot aggregate an empty report list")
     agg = FoldAggregate()
-    getters = {
-        "dice": lambda cm: cm.dice,
-        "hd95_mm": lambda cm: cm.hd95_mm,
-        "dscz": lambda cm: cm.dscz,
-    }
     for cid in FOREGROUND_CLASSES:
-        for metric, get in getters.items():
-            vals = [get(r.per_class[cid]) for r in reports
-                    if cid in r.per_class and get(r.per_class[cid]) is not None]
+        for metric in _SCORES:
+            vals = [getattr(r.per_class[cid], metric) for r in reports
+                    if cid in r.per_class and getattr(r.per_class[cid], metric) is not None]
             if not vals:
                 continue
             arr = np.asarray(vals, dtype=np.float64)

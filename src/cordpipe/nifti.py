@@ -58,13 +58,7 @@ from .errors import (
     UnsupportedDatatypeError,
     ValidationError,
 )
-from .volume import (
-    LESION_GM,
-    LabelVolume,
-    ScalarVolume,
-    Spacing,
-    _all_finite,
-)
+from .volume import LabelVolume, ScalarVolume, Spacing, _all_finite, _label_ids
 
 HEADER_SIZE = 348
 SINGLE_FILE_VOX_OFFSET = 352
@@ -525,13 +519,7 @@ class SparseAnnotation:
             raise SidecarError("z indices must be strictly increasing and unique")
         if any(z < 0 for z in self.z_indices):
             raise SidecarError("negative z index")
-        if not np.issubdtype(planes.dtype, np.integer):
-            raise ValidationError(f"label data must be integer, got dtype {planes.dtype}")
-        # Range-checked before the cast to uint8, so no id wraps into a class.
-        if planes.size and (planes.max() > LESION_GM
-                            or planes.dtype != np.uint8 and planes.min() < 0):
-            raise LabelRangeError("annotation plane contains an id outside 0..4")
-        self.planes = planes.astype(np.uint8, copy=False)
+        self.planes = _label_ids(planes, "annotation plane", LabelRangeError)
 
     def __len__(self) -> int:
         return len(self.z_indices)

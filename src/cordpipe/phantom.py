@@ -15,7 +15,7 @@ tissue bright, myelin dark).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -109,16 +109,18 @@ class PhantomConfig:
 
     @classmethod
     def fitted(cls, dims, seed: int = 0) -> "PhantomConfig":
-        """Default geometry scaled proportionally to the in-plane extent.
+        """The default geometry, every length times min(H, W) / 64.
 
         Very small planes (below roughly 32 voxels) shrink the lesions to
         sub-voxel radii and may drop the lesion classes entirely.
         """
         s = min(dims[0], dims[1]) / 64.0
-        butterfly = ButterflyShape(4.0 * s, 3.6 * s, 6.6 * s, 4.0 * s, 1.4 * s)
-        lesions = LesionModel(1, (2.2 * s, 2.8 * s), 1, (1.3 * s, 1.9 * s))
-        return cls(dims=tuple(int(d) for d in dims), cord_radius=12.0 * s,
-                   butterfly=butterfly, lesions=lesions, seed=seed)
+        base = cls()
+        les = base.lesions
+        return cls(dims=tuple(int(d) for d in dims), cord_radius=base.cord_radius * s,
+                   butterfly=ButterflyShape(*(v * s for v in astuple(base.butterfly))),
+                   lesions=replace(les, wm_radius=tuple(r * s for r in les.wm_radius),
+                                   gm_radius=tuple(r * s for r in les.gm_radius)), seed=seed)
 
 
 def _disk(xs, ys, cx, cy, r):

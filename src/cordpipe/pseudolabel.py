@@ -24,7 +24,8 @@ on the predictor's float32 channels without a copy.
 in float64 buffers of ``_BLOCK_VOXELS``, so its float64 distance grids
 are cache-sized scratch rather than per-chunk temporaries.
 :func:`stack_slices` assembles per-slice predictions read from disk
-(slice-dir ``stack``).
+(slice-dir ``stack``) into x-fastest volumes, with the plane loop of the
+default :meth:`SlicePredictor.predict_batch`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ from .regions import REGION_CLASSES, RegionStack, check_thresholds, merge_region
 from .volume import FOREGROUND_CLASSES, LabelVolume, ScalarVolume, Spacing
 from .metrics import inter_slice_dice
 
-FLIP_NAMES = ("identity", "flip-x", "flip-y", "flip-xy")
+# Each TTA flip as the steps of its (x, y) slices; every flip is its own inverse.
+_FLIP_STEPS = {"identity": (1, 1), "flip-x": (-1, 1), "flip-y": (1, -1), "flip-xy": (-1, -1)}
+FLIP_NAMES = tuple(_FLIP_STEPS)
 
 # Voxels per z-chunk of ``predict_volume`` and ``predict_labels``: 13
 # slices of a 192x208 plane. Per-chunk temporaries (float32 predictions,
@@ -87,16 +90,9 @@ class SlicePredictor(ABC):
         shape of every plane it returns.
         """
         h, w, n = magnitude.shape
-        out = [np.empty((h, w, n), np.float32, order="F") for _ in range(3)]
-        for z in range(n):
-            plane = self.predict(magnitude[:, :, z], None if phase is None else phase[:, :, z])
-            if plane.shape != (h, w):
-                raise DimensionError(
-                    f"predictor returned shape {plane.shape} for a slice, expected {(h, w)}"
-                )
-            for o, ch in zip(out, plane.channels()):
-                o[:, :, z] = ch
-        return RegionStack(*out)
+        return _stack_planes((self.predict(magnitude[:, :, z],
+                                           None if phase is None else phase[:, :, z])
+                              for z in range(n)), (h, w), n)
 
 
 class MockPredictor(SlicePredictor):
@@ -215,13 +211,8 @@ class TtaConfig:
 
 
 def _flip(plane: np.ndarray, name: str) -> np.ndarray:
-    if name == "identity":
-        return plane
-    if name == "flip-x":
-        return plane[::-1, :]
-    if name == "flip-y":
-        return plane[:, ::-1]
-    return plane[::-1, ::-1]
+    sx, sy = _FLIP_STEPS[name]
+    return plane[::sx, ::sy]
 
 
 def _tta(predictor: SlicePredictor, magnitude: np.ndarray,
@@ -300,18 +291,28 @@ def stack_slices(plane_stacks: dict[int, RegionStack], z_extent: int) -> RegionS
     first = plane_stacks[0]
     if first.wm.ndim != 2:
         raise DimensionError("stack_slices expects 2D per-slice region stacks")
-    h, w = first.shape
-    wm = np.empty((h, w, z_extent), dtype=np.float32)
-    gm = np.empty_like(wm)
-    lesion = np.empty_like(wm)
-    for z in range(z_extent):
-        s = plane_stacks[z]
-        if s.shape != (h, w):
-            raise DimensionError(f"slice {z} has shape {s.shape}, expected {(h, w)}")
-        wm[:, :, z] = s.wm
-        gm[:, :, z] = s.gm
-        lesion[:, :, z] = s.lesion
-    return RegionStack(wm, gm, lesion)
+    return _stack_planes((plane_stacks[z] for z in range(z_extent)), first.shape, z_extent)
+
+
+def _stack_planes(planes, plane_shape: tuple[int, int], n: int) -> RegionStack:
+    """The ``n`` region planes of ``planes``, in z order, as three x-fastest
+    float32 (H, W, n) volumes; a plane of another shape is a DimensionError."""
+    out = [np.empty(plane_shape + (n,), np.float32, order="F") for _ in range(3)]
+    for z, plane in enumerate(planes):
+        if plane.shape != plane_shape:
+            raise DimensionError(f"slice {z} has shape {plane.shape}, expected {plane_shape}")
+        for o, ch in zip(out, plane.channels()):
+            o[:, :, z] = ch
+    return RegionStack(*out)
+
+
+def _region_planes(vol: ScalarVolume) -> RegionStack:
+    """The wm, gm and lesion planes of an (H, W, 3) probability file,
+    clipped to [0, 1]."""
+    if vol.dims[2] != 3:
+        raise DimensionError(f"expected 3 probability planes, got {vol.dims[2]}")
+    probs = np.clip(vol.data, 0.0, 1.0)
+    return RegionStack(probs[:, :, 0], probs[:, :, 1], probs[:, :, 2])
 
 
 def thread_map(fn, items, threads: int | None) -> list:
@@ -446,9 +447,6 @@ class SubprocessPredictor(SlicePredictor):
                     out = read_nifti(fh.read())
             except FileNotFoundError:
                 raise FormatError("predictor command produced no output file")
-        if out.dims[:2] != mag.shape or out.dims[2] != 3:
-            raise DimensionError(
-                f"predictor output dims {out.dims}, expected {mag.shape + (3,)}"
-            )
-        probs = np.clip(out.data, 0.0, 1.0)
-        return RegionStack(probs[:, :, 0], probs[:, :, 1], probs[:, :, 2])
+        if out.dims[:2] != mag.shape:
+            raise DimensionError(f"predictor output planes {out.dims[:2]}, expected {mag.shape}")
+        return _region_planes(out)

@@ -52,6 +52,19 @@ def _all_finite(data: np.ndarray) -> bool:
     return all(np.isfinite(block).all() for block in blocks)
 
 
+def _label_ids(arr: np.ndarray, what: str, range_error: type = ValidationError) -> np.ndarray:
+    """Integer ``arr`` as uint8 class ids, range-checked before the cast
+    so no id wraps into a class; ``what`` names the data in the
+    ``range_error`` message."""
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValidationError(f"label data must be integer, got dtype {arr.dtype}")
+    low = int(arr.min()) if arr.size and arr.dtype != np.uint8 else 0
+    high = int(arr.max()) if arr.size else 0
+    if low < 0 or high > LESION_GM:
+        raise range_error(f"{what} contains id {low if low < 0 else high} outside 0..{LESION_GM}")
+    return arr.astype(np.uint8, copy=False)
+
+
 @dataclass(frozen=True)
 class Spacing:
     """Physical voxel size in millimeters along each axis."""
@@ -116,15 +129,7 @@ class LabelVolume:
         if arr.ndim != 3:
             raise DimensionError(f"label volume must be 3D, got shape {arr.shape}")
         _check_dims(arr.shape)
-        if arr.dtype != np.uint8 and not np.issubdtype(arr.dtype, np.integer):
-            raise ValidationError(f"label data must be integer, got dtype {arr.dtype}")
-        # Range-checked before the cast to uint8, so no id wraps into a class.
-        low = int(arr.min()) if arr.size and arr.dtype != np.uint8 else 0
-        high = int(arr.max()) if arr.size else 0
-        if low < 0 or high > LESION_GM:
-            raise ValidationError(
-                f"label volume contains id {low if low < 0 else high} outside 0..{LESION_GM}")
-        self.data = arr.astype(np.uint8, copy=False)
+        self.data = _label_ids(arr, "label volume")
 
     @property
     def dims(self) -> tuple[int, int, int]:

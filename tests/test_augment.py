@@ -334,3 +334,26 @@ def test_non_finite_source_reads_the_fill():
     assert (got_labels[non_finite] == 0).all()
     assert got.tobytes() == want.tobytes()
     assert got_labels.tobytes() == want_labels.tobytes()
+
+
+@pytest.mark.parametrize("seed", [None, 0, 5, 123, 2**40])
+@pytest.mark.parametrize("plane_shape", [None, PLANE])
+def test_zero_profile_draws_the_exact_identity(seed, plane_shape):
+    t = sample_transform(ZERO, seed=seed, plane_shape=plane_shape)
+    assert t.matrix.tobytes() == np.eye(3).tobytes()
+    record = (*t.translation, t.rotation_deg, t.scale, t.shear_deg, *t.perspective)
+    assert [(v, np.signbit(v)) for v in record] == \
+        [(0.0, False)] * 3 + [(1.0, False)] + [(0.0, False)] * 3
+    assert t.seed == seed
+
+
+def test_a_negative_zero_bound_draws_like_zero():
+    signed = AugProfile(-0.0, -0.0, (1.0, 1.0), (0.0, -0.0), -0.0)
+    assert sample_transform(signed, seed=5).matrix.tobytes() == np.eye(3).tobytes()
+    bounds = dict(translation_frac=0.1, rotation_deg=30.0, perspective=0.2)
+    for field in bounds:
+        plain = sample_transform(AugProfile(scale=(0.5, 2.0), shear_deg=(-5.0, 5.0),
+                                            **{**bounds, field: 0.0}), 7, PLANE)
+        signed = sample_transform(AugProfile(scale=(0.5, 2.0), shear_deg=(-5.0, 5.0),
+                                             **{**bounds, field: -0.0}), 7, PLANE)
+        assert signed.matrix.tobytes() == plain.matrix.tobytes(), field

@@ -1059,3 +1059,69 @@ def test_a_missing_config_is_a_format_error_naming_it(grids, tmp_path, capsys, c
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("cordpipe-error kind=FormatError "), err
     assert f"file={missing} " in err[0]
+
+
+# ---------------------------------------------------------------------------
+# Config keys no subcommand reads
+
+
+@pytest.mark.parametrize("command", [
+    ["preprocess", "mag", "--stretch", "--out", "o.nii"],
+    ["softlabel", "labels", "--out-dir", "soft"],
+    ["regions", "merge", "--wm", "wm", "--gm", "gm", "--lesion", "lesion", "--out", "o.nii"],
+    ["stack", "--predictor", "mock", "--input", "mag", "--phase", "phase",
+     "--fit-labels", "labels", "--out", "o.nii"],
+], ids=["preprocess", "softlabel", "regions", "stack"])
+def test_a_misspelt_config_key_exits_1_naming_it_before_any_read(
+        grids, tmp_path, capsys, monkeypatch, command):
+    import cordpipe.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a volume was read before the config keys were checked")
+
+    monkeypatch.setattr(cli, "_load_volume", must_not_run)
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("preprocess.stretch.p_high = 70\npreprocess.strech.p_low = 5\n")
+    out = tmp_path / "o.nii"
+    argv = [grids.get(a, a) for a in command] + ["--config", str(cfg)]
+    assert main([str(out) if a == "o.nii" else a for a in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cordpipe-error kind=ConfigError "), err
+    assert "preprocess.strech.p_low" in err[0] and str(cfg) in err[0]
+    assert "p_high" not in err[0]
+    assert not out.exists()
+
+
+def test_one_config_file_serves_every_subcommand(grids, tmp_path):
+    # keys another subcommand reads, and keys of a stage that is off, are
+    # not errors: the stretch-only preprocess equals the one without a config
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text("preprocess.clahe.tiles = 4,4\n"
+                   "preprocess.clahe.clip = 2\n"
+                   "softlabel.profile = soft3\n"
+                   "softlabel.lesion_gm.weight = 0.3\n"
+                   "merge.tissue_thresh = 0.4\n"
+                   "tta.flips = identity,flip-x\n")
+    plain, with_cfg = tmp_path / "plain.nii", tmp_path / "cfg.nii"
+    assert main(["preprocess", grids["mag"], "--stretch", "--out", str(plain)]) == 0
+    assert main(["preprocess", grids["mag"], "--stretch", "--config", str(cfg),
+                 "--out", str(with_cfg)]) == 0
+    assert with_cfg.read_bytes() == plain.read_bytes()
+    assert main(["stack", "--predictor", "mock", "--input", grids["mag"], "--phase",
+                 grids["phase"], "--fit-labels", grids["labels"], "--config", str(cfg),
+                 "--out", str(tmp_path / "pseudo.nii")]) == 0
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_a_bad_clahe_clip_names_its_setting(grids, tmp_path, capsys, source):
+    argv = ["preprocess", grids["mag"], "--clahe", "--out", str(tmp_path / "o.nii")]
+    if source == "config":
+        cfg = tmp_path / "clip.cfg"
+        cfg.write_text("preprocess.clahe.clip = 2\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--clahe-clip", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "kind=ConfigError" in err
+    assert "preprocess.clahe.clip or --clahe-clip" in err

@@ -698,3 +698,29 @@ def test_json_report_shape():
     assert doc["scope"]["evaluated_slices"] == 4
     assert doc["classes"]["healthy_gm"]["dice"] == 1.0
     assert doc["classes"]["lesion_wm"]["dice"] is None
+
+
+def test_scipy_loads_only_for_the_exact_transform_fallback():
+    # in a fresh interpreter: neither the CLI import nor a dense evaluate of
+    # a one-voxel jitter, whose surfaces all lie within the shell, loads it
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import cordpipe.cli\n"
+        "assert 'scipy.ndimage' not in sys.modules, 'import'\n"
+        "from cordpipe import PhantomConfig, evaluate, generate, perturb_slices\n"
+        "_, _, gt = generate(PhantomConfig.fitted((48, 48, 12), seed=3))\n"
+        "report = evaluate(perturb_slices(gt, max_shift=1, seed=4), gt)\n"
+        "assert report.mean_hd95 > 0\n"
+        "assert 'scipy.ndimage' not in sys.modules, 'evaluate'\n"
+    )
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -140,3 +140,10 @@ def test_oversized_butterfly_rejected():
 def test_cord_must_fit_in_plane():
     with pytest.raises(ValidationError):
         PhantomConfig(dims=(16, 16, 8), cord_radius=12.0)
+
+
+@pytest.mark.parametrize("depth", [1, 8, 64])
+def test_fitted_at_64_is_the_default_geometry(depth):
+    assert PhantomConfig.fitted((64, 64, depth)) == PhantomConfig(dims=(64, 64, depth))
+    assert PhantomConfig.fitted((64, 64, depth), seed=3) == \
+        PhantomConfig(dims=(64, 64, depth), seed=3)

@@ -540,3 +540,34 @@ def test_mock_fit_rejects_volumes_on_other_grids(which):
         labels = big_labels
     with pytest.raises(DimensionError):
         MockPredictor.fit(mag, phs, labels)
+
+
+def _assert_x_fastest_planes(vol, planes):
+    for ch, name in zip(vol.channels(), ("wm", "gm", "lesion")):
+        assert ch.dtype == np.float32 and ch.flags.f_contiguous
+        for z, plane in enumerate(planes):
+            assert np.array_equal(ch[:, :, z], getattr(plane, name))
+
+
+def test_stack_slices_and_default_predict_batch_give_x_fastest_planes():
+    rng = np.random.default_rng(90)
+    planes = [_random_stack(rng, (5, 3)) for _ in range(4)]
+    _assert_x_fastest_planes(stack_slices(dict(enumerate(planes)), 4), planes)
+
+    class Replay(SlicePredictor):
+        def __init__(self):
+            self.queue = list(planes)
+
+        def predict(self, magnitude, phase=None):
+            return self.queue.pop(0)
+
+    mag = rng.random((5, 3, 4), dtype=np.float32)
+    _assert_x_fastest_planes(Replay().predict_batch(mag, mag), planes)
+
+
+def test_a_wrong_shaped_plane_is_a_dimension_error_on_both_paths():
+    rng = np.random.default_rng(91)
+    with pytest.raises(DimensionError, match="slice 1 has shape"):
+        stack_slices({0: _random_stack(rng, (4, 4)), 1: _random_stack(rng, (4, 5))}, 2)
+    with pytest.raises(DimensionError, match="slice 0 has shape"):
+        WrongShapePredictor().predict_batch(np.zeros((5, 4, 2), np.float32))
