@@ -58,7 +58,7 @@ from .errors import (
     UnsupportedDatatypeError,
     ValidationError,
 )
-from .volume import LabelVolume, ScalarVolume, Spacing, _all_finite, _label_ids
+from .volume import LabelVolume, ScalarVolume, Spacing, _all_finite, _in_order, _label_ids
 
 HEADER_SIZE = 348
 SINGLE_FILE_VOX_OFFSET = 352
@@ -403,8 +403,9 @@ def write_nifti(vol, datatype: int | None = None) -> bytes:
 
     hdr = _pack_header(vol.dims, vol.spacing, datatype)
     little = payload.dtype.newbyteorder("<")
-    # ravel is a view of an x-fastest payload, so join makes the one copy
-    data = payload.astype(little, copy=False).ravel(order="F")
+    # ravel is a view of an x-fastest payload, so join makes the one copy;
+    # another layout is first copied in cache-sized slabs
+    data = _in_order(payload, "F", little).ravel(order="F")
     return b"".join((hdr, b"\x00\x00\x00\x00", data))  # no extensions
 
 

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DimensionError, FormatError, ValidationError
 from .nifti import read_nifti, write_nifti
 from .regions import REGION_CLASSES, RegionStack, check_thresholds, merge_region_arrays
-from .volume import FOREGROUND_CLASSES, LabelVolume, ScalarVolume, Spacing
+from .volume import FOREGROUND_CLASSES, LabelVolume, ScalarVolume, Spacing, _in_order
 from .metrics import inter_slice_dice
 
 # Each TTA flip as the steps of its (x, y) slices; every flip is its own inverse.
@@ -59,6 +59,10 @@ _CHUNK_VOXELS = 1 << 19
 # scratch (distances, running minimum, float64 buffers of both channels)
 # is then ~1.3 MB, which stays in a 4 MB L2 cache.
 _BLOCK_VOXELS = 1 << 15
+
+# Rows (axis 0) per slab of ``MockPredictor.fit``: a 16x208x64 slab of a
+# 192x208 plane is 0.85 MB of float32, copied to C order one at a time.
+_FIT_ROWS = 16
 
 # Seconds a ``SubprocessPredictor`` command may take for one slice.
 _PREDICT_TIMEOUT_S = 120.0
@@ -124,23 +128,40 @@ class MockPredictor(SlicePredictor):
             labels: LabelVolume) -> "MockPredictor":
         """Estimate per-class channel means from a labeled volume pair.
 
-        Each class is gathered from C-order copies of the labels and of
-        one intensity volume at a time. A boolean gather yields elements
-        in C order whatever the layout, so every float32 mean is that of
-        ``data[labels == c].mean()``, but reading contiguous memory.
+        Each center is ``data[labels == c].mean()`` of one channel, bit
+        for bit, without whole-volume temporaries. Labels and intensities
+        are walked in slabs of ``_FIT_ROWS`` rows along axis 0, each
+        copied to C order: a counting pass over the label slabs sizes one
+        float32 buffer per class, then, one channel at a time, every
+        slab appends each class's values to its buffer. A buffer then
+        holds the C-order sequence a boolean gather yields, and its
+        float32 ``mean()`` sums it in the same pairwise order.
         """
         if not magnitude.dims == phase.dims == labels.dims:
             raise DimensionError(f"fit dims differ: {magnitude.dims} {phase.dims} {labels.dims}")
-        ids = np.ascontiguousarray(labels.data).ravel()
-        centers = {cid: [] for cid in (0, *FOREGROUND_CLASSES)}
+        classes = (0, *FOREGROUND_CLASSES)
+        slabs = [slice(r, r + _FIT_ROWS) for r in range(0, labels.dims[0], _FIT_ROWS)]
+        sizes = [0] * len(classes)
+        for rows in slabs:
+            ids = _in_order(labels.data[rows], "C")
+            sizes = [n + np.count_nonzero(ids == cid) for n, cid in zip(sizes, classes)]
+        for cid, n in zip(classes, sizes):
+            if not n:
+                raise ValidationError(f"cannot fit centers: class {cid} absent")
+        centers = {cid: [] for cid in classes}
         for vol in (magnitude, phase):
-            flat = np.ascontiguousarray(vol.data).ravel()
-            for cid, means in centers.items():
-                sel = ids == cid
-                if not sel.any():
-                    raise ValidationError(f"cannot fit centers: class {cid} absent")
-                means.append(float(flat[sel].mean()))
-            del flat  # one intensity copy at a time
+            buffers = [np.empty(n, np.float32) for n in sizes]
+            ends = [0] * len(classes)
+            for rows in slabs:
+                ids = _in_order(labels.data[rows], "C")
+                values = _in_order(vol.data[rows], "C")
+                for i, cid in enumerate(classes):
+                    part = values[ids == cid]
+                    buffers[i][ends[i]:ends[i] + part.size] = part
+                    ends[i] += part.size
+            for means, buf in zip(centers.values(), buffers):
+                means.append(float(buf.mean()))
+            del buffers  # one channel's class buffers at a time
         return cls(centers)
 
     def predict(self, magnitude: np.ndarray,

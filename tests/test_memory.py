@@ -47,7 +47,7 @@ def peaks(tmp_path_factory):
 
 # Bytes per added voxel. One more whole-volume temporary adds 4 (float32)
 # or 8 (float64) and breaks a bound.
-@pytest.mark.parametrize("command, bound", [("preprocess", 14), ("stack", 21)])
+@pytest.mark.parametrize("command, bound", [("preprocess", 14), ("stack", 14)])
 def test_peak_bytes_per_added_voxel(peaks, command, bound):
     low, high = peaks[command]
     per_voxel = (high - low) / (PLANE[0] * PLANE[1] * (DEPTHS[1] - DEPTHS[0]))

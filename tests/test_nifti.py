@@ -38,7 +38,7 @@ from cordpipe.nifti import (
     parse_sidecar,
 )
 
-from oracles import deflate_stream, reference_nifti_header, stored_deflate
+from oracles import deflate_stream, laid_out, reference_nifti_header, stored_deflate
 
 ISO = Spacing.isotropic()
 
@@ -70,6 +70,16 @@ def test_write_bytes_independent_of_memory_layout(labels):
     raws = [write_nifti(make(data, ISO)) for data in layouts]
     assert raws[0] == raws[1] == raws[2]
     assert raws[0][HEADER_SIZE + 4:] == base.transpose().tobytes()  # x fastest on disk
+
+
+@pytest.mark.parametrize("source", [">f4", np.float64])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_write_bytes_independent_of_source_dtype(source, layout):
+    # 19 columns span three slabs of a C -> Fortran payload copy
+    base = np.random.default_rng(13).random((6, 19, 4), dtype=np.float32)
+    raw = write_nifti(ScalarVolume(laid_out(base.astype(source), layout), ISO))
+    assert raw == write_nifti(ScalarVolume(base, ISO))
+    assert raw[HEADER_SIZE + 4:] == base.transpose().tobytes()
 
 
 def test_header_fixture_is_stable():

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cordpipe import (
     LabelVolume,
@@ -307,12 +307,58 @@ def test_fit_centers_equal_masked_means_bit_for_bit(layouts):
     assert got == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(h=st.integers(1, 40), w=st.integers(1, 5), z=st.integers(5, 9),
+       rows=st.sampled_from([None, 1, 3]), layouts=st.tuples(*[st.sampled_from(LAYOUTS)] * 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(h=16, w=3, z=5, rows=None, layouts=("C", "F", "strided"), seed=1)
+@example(h=17, w=3, z=5, rows=None, layouts=("F", "F", "F"), seed=2)
+@example(h=9, w=4, z=6, rows=3, layouts=("strided", "C", "F"), seed=3)
+def test_fit_centers_equal_masked_means_for_every_slab_split(h, w, z, rows, layouts, seed):
+    rows = rows or pseudolabel._FIT_ROWS
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 4, (h, w, z)).astype(np.uint8)
+    # class 4 occurs only in the last slab of rows
+    last = labels[(h - 1) // rows * rows:]
+    last[rng.random(last.shape) < 0.3] = 4
+    last[-1, -1, -1] = 4
+    labels[0, 0, :4] = range(4)
+    mag = rng.random(labels.shape, dtype=np.float32) * 3
+    phs = rng.standard_normal(labels.shape).astype(np.float32)
+    want = {c: (float(mag[labels == c].mean()), float(phs[labels == c].mean()))
+            for c in range(5)}
+    m, p, lab = (laid_out(a, lay) for a, lay in zip((mag, phs, labels), layouts))
+    with mock.patch.object(pseudolabel, "_FIT_ROWS", rows):
+        got = MockPredictor.fit(ScalarVolume(m, ISO), ScalarVolume(p, ISO),
+                                LabelVolume(lab, ISO)).centers
+    assert got == want
+
+
 def test_fit_rejects_an_absent_class():
     mag, phs, labels = generate(PhantomConfig.fitted((32, 32, 4), seed=6))
     data = labels.data.copy()
     data[data == 3] = 1
     with pytest.raises(ValidationError, match="class 3 absent"):
         MockPredictor.fit(mag, phs, LabelVolume(data, ISO))
+
+
+def test_fit_names_the_lowest_absent_class_before_copying_an_intensity_slab(monkeypatch):
+    mag, phs, labels = generate(PhantomConfig.fitted((40, 32, 4), seed=6))
+    copied, in_order = [], pseudolabel._in_order
+
+    def spy(a, order, dtype=None):
+        copied.append(a.dtype)
+        return in_order(a, order, dtype)
+
+    monkeypatch.setattr(pseudolabel, "_in_order", spy)
+    MockPredictor.fit(mag, phs, labels)
+    assert np.dtype(np.float32) in copied  # the spy sees the intensity slabs
+    copied.clear()
+    data = labels.data.copy()
+    data[(data == 2) | (data == 4)] = 1
+    with pytest.raises(ValidationError, match=r"^cannot fit centers: class 2 absent$"):
+        MockPredictor.fit(mag, phs, LabelVolume(data, ISO))
+    assert np.dtype(np.float32) not in copied
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ from cordpipe import (
     extract_patch,
     patch1,
 )
-from cordpipe.volume import _FINITE_BLOCK, _check_dims
+from cordpipe.volume import _FINITE_BLOCK, _check_dims, _in_order
 from cordpipe.errors import DimensionError, ValidationError
+
+from oracles import LAYOUTS, laid_out
 
 ISO = Spacing.isotropic()
 
@@ -159,3 +161,18 @@ def test_wide_label_ids_outside_range_rejected_before_the_cast(ids):
     # -252 and 260 are 4 as uint8: they used to wrap into lesion GM
     with pytest.raises(ValidationError, match="outside 0..4"):
         LabelVolume(np.array([[ids]], np.int64), ISO)
+
+
+@pytest.mark.parametrize("shape", [(7, 19, 3), (5, 17)])
+@pytest.mark.parametrize("source", [np.float32, ">f4"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [None, np.float32, "<f4", np.float64])
+def test_in_order_is_asarray_in_that_layout(shape, source, layout, order, dtype):
+    a = laid_out(np.random.default_rng(3).standard_normal(shape).astype(source), layout)
+    got = _in_order(a, order, dtype)
+    want = np.asarray(a, dtype, order=order)
+    kept = want.dtype == a.dtype and a.flags[f"{order}_CONTIGUOUS"]
+    assert (got is a) == kept
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.flags[f"{order}_CONTIGUOUS"]
