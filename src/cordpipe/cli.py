@@ -75,17 +75,20 @@ def _write_atomic(path: str, data: bytes, dry_run: bool = False) -> None:
     if dry_run:
         return
     dirname = os.path.dirname(os.path.abspath(path))
-    os.makedirs(dirname, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".cordpipe-tmp-")
+    tmp = None
     try:
+        os.makedirs(dirname, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".cordpipe-tmp-")
         # mkstemp creates the file 0600; give it the mode open() would
         os.chmod(tmp, 0o666 & ~_umask())
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # named by its destination, never the temp file
+            raise FormatError(f"cannot write {path}: {exc.strerror or exc}", path) from exc
         raise
 
 
@@ -390,24 +393,28 @@ def _cmd_stack(args, cfg: dict) -> int:
 # evaluate
 
 
-def _load_sidecar(path: str, ref_dims: tuple[int, int, int]) -> SparseAnnotation:
+def _load_sidecar(path: str) -> SparseAnnotation:
     """Read a sidecar and the planes file it names (relative to its folder)."""
     sidecar = _read_file(path)
     try:
         doc = parse_sidecar(sidecar)
         planes_path = os.path.join(os.path.dirname(os.path.abspath(path)), doc["planes_nifti"])
-        return read_sparse_annotation(sidecar, _read_file(planes_path), ref_dims)
+        return read_sparse_annotation(sidecar, _read_file(planes_path))
     except FormatError as exc:
         raise type(exc)(f"{path}: {exc}", exc.path or path) from exc
 
 
 def _evaluate_one(pred_path: str, gt_path: str, volume_id: str):
-    pred = _load_volume(pred_path, labels=True)
-    if gt_path.endswith(".json"):
-        gt = _load_sidecar(gt_path, pred.dims)
-    else:
-        gt = _load_volume(gt_path, labels=True)
-    return evaluate(pred, gt, volume_id=volume_id)
+    """Score one prediction file against one ground-truth file; a
+    validation error names the volume and both files."""
+    try:
+        pred = _load_volume(pred_path, labels=True)
+        gt = _load_sidecar(gt_path) if gt_path.endswith(".json") else \
+            _load_volume(gt_path, labels=True)
+        return evaluate(pred, gt, volume_id=volume_id)
+    except ValidationError as exc:
+        raise type(exc)(f"volume {volume_id} (pred {pred_path}, gt {gt_path}): {exc}") \
+            from exc
 
 
 def _nifti_stems(path: str) -> dict[str, str]:
@@ -444,15 +451,8 @@ def _cmd_evaluate_batch(args) -> int:
         raise ValidationError(
             f"no matching volume names between {args.pred} and {args.gt}"
         )
-
-    def score(stem: str):
-        try:
-            return _evaluate_one(preds[stem], gts[stem], stem)
-        except ValidationError as exc:
-            raise type(exc)(f"volume {stem} (pred {preds[stem]}, gt {gts[stem]}): {exc}") \
-                from exc
-
-    reports = thread_map(score, stems, args.threads)
+    reports = thread_map(lambda stem: _evaluate_one(preds[stem], gts[stem], stem),
+                         stems, args.threads)
     _write_reports(args, reports, {"volumes": [r.to_json_dict() for r in reports],
                                    "aggregate": fold_aggregate(reports).to_json_dict()})
     print(f"evaluate ok batch={len(reports)} pred_dir={args.pred}")

@@ -46,12 +46,18 @@ from .nifti import SparseAnnotation
 from .volume import CLASS_NAMES, FOREGROUND_CLASSES, LabelVolume, Spacing
 
 
-def dice(g: np.ndarray, p: np.ndarray) -> float | None:
-    """Dice overlap 2|G∩P| / (|G| + |P|); None when both sets are empty."""
+def _mask_pair(g: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both masks as bool arrays of one shape."""
     g = np.asarray(g, dtype=bool)
     p = np.asarray(p, dtype=bool)
     if g.shape != p.shape:
         raise DimensionError(f"shape mismatch {g.shape} vs {p.shape}")
+    return g, p
+
+
+def dice(g: np.ndarray, p: np.ndarray) -> float | None:
+    """Dice overlap 2|G∩P| / (|G| + |P|); None when both sets are empty."""
+    g, p = _mask_pair(g, p)
     denom = np.count_nonzero(g) + np.count_nonzero(p)
     if denom == 0:
         return None
@@ -176,10 +182,7 @@ def hd95(g: np.ndarray, p: np.ndarray, spacing: Spacing) -> float | None:
     Returns 0.0 when the masks are identical (including both empty) and
     None when exactly one is empty, which has no meaningful distance.
     """
-    g = np.asarray(g, dtype=bool)
-    p = np.asarray(p, dtype=bool)
-    if g.shape != p.shape:
-        raise DimensionError(f"shape mismatch {g.shape} vs {p.shape}")
+    g, p = _mask_pair(g, p)
     g_empty, p_empty = not g.any(), not p.any()
     if g_empty and p_empty:
         return 0.0
@@ -293,8 +296,13 @@ def evaluate(pred: LabelVolume, gt: LabelVolume | SparseAnnotation,
     and HD95 is the mean of per-plane in-plane surface distances over
     planes where it is defined. DSC_z always runs on the full dense
     prediction, since it measures the prediction's own smoothness.
-    Dense ground truth must have the prediction's spacing; sparse ground
-    truth read from disk must have its in-plane spacing (dx, dy).
+
+    This is the one place where ground truth is checked against the
+    prediction's grid. Dense ground truth must have the prediction's
+    dims and spacing. Sparse planes must have its plane size, indices
+    below its slice count and, when read from disk, its in-plane spacing
+    (dx, dy). A size disagreement is a ``DimensionError``; any other is a
+    ``ValidationError``.
     """
     sparse = isinstance(gt, SparseAnnotation)
     n_classes = len(FOREGROUND_CLASSES)
@@ -307,7 +315,8 @@ def evaluate(pred: LabelVolume, gt: LabelVolume | SparseAnnotation,
                 f"annotation planes {gt.plane_dims} vs prediction planes {pred.dims[:2]}"
             )
         if gt.z_indices[-1] >= pred.dims[2]:
-            raise ValidationError("annotated index beyond the prediction extent")
+            raise ValidationError(f"annotated index {gt.z_indices[-1]} is past the last "
+                                  f"of the prediction's {pred.dims[2]} slices")
         if gt.spacing is not None and gt.spacing.as_tuple()[:2] != pred.spacing.as_tuple()[:2]:
             raise ValidationError(
                 f"annotation in-plane spacing {gt.spacing.as_tuple()[:2]} vs "

@@ -568,25 +568,17 @@ def parse_sidecar(json_bytes: bytes) -> dict:
             "planes_nifti": doc["planes_nifti"]}
 
 
-def read_sparse_annotation(json_bytes: bytes, planes_bytes: bytes,
-                           ref_dims: tuple[int, int, int]) -> SparseAnnotation:
+def read_sparse_annotation(json_bytes: bytes, planes_bytes: bytes) -> SparseAnnotation:
     """Decode sidecar JSON plus its companion planes file.
 
-    Validated against the reference volume: indices within [0, Z),
-    plane shape equal to (H, W). The result carries the planes file's
-    spacing.
+    Only the sidecar's own consistency is checked here: one plane per
+    index, each index unique and not negative. ``evaluate`` checks the
+    planes against the prediction's grid. The result carries the planes
+    file's spacing.
     """
     doc = parse_sidecar(json_bytes)
     z_indices = doc["z_indices"]
-    h, w, z_extent = ref_dims
-    if any(not 0 <= z < z_extent for z in z_indices):
-        raise SidecarError(f"z index outside [0, {z_extent})")
-
     planes_vol = read_nifti(planes_bytes, labels=True)
-    if planes_vol.dims[:2] != (h, w):
-        raise SidecarError(
-            f"annotation planes are {planes_vol.dims[:2]}, volume planes are {(h, w)}"
-        )
     if planes_vol.dims[2] != len(z_indices):
         raise SidecarError("plane count does not match the index list")
     return SparseAnnotation(doc["volume_id"], sorted(z_indices),

@@ -27,13 +27,9 @@ from .errors import (
     ValidationError,
     ZeroVarianceError,
 )
-from .volume import ScalarVolume
+from .volume import ScalarVolume, _blocks
 
 OTSU_BINS = 256
-
-# Voxels per float64 buffer of ``percentile_stretch``'s mapping: 512 KiB,
-# which stays in cache, instead of a float64 copy of the whole volume.
-_BLOCK_VOXELS = 1 << 16
 
 
 @dataclass(eq=False)
@@ -279,9 +275,9 @@ def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),
     gathered in one memory order shared by the data and the mask, so
     ``np.percentile`` partitions one float64 copy in place. The
     mapping is one buffered ``np.nditer`` in memory order: float64 blocks
-    of ``_BLOCK_VOXELS`` are shifted, divided and clipped, and cast into
-    the float32 output, the same ops per element as on a whole-volume
-    float64 copy.
+    of ``volume._BLOCK_VOXELS`` are shifted, divided and clipped, and cast
+    into the float32 output, the same ops per element as on a
+    whole-volume float64 copy, without that copy.
     """
     data = vol.data
     if mask is None:
@@ -300,10 +296,8 @@ def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),
         )
     del scope  # a masked gather is freed before the output is allocated
     span = q_high - q_low
-    with np.nditer([data, None], flags=["external_loop", "buffered", "zerosize_ok"],
-                   op_flags=[["readonly"], ["writeonly", "allocate"]],
-                   op_dtypes=[np.float64, np.float32], order="K",
-                   buffersize=_BLOCK_VOXELS) as blocks:
+    with _blocks([data, None], op_flags=[["readonly"], ["writeonly", "allocate"]],
+                 op_dtypes=[np.float64, np.float32]) as blocks:
         for src, dst in blocks:
             shifted = src - q_low
             shifted /= span

@@ -21,8 +21,8 @@ equal values, whose mean is that value. A single pass (identity-only
 TTA, or a flip-equivariant predictor) skips the float64 sum and hands
 on the predictor's float32 channels without a copy.
 :class:`MockPredictor` walks each block with one buffered ``np.nditer``
-in float64 buffers of ``_BLOCK_VOXELS``, so its float64 distance grids
-are cache-sized scratch rather than per-chunk temporaries.
+in float64 buffers of ``volume._BLOCK_VOXELS``, so its float64 distance
+grids are cache-sized scratch rather than per-chunk temporaries.
 :func:`stack_slices` assembles per-slice predictions read from disk
 (slice-dir ``stack``) into x-fastest volumes, with the plane loop of the
 default :meth:`SlicePredictor.predict_batch`.
@@ -42,7 +42,8 @@ import numpy as np
 from .errors import DimensionError, FormatError, ValidationError
 from .nifti import read_nifti, write_nifti
 from .regions import REGION_CLASSES, RegionStack, check_thresholds, merge_region_arrays
-from .volume import FOREGROUND_CLASSES, LabelVolume, ScalarVolume, Spacing, _in_order
+from . import volume
+from .volume import FOREGROUND_CLASSES, LabelVolume, ScalarVolume, Spacing, _blocks, _in_order
 from .metrics import inter_slice_dice
 
 # Each TTA flip as the steps of its (x, y) slices; every flip is its own inverse.
@@ -54,11 +55,6 @@ FLIP_NAMES = tuple(_FLIP_STEPS)
 # float64 TTA sums, the merge's masks) are 2 and 4 MB each at this size,
 # whatever the volume's z extent.
 _CHUNK_VOXELS = 1 << 19
-
-# Voxels per ``np.nditer`` buffer of ``MockPredictor.predict``: its float64
-# scratch (distances, running minimum, float64 buffers of both channels)
-# is then ~1.3 MB, which stays in a 4 MB L2 cache.
-_BLOCK_VOXELS = 1 << 15
 
 # Rows (axis 0) per slab of ``MockPredictor.fit``: a 16x208x64 slab of a
 # 192x208 plane is 0.85 MB of float32, copied to C order one at a time.
@@ -170,8 +166,8 @@ class MockPredictor(SlicePredictor):
 
         One buffered ``np.nditer`` walks both channels and the three
         float32 outputs in memory order, in float64 blocks of
-        ``_BLOCK_VOXELS``, so the distance grids stay cache-sized. Each
-        element takes the same float64 ops as a whole-array pass:
+        ``volume._BLOCK_VOXELS``, so the distance grids stay cache-sized.
+        Each element takes the same float64 ops as a whole-array pass:
         ``(m-m0)**2 + (p-p0)**2`` per class, in class-id order, with a
         missing phase read as zeros.
         """
@@ -182,16 +178,14 @@ class MockPredictor(SlicePredictor):
             phs = np.asarray(phase)
             if phs.shape != mag.shape:
                 raise DimensionError("magnitude and phase planes disagree on shape")
-        size = min(mag.size, _BLOCK_VOXELS)
+        size = min(mag.size, volume._BLOCK_VOXELS)
         d2, term, best = np.empty(size), np.empty(size), np.empty(size)
         less = np.empty(size, bool)
         nearest = np.empty(size, np.min_scalar_type(len(self.centers) - 1))  # uint8
         centers = [self.centers[c] for c in sorted(self.centers)]
-        with np.nditer([mag, phs, None, None, None],
-                       flags=["external_loop", "buffered", "zerosize_ok"],
-                       op_flags=[["readonly"]] * 2 + [["writeonly", "allocate"]] * 3,
-                       op_dtypes=[np.float64] * 2 + [np.float32] * 3, order="K",
-                       buffersize=_BLOCK_VOXELS) as blocks:
+        with _blocks([mag, phs, None, None, None],
+                     op_flags=[["readonly"]] * 2 + [["writeonly", "allocate"]] * 3,
+                     op_dtypes=[np.float64] * 2 + [np.float32] * 3) as blocks:
             for m, p, *outs in blocks:
                 d, t, b, lt, near = (a[:m.size] for a in (d2, term, best, less, nearest))
                 # Running argmin over classes in id order: a strict ``<`` keeps

@@ -24,7 +24,7 @@ from cordpipe import (
     write_sparse_annotation,
 )
 from cordpipe.cli import main
-from cordpipe.config import get_typed
+from cordpipe.config import get_typed, parse_config_text
 
 ISO = Spacing.isotropic()
 
@@ -348,6 +348,23 @@ def test_stack_rejects_an_empty_or_unparsable_command_before_loading(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("code, rc, kind", [
+    ("pass", 2, "FormatError"),
+    ("import sys, numpy as np; from cordpipe import ScalarVolume, Spacing, write_nifti; "
+     "open(sys.argv[-1], 'wb').write(write_nifti(ScalarVolume("
+     "np.zeros((5, 5, 3), np.float32), Spacing.isotropic())))", 1, "DimensionError"),
+], ids=["no-output", "wrong-plane-size"])
+def test_stack_subprocess_predictor_bad_output(tmp_path, capsys, code, rc, kind):
+    mag, _, _ = generate(PhantomConfig.fitted((16, 16, 1), seed=4))
+    command = f"{shlex.quote(sys.executable)} -c {shlex.quote(code)}"
+    out = tmp_path / "labels.nii"
+    assert main(["stack", "--predictor", f"cmd:{command}", "--input",
+                 _write(tmp_path / "mag.nii", mag), "--out", str(out)]) == rc
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"cordpipe-error kind={kind} "), err
+    assert not out.exists()
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     rc = main(["preprocess", str(tmp_path / "nope.nii"),
                "--out", str(tmp_path / "o.nii")])
@@ -652,6 +669,61 @@ def test_evaluate_sparse_spacing_mismatch_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "kind=ValidationError" in err
     assert "(0.5, 0.5)" in err and "0.075" in err
+
+
+@pytest.mark.parametrize("z_indices, planes", [([2, 2], 2), ([-1, 1], 2), ([0, 1, 2], 2)],
+                         ids=["duplicate", "negative", "plane-count"])
+def test_evaluate_sidecar_inconsistent_in_itself_exits_2(tmp_path, capsys, z_indices, planes):
+    pred = _write(tmp_path / "pred.nii", LabelVolume(np.zeros((4, 4, 3), np.uint8), ISO))
+    ann = tmp_path / "ann.json"
+    ann.write_text(json.dumps({"volume_id": "v", "z_indices": z_indices,
+                               "planes_nifti": "planes.nii"}))
+    _write(tmp_path / "planes.nii", LabelVolume(np.zeros((4, 4, planes), np.uint8), ISO))
+    assert main(["evaluate", pred, str(ann)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"cordpipe-error kind=SidecarError file={ann} ")
+
+
+# Ground truth off the prediction's grid, as (file, dims or plane dims,
+# annotated indices, spacing); the prediction is 4x4x4 at 75 um.
+@pytest.mark.parametrize("gt, kind", [
+    (("gt.json", (3, 3), [1], ISO), "DimensionError"),
+    (("gt.json", (4, 4), [1, 4], ISO), "ValidationError"),
+    (("gt.json", (4, 4), [1], Spacing(0.5, 0.5, 0.075)), "ValidationError"),
+    (("gt.nii", (4, 4, 5), None, ISO), "DimensionError"),
+    (("gt.nii", (4, 4, 4), None, Spacing(0.075, 0.075, 0.5)), "ValidationError"),
+], ids=["sparse-plane-size", "sparse-index-past-end", "sparse-spacing", "dense-dims",
+        "dense-spacing"])
+def test_evaluate_ground_truth_off_the_grid_exits_1_naming_both_files(
+        tmp_path, capsys, gt, kind):
+    name, dims, z_indices, spacing = gt
+    pred = _write(tmp_path / "pred.nii", LabelVolume(np.ones((4, 4, 4), np.uint8), ISO))
+    gt_path = tmp_path / name
+    if z_indices is None:
+        _write(gt_path, LabelVolume(np.ones(dims, np.uint8), spacing))
+    else:
+        ann = SparseAnnotation("v", z_indices, np.ones(dims + (len(z_indices),), np.uint8))
+        sidecar, planes_nii = write_sparse_annotation(ann, "planes.nii", spacing)
+        gt_path.write_bytes(sidecar)
+        (tmp_path / "planes.nii").write_bytes(planes_nii)
+    assert main(["evaluate", pred, str(gt_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"cordpipe-error kind={kind} "), err
+    assert f"volume pred.nii (pred {pred}, gt {gt_path}): " in err[0]
+    if z_indices == [1, 4]:
+        assert "index 4 " in err[0] and " 4 slices" in err[0]
+
+
+def test_a_failed_write_names_its_destination_not_the_temp_file(tmp_path, capsys):
+    labels = _write(tmp_path / "l.nii", LabelVolume(np.ones((4, 4, 2), np.uint8), ISO))
+    taken = tmp_path / "report"
+    taken.mkdir()  # --json names a directory, so the final rename fails
+    assert main(["evaluate", labels, labels, "--json", str(taken)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cordpipe-error kind=FormatError "), err
+    assert f"file={taken} " in err[0] and ".cordpipe-tmp-" not in err[0]
+    assert not list(tmp_path.glob(".cordpipe-tmp-*"))
+    assert list(taken.iterdir()) == []
 
 
 def test_error_names_the_failing_merge_input(phantom_dir, tmp_path, capsys):
@@ -1125,3 +1197,58 @@ def test_a_bad_clahe_clip_names_its_setting(grids, tmp_path, capsys, source):
     err = capsys.readouterr().err
     assert "kind=ConfigError" in err
     assert "preprocess.clahe.clip or --clahe-clip" in err
+
+
+# ---------------------------------------------------------------------------
+# Config grammar and value types
+
+
+def test_config_grammar_comments_blanks_quotes_and_booleans():
+    text = ("# a comment-only line\n"
+            "\n"
+            "   \n"
+            "preprocess.otsu = TRUE  # an inline comment\n"
+            "preprocess.zscore = fAlSe\n"
+            "preprocess.clahe.enabled = True\n"
+            "softlabel.profile = 'soft3'\n"
+            'merge.tissue_thresh = "0.4"\n'
+            "preprocess.clahe.tiles = 4, 4\n")
+    assert parse_config_text(text) == {
+        "preprocess.otsu": True, "preprocess.zscore": False,
+        "preprocess.clahe.enabled": True, "softlabel.profile": "soft3",
+        "merge.tissue_thresh": "0.4", "preprocess.clahe.tiles": (4, 4)}
+
+
+@pytest.mark.parametrize("line", ["= 5", "preprocess.otsu =", "  =  # nothing"])
+def test_config_empty_key_or_value_exits_1_naming_the_line(grids, tmp_path, capsys, line):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"preprocess.otsu = true\n{line}\n")
+    out = tmp_path / "o.nii"
+    assert main(["preprocess", grids["mag"], "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cordpipe-error kind=ConfigError "), err
+    assert "line 2: empty key or value" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line", [
+    (["preprocess", "mag"], "preprocess.otsu = 1"),
+    (["preprocess", "mag", "--clahe"], "preprocess.clahe.bins = 64.0"),
+    (["preprocess", "mag"], "preprocess.stretch.p_low = low"),
+    (["preprocess", "mag"], "preprocess.zscore = 'true'"),
+    (["softlabel", "labels"], "softlabel.profile = 3"),
+    (["softlabel", "labels"], "softlabel.lesion_wm.kernel = 3.0"),
+], ids=["bool-as-int", "int-as-float", "float-as-text", "bool-as-quoted-text",
+        "text-as-int", "kernel-as-float"])
+def test_a_config_value_of_the_wrong_type_exits_1_naming_the_key(
+        grids, tmp_path, capsys, command, line):
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    argv = [grids.get(a, a) for a in command] + ["--config", str(cfg)]
+    argv += ["--out-dir" if command[0] == "softlabel" else "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cordpipe-error kind=ConfigError "), err
+    assert f'msg="{line.split(" = ")[0]} must be ' in err[0]
+    assert not out.exists()

@@ -14,6 +14,7 @@ from cordpipe import (
     ScalarVolume,
     Spacing,
     SparseAnnotation,
+    evaluate,
     gzip_nifti,
     read_nifti,
     read_sparse_annotation,
@@ -22,6 +23,7 @@ from cordpipe import (
 )
 from cordpipe.errors import (
     BadMagicError,
+    DimensionError,
     FormatError,
     LabelRangeError,
     SidecarError,
@@ -780,7 +782,7 @@ def test_float32_gzip_read_checks_finiteness_once(monkeypatch):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_in_the_first_or_last_block_is_caught(where, value):
     # three blocks of the finite check
-    depth = 3 * volume._FINITE_BLOCK // (128 * 128)
+    depth = 3 * volume._BLOCK_VOXELS // (128 * 128)
     data = np.random.default_rng(20).random((128, 128, depth), dtype=np.float32)
     bad = data.copy()
     bad[(0, 0, 0) if where == "first" else (-1, -1, -1)] = value
@@ -817,7 +819,7 @@ def test_sidecar_roundtrip_exact():
     rng = np.random.default_rng(4)
     ann = _annotation(rng, [1, 4, 7])
     sidecar, planes = write_sparse_annotation(ann, "planes.nii", ISO)
-    back = read_sparse_annotation(sidecar, planes, (4, 4, 10))
+    back = read_sparse_annotation(sidecar, planes)
     assert back.volume_id == "vol-a"
     assert back.z_indices == [1, 4, 7]
     assert np.array_equal(back.planes, ann.planes)
@@ -839,18 +841,27 @@ def test_empty_annotation_is_accepted():
 
 
 def test_index_at_z_extent_rejected():
+    # the reader decodes the sidecar; evaluate checks it against the prediction
     rng = np.random.default_rng(7)
     ann = _annotation(rng, [1, 4])
     sidecar, planes = write_sparse_annotation(ann, "p.nii", ISO)
-    with pytest.raises(SidecarError):
-        read_sparse_annotation(sidecar, planes, (4, 4, 4))  # 4 is out of range
+    pred = LabelVolume(np.zeros((4, 4, 4), np.uint8), ISO)
+    with pytest.raises(ValidationError, match="index 4 .* 4 slices"):
+        evaluate(pred, read_sparse_annotation(sidecar, planes))  # 4 is out of range
+
+
+def test_negative_index_rejected():
+    doc = {"volume_id": "v", "z_indices": [-1, 2], "planes_nifti": "p.nii"}
+    planes = write_nifti(LabelVolume(np.zeros((4, 4, 2), np.uint8), ISO))
+    with pytest.raises(SidecarError, match="negative"):
+        read_sparse_annotation(json.dumps(doc).encode(), planes)
 
 
 def test_duplicate_index_rejected():
     doc = {"volume_id": "v", "z_indices": [2, 2], "planes_nifti": "p.nii"}
     planes = write_nifti(LabelVolume(np.zeros((4, 4, 2), np.uint8), ISO))
     with pytest.raises(SidecarError):
-        read_sparse_annotation(json.dumps(doc).encode(), planes, (4, 4, 8))
+        read_sparse_annotation(json.dumps(doc).encode(), planes)
 
 
 def test_decreasing_indices_rejected_in_type():
@@ -862,14 +873,15 @@ def test_plane_shape_mismatch_rejected():
     rng = np.random.default_rng(8)
     ann = _annotation(rng, [1], plane_dims=(3, 3))
     sidecar, planes = write_sparse_annotation(ann, "p.nii", ISO)
-    with pytest.raises(SidecarError):
-        read_sparse_annotation(sidecar, planes, (4, 4, 8))
+    pred = LabelVolume(np.zeros((4, 4, 8), np.uint8), ISO)
+    with pytest.raises(DimensionError):
+        evaluate(pred, read_sparse_annotation(sidecar, planes))
 
 
 def test_read_sidecar_keeps_planes_spacing():
     ann = _annotation(np.random.default_rng(11), [0, 2])
     aniso = Spacing(0.5, 0.25, 2.0)
-    back = read_sparse_annotation(*write_sparse_annotation(ann, "p.nii", aniso), (4, 4, 3))
+    back = read_sparse_annotation(*write_sparse_annotation(ann, "p.nii", aniso))
     assert back.spacing == Spacing(0.5, 0.25, 2.0)
 
 
@@ -885,7 +897,7 @@ def test_malformed_sidecar_document_is_sidecar_error(text):
         parse_sidecar(text)
     planes = write_nifti(LabelVolume(np.zeros((4, 4, 1), np.uint8), ISO))
     with pytest.raises(SidecarError):
-        read_sparse_annotation(text, planes, (4, 4, 8))
+        read_sparse_annotation(text, planes)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, bool])

@@ -24,7 +24,7 @@ from cordpipe.errors import (
     ValidationError,
     ZeroVarianceError,
 )
-from cordpipe import preprocess
+from cordpipe import volume
 from cordpipe.preprocess import _clip_and_redistribute
 
 from oracles import (
@@ -409,7 +409,7 @@ def test_stretch_and_otsu_are_the_same_in_every_layout(shape, block, layout, mas
 
     vol = _vol(laid_out(data, layout))
     laid_mask = None if mask is None else laid_out(mask, mask_layout)
-    with mock.patch.object(preprocess, "_BLOCK_VOXELS", block):
+    with mock.patch.object(volume, "_BLOCK_VOXELS", block):
         got = percentile_stretch(vol, cfg, mask=laid_mask).data
         otsu, contiguous = otsu_mask(vol), otsu_mask(_vol(data))
     assert got.dtype == np.float32 and got.tobytes() == want.tobytes()

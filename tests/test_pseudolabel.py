@@ -25,7 +25,7 @@ from cordpipe import (
     stack_slices,
 )
 from cordpipe.errors import ConfigError, DimensionError, ValidationError
-from cordpipe import merge_regions, pseudolabel
+from cordpipe import merge_regions, pseudolabel, volume
 from cordpipe.pseudolabel import FLIP_NAMES, SlicePredictor, _flip
 
 from oracles import LAYOUTS, argmin_nearest_class, laid_out
@@ -271,7 +271,7 @@ def test_blocked_predict_matches_argmin_reference(shape, block, mag_layout, phas
     mag = laid_out((rng.integers(0, 5, shape) / 4).astype(dtype), mag_layout)
     phs = None if phase_layout is None else \
         laid_out((rng.integers(0, 5, shape) / 4).astype(dtype), phase_layout)
-    with mock.patch.object(pseudolabel, "_BLOCK_VOXELS", block):
+    with mock.patch.object(volume, "_BLOCK_VOXELS", block):
         got = MockPredictor(centers).predict(mag, phs)
     assert got.shape == shape
     _assert_regions_of(got, argmin_nearest_class(mag, phs, centers))
@@ -281,7 +281,7 @@ def test_blocked_predict_matches_argmin_reference_on_a_phantom(monkeypatch):
     # unquantized float32 channels over many blocks, one of them partial
     mag, phs, labels = generate(PhantomConfig.fitted((32, 32, 8), seed=5))
     centers = MockPredictor.fit(mag, phs, labels).centers
-    monkeypatch.setattr(pseudolabel, "_BLOCK_VOXELS", 97)
+    monkeypatch.setattr(volume, "_BLOCK_VOXELS", 97)
     for m, p in ((mag.data, phs.data), (mag.data[:, :, 2], phs.data[:, :, 2]),
                  (mag.data, None)):
         got = MockPredictor(centers).predict_batch(m, p) if m.ndim == 3 else \

@@ -11,7 +11,7 @@ from cordpipe import (
     extract_patch,
     patch1,
 )
-from cordpipe.volume import _FINITE_BLOCK, _check_dims, _in_order
+from cordpipe.volume import _BLOCK_VOXELS, _check_dims, _in_order
 from cordpipe.errors import DimensionError, ValidationError
 
 from oracles import LAYOUTS, laid_out
@@ -54,7 +54,7 @@ def test_nonfinite_data_rejected():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_in_the_first_or_last_block_rejected(layout, where, value):
     # six blocks of the finite check (three when strided), walked in memory order
-    depth = 6 * _FINITE_BLOCK // (128 * 128)
+    depth = 6 * _BLOCK_VOXELS // (128 * 128)
     data = np.zeros((128, 128, depth), np.float32, order="F" if layout == "F" else "C")
     if layout == "strided":
         data = data[:, :, ::2]
