@@ -18,6 +18,8 @@ import re
 import sys
 import tempfile
 
+import numpy as np
+
 from .config import get_typed, load_config
 from .errors import ConfigError, FormatError, ValidationError
 from .metrics import evaluate, fold_aggregate, report_to_csv
@@ -45,16 +47,15 @@ from .pseudolabel import (
     MockPredictor,
     SubprocessPredictor,
     TtaConfig,
+    _mean,
     _region_planes,
-    ensemble,
     predict_labels,
-    stack_slices,
     thread_map,
 )
-from .regions import RegionStack, check_thresholds, merge_regions, to_regions
+from .regions import RegionStack, check_thresholds, merge_region_arrays, merge_regions, to_regions
 from .softlabel import PROFILES as SOFT_PROFILES
 from .softlabel import SoftProfile, soften
-from .volume import CLASS_NAMES, FOREGROUND_CLASSES, ScalarVolume, Spacing
+from .volume import CLASS_NAMES, FOREGROUND_CLASSES, LabelVolume, ScalarVolume
 
 
 def _read_file(path: str) -> bytes:
@@ -282,45 +283,47 @@ def _cmd_regions(args, cfg: dict) -> int:
 # stack
 
 
-def _nifti_stem(name: str) -> str:
-    """``name`` without its .nii.gz or .nii suffix (unchanged if it has neither)."""
-    return re.sub(r"\.nii(\.gz)?\Z", "", name)
-
-
-def _slice_index_from_name(name: str) -> int:
-    runs = re.findall(r"\d+", _nifti_stem(name))
-    if not runs:
-        raise ValidationError(f"cannot parse slice index from file name {name!r}")
-    return int(runs[-1])
-
-
-def _load_slice_dir(path: str) -> tuple[dict[int, RegionStack], tuple[int, int], Spacing]:
-    """Per-slice region stacks keyed by z, plus the (H, W) plane dims and
-    the spacing all slices share."""
-    names = sorted(n for n in os.listdir(path) if n.endswith((".nii", ".nii.gz")))
-    if not names:
-        raise ValidationError(f"no NIfTI slices found in {path}")
-    out: dict[int, RegionStack] = {}
-    first = None
-    for name in names:
-        z = _slice_index_from_name(name)
-        file = os.path.join(path, name)
-        vol = _load_volume(file)
-        first = vol if first is None else first
-        if vol.dims[:2] != first.dims[:2] or vol.spacing != first.spacing:
-            raise ValidationError(
-                f"{file}: plane dims {vol.dims[:2]} at spacing "
-                f"{vol.spacing.as_tuple()} differ from {first.dims[:2]} at "
-                f"{first.spacing.as_tuple()} of {os.path.join(path, names[0])}"
-            )
-        try:
-            planes = _region_planes(vol)
-        except ValidationError as exc:
-            raise ValidationError(f"{file}: {exc}") from exc
-        if z in out:
+def _slice_files(path: str) -> list[str]:
+    """The slice files of a fold directory in z order, from their names
+    alone: the last run of digits in a name is its slice index, and the
+    indices must run 0..Z-1 once each."""
+    by_z = {}
+    for stem, file in _nifti_stems(path).items():
+        runs = re.findall(r"\d+", stem)
+        if not runs:
+            raise ValidationError(f"cannot parse slice index from file name {file!r}")
+        z = int(runs[-1])
+        if z in by_z:
             raise ValidationError(f"duplicate slice index {z} in {path}")
-        out[z] = planes
-    return out, first.dims[:2], first.spacing
+        by_z[z] = file
+    if not by_z:
+        raise ValidationError(f"no NIfTI slices found in {path}")
+    missing = [z for z in range(len(by_z)) if z not in by_z]
+    if missing:
+        raise ValidationError(f"fold {path}: missing slice indices {missing[:8]} "
+                              f"of 0..{len(by_z) - 1}")
+    return [by_z[z] for z in range(len(by_z))]
+
+
+def _stack_folds(folds: list[list[str]], tissue_thresh: float,
+                 lesion_thresh: float) -> LabelVolume:
+    """Merged labels of the fold mean of slice files listed per fold in z
+    order, read one z at a time: each file is read once, checked against
+    the first, and its planes averaged by ``_mean`` with the other folds'."""
+    first = folds[0][0]
+    ref = _load_volume(first)
+    labels = np.empty(ref.dims[:2] + (len(folds[0]),), np.uint8, order="F")
+    for z in range(len(folds[0])):
+        planes = []
+        for files in folds:
+            vol = ref if files[z] == first else _load_on_grid(files[z], first, ref)
+            try:
+                planes.append(_region_planes(vol).channels())
+            except ValidationError as exc:
+                raise ValidationError(f"{files[z]}: {exc}") from exc
+        labels[:, :, z] = merge_region_arrays(*_mean(planes, len(planes)),
+                                              tissue_thresh, lesion_thresh)
+    return LabelVolume(labels, ref.spacing)
 
 
 def _predictor_command(text: str) -> list[str]:
@@ -341,8 +344,13 @@ def _cmd_stack(args, cfg: dict) -> int:
 
     if args.predictor:
         # every predictor flag is checked before any input is read
+        if args.slice_dirs:
+            raise ValidationError(f"--predictor takes no slice directories, got "
+                                  f"{' '.join(args.slice_dirs)}")
         if args.predictor.startswith("cmd:"):
             command = _predictor_command(args.predictor[4:])
+            if args.fit_labels:
+                raise ValidationError("--predictor cmd: does not read --fit-labels")
         elif args.predictor != "mock":
             raise ValidationError(f"unknown predictor {args.predictor!r}")
         elif not args.fit_labels:
@@ -366,23 +374,16 @@ def _cmd_stack(args, cfg: dict) -> int:
     else:
         if not args.slice_dirs:
             raise ValidationError("stack needs slice directories or --predictor")
-        fold_stacks = []
-        for d in args.slice_dirs:
-            per_slice, plane, dir_spacing = _load_slice_dir(d)
-            if not fold_stacks:
-                first, count, first_plane, spacing = d, len(per_slice), plane, dir_spacing
-                z_extent = max(per_slice) + 1
-            elif (len(per_slice), plane, dir_spacing) != (count, first_plane, spacing):
-                raise ValidationError(
-                    f"fold {d} has {len(per_slice)} slices of {plane} at spacing "
-                    f"{dir_spacing.as_tuple()}, fold {first} has {count} of {first_plane} "
-                    f"at {spacing.as_tuple()}"
-                )
-            try:
-                fold_stacks.append(stack_slices(per_slice, z_extent))
-            except ValidationError as exc:
-                raise ValidationError(f"fold {d}: {exc}") from exc
-        labels = merge_regions(ensemble(fold_stacks), spacing, tissue_thresh, lesion_thresh)
+        unread = [f"--{f}" for f in ("input", "phase", "fit-labels", "tta")
+                  if getattr(args, f.replace("-", "_"))]
+        if unread:
+            raise ValidationError(f"slice directories do not read {' or '.join(unread)}")
+        folds = [_slice_files(d) for d in args.slice_dirs]
+        for d, files in zip(args.slice_dirs, folds):
+            if len(files) != len(folds[0]):
+                raise ValidationError(f"fold {d} has {len(files)} slices, "
+                                      f"fold {args.slice_dirs[0]} has {len(folds[0])}")
+        labels = _stack_folds(folds, tissue_thresh, lesion_thresh)
 
     _write_volume(args.out, labels, args.dry_run)
     print(f"stack ok out={args.out} dims={labels.dims}")
@@ -422,7 +423,7 @@ def _nifti_stems(path: str) -> dict[str, str]:
     for name in sorted(os.listdir(path)):
         if not name.endswith((".nii", ".nii.gz")):
             continue
-        stem = _nifti_stem(name)
+        stem = re.sub(r"\.nii(\.gz)?\Z", "", name)
         if stem in out:
             raise ValidationError(
                 f"{out[stem]} and {os.path.join(path, name)} both hold volume {stem!r}"
@@ -594,8 +595,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"unknown config keys in {config}: {', '.join(unknown)}")
         return args.func(args, cfg)
     except (FormatError, OSError) as exc:
-        path = (getattr(exc, "path", None) or getattr(exc, "filename", None)
-                or getattr(args, "input", None) or getattr(args, "pred", None))
+        path = getattr(exc, "path", None) or getattr(exc, "filename", None)
         print(_err_record(exc, path), file=sys.stderr)
         return 2
     except (ValidationError, ConfigError) as exc:

@@ -9,11 +9,11 @@ exchanges NIfTI files.
 
 :func:`predict_volume` walks a volume in z-chunks of about
 ``_CHUNK_VOXELS`` voxels. Each chunk is an (H, W, n) block that goes
-through one TTA loop: flip, ``predict_batch``, un-flip, and a float64
-running sum whose mean is cast to float32 and written into the chunk's
-slices of three float32 volumes. :func:`predict_labels` shares that
-chunk walk but merges each chunk's channels straight into a uint8 label
-volume, so the whole-volume probabilities are never held.
+through one TTA loop: flip, ``predict_batch``, un-flip, and the mean of
+:func:`_mean` (as for folds), written into the chunk's slices of three
+float32 volumes. :func:`predict_labels` shares that chunk walk but
+merges each chunk's channels straight into a uint8 label volume, so the
+whole-volume probabilities are never held.
 :func:`predict_with_tta` runs a single plane through the same loop as a
 one-slice block. A predictor that declares ``flip_equivariant`` gets
 only the identity pass, which is exact: its flipped passes would give
@@ -23,9 +23,8 @@ on the predictor's float32 channels without a copy.
 :class:`MockPredictor` walks each block with one buffered ``np.nditer``
 in float64 buffers of ``volume._BLOCK_VOXELS``, so its float64 distance
 grids are cache-sized scratch rather than per-chunk temporaries.
-:func:`stack_slices` assembles per-slice predictions read from disk
-(slice-dir ``stack``) into x-fastest volumes, with the plane loop of the
-default :meth:`SlicePredictor.predict_batch`.
+:func:`stack_slices` assembles per-slice predictions into x-fastest
+volumes with the plane loop of :meth:`SlicePredictor.predict_batch`.
 """
 
 from __future__ import annotations
@@ -236,31 +235,39 @@ def _tta(predictor: SlicePredictor, magnitude: np.ndarray,
     gm, lesion).
 
     Axis flips are involutions, so the inverse transform is the flip
-    itself. Sums run in float64 in ``cfg.transforms`` order and the mean
-    is cast to float32; a single pass returns the predictor's channels
-    as they are, without a copy.
+    itself. The passes are averaged by :func:`_mean` in ``cfg.transforms``
+    order, each added before the next is predicted; a single pass returns
+    the predictor's channels as they are, without a copy.
     """
     shape = magnitude.shape
     if phase is not None and phase.shape != shape:
         raise DimensionError(f"magnitude {shape} and phase {phase.shape} disagree on shape")
     names = ("identity",) if predictor.flip_equivariant else cfg.transforms
-    acc = None
-    for name in names:
-        stack = predictor.predict_batch(_flip(magnitude, name),
-                                        None if phase is None else _flip(phase, name))
-        if stack.shape != shape:
-            raise DimensionError(
-                f"predictor returned shape {stack.shape}, expected {shape}"
-            )
-        planes = [_flip(ch, name) for ch in stack.channels()]
-        if len(names) == 1:
-            return tuple(planes)
-        if acc is None:
-            acc = [ch.astype(np.float64) for ch in planes]
-        else:
-            for a, ch in zip(acc, planes):
-                a += ch
-    return tuple(np.divide(a, len(names), out=a).astype(np.float32) for a in acc)
+
+    def passes():
+        for name in names:
+            stack = predictor.predict_batch(_flip(magnitude, name),
+                                            None if phase is None else _flip(phase, name))
+            if stack.shape != shape:
+                raise DimensionError(f"predictor returned shape {stack.shape}, expected {shape}")
+            yield [_flip(ch, name) for ch in stack.channels()]
+
+    return _mean(passes(), len(names))
+
+
+def _mean(passes, n: int) -> tuple[np.ndarray, ...]:
+    """The mean of ``n`` passes of float32 arrays: a float64 running sum in
+    the order ``passes`` yields them, cast to float32. One pass is
+    returned as it is, without a copy."""
+    passes = iter(passes)
+    first = next(passes)
+    if n == 1:
+        return tuple(first)
+    acc = [a.astype(np.float64) for a in first]
+    for arrays in passes:
+        for a, x in zip(acc, arrays):
+            a += x
+    return tuple(np.divide(a, n, out=a).astype(np.float32) for a in acc)
 
 
 def predict_with_tta(predictor: SlicePredictor, magnitude: np.ndarray,
@@ -277,19 +284,14 @@ def predict_with_tta(predictor: SlicePredictor, magnitude: np.ndarray,
 
 
 def ensemble(stacks: list[RegionStack]) -> RegionStack:
-    """Voxel-wise arithmetic mean of region stacks (fold ensembling)."""
+    """Voxel-wise mean of region stacks (fold ensembling), by ``_mean``."""
     if not stacks:
         raise ValidationError("cannot ensemble an empty list")
     shape = stacks[0].shape
     for s in stacks[1:]:
         if s.shape != shape:
             raise DimensionError(f"stack shapes disagree: {s.shape} vs {shape}")
-    n = len(stacks)
-    return RegionStack(
-        sum(s.wm.astype(np.float64) for s in stacks) / n,
-        sum(s.gm.astype(np.float64) for s in stacks) / n,
-        sum(s.lesion.astype(np.float64) for s in stacks) / n,
-    )
+    return RegionStack(*_mean((s.channels() for s in stacks), len(stacks)))
 
 
 def stack_slices(plane_stacks: dict[int, RegionStack], z_extent: int) -> RegionStack:
@@ -450,8 +452,12 @@ class SubprocessPredictor(SlicePredictor):
             for path, plane in ((mag_path, mag), (phase_path, phs)):
                 with open(path, "wb") as fh:
                     fh.write(write_nifti(ScalarVolume(plane[:, :, None], self.spacing)))
-            proc = subprocess.run(self.command + [mag_path, phase_path, out_path],
-                                  capture_output=True, timeout=_PREDICT_TIMEOUT_S)
+            try:
+                proc = subprocess.run(self.command + [mag_path, phase_path, out_path],
+                                      capture_output=True, timeout=_PREDICT_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                raise ValidationError(
+                    f"predictor command timed out after {_PREDICT_TIMEOUT_S:g} s") from None
             if proc.returncode != 0:
                 raise ValidationError(
                     f"predictor command failed ({proc.returncode}): "

@@ -259,25 +259,26 @@ def test_stack_mock_predictor_end_to_end(tmp_path):
     assert agree > 0.99
 
 
-def test_stack_slice_dirs_with_ensemble(tmp_path):
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"], ids=["nii", "nii-gz"])
+@pytest.mark.parametrize("n_folds", [1, 2, 3], ids=["1-fold", "2-folds", "3-folds"])
+def test_stack_slice_dirs_with_ensemble(tmp_path, n_folds, suffix):
     rng = np.random.default_rng(3)
     h, w, z = 6, 6, 4
-    probs_a = rng.random((h, w, 3, z)).astype(np.float32)
-    probs_b = rng.random((h, w, 3, z)).astype(np.float32)
-    for name, probs in (("fold0", probs_a), ("fold1", probs_b)):
-        d = tmp_path / name
+    fold_probs = [rng.random((h, w, 3, z)).astype(np.float32) for _ in range(n_folds)]
+    for i, probs in enumerate(fold_probs):
+        d = tmp_path / f"fold{i}"
         d.mkdir()
         for zi in range(z):
             vol = ScalarVolume(probs[:, :, :, zi], ISO)
-            _write(d / f"slice_{zi:04d}.nii", vol)
+            _write(d / f"slice_{zi:04d}{suffix}", vol, gz=suffix == ".nii.gz")
     out = tmp_path / "merged.nii.gz"
-    rc = main(["stack", str(tmp_path / "fold0"), str(tmp_path / "fold1"),
+    rc = main(["stack", *(str(tmp_path / f"fold{i}") for i in range(n_folds)),
                "--out", str(out)])
     assert rc == 0
 
     from cordpipe import RegionStack, ensemble, merge_regions, stack_slices
     folds = []
-    for probs in (probs_a, probs_b):
+    for probs in fold_probs:
         planes = {zi: RegionStack(probs[:, :, 0, zi], probs[:, :, 1, zi],
                                   probs[:, :, 2, zi]) for zi in range(z)}
         folds.append(stack_slices(planes, z))
@@ -353,15 +354,22 @@ def test_stack_rejects_an_empty_or_unparsable_command_before_loading(
     ("import sys, numpy as np; from cordpipe import ScalarVolume, Spacing, write_nifti; "
      "open(sys.argv[-1], 'wb').write(write_nifti(ScalarVolume("
      "np.zeros((5, 5, 3), np.float32), Spacing.isotropic())))", 1, "DimensionError"),
-], ids=["no-output", "wrong-plane-size"])
-def test_stack_subprocess_predictor_bad_output(tmp_path, capsys, code, rc, kind):
+    ("import time; time.sleep(3)", 1, "ValidationError"),
+], ids=["no-output", "wrong-plane-size", "hangs"])
+def test_stack_subprocess_predictor_bad_output(tmp_path, capsys, monkeypatch, code, rc, kind):
+    import cordpipe.pseudolabel as pseudolabel
+
+    if code.startswith("import time"):
+        monkeypatch.setattr(pseudolabel, "_PREDICT_TIMEOUT_S", 0.5)
     mag, _, _ = generate(PhantomConfig.fitted((16, 16, 1), seed=4))
+    mag_path = _write(tmp_path / "mag.nii", mag)
     command = f"{shlex.quote(sys.executable)} -c {shlex.quote(code)}"
     out = tmp_path / "labels.nii"
-    assert main(["stack", "--predictor", f"cmd:{command}", "--input",
-                 _write(tmp_path / "mag.nii", mag), "--out", str(out)]) == rc
+    assert main(["stack", "--predictor", f"cmd:{command}", "--input", mag_path,
+                 "--out", str(out)]) == rc
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"cordpipe-error kind={kind} "), err
+    assert mag_path not in err[0]  # the magnitude file is fine; the command is not
     assert not out.exists()
 
 
@@ -764,7 +772,7 @@ def test_error_names_a_missing_slice_dir(tmp_path, capsys):
     assert f"file={missing} " in capsys.readouterr().err
 
 
-def test_error_still_falls_back_to_the_main_input(tmp_path, capsys):
+def test_error_names_an_undecodable_main_input(tmp_path, capsys):
     bad = tmp_path / "bad.nii"
     bad.write_bytes(b"not a nifti")
     assert main(["preprocess", str(bad), "--out", str(tmp_path / "o.nii")]) == 2
@@ -820,6 +828,58 @@ def test_stack_slices_of_one_fold_must_agree(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "kind=ValidationError" in err and fold in err and name in err
     assert not (tmp_path / "o.nii").exists()
+
+
+def test_stack_checks_slice_names_before_reading_a_slice(tmp_path, capsys, monkeypatch):
+    import cordpipe.cli as cli
+
+    probs = np.random.default_rng(8).random((6, 6, 3, 4)).astype(np.float32)
+    base = _fold(tmp_path / "base", probs)
+    short = _fold(tmp_path / "short", probs[..., :3])
+    gap = _fold(tmp_path / "gap", probs)
+    os.rename(os.path.join(gap, "slice_002.nii"), os.path.join(gap, "slice_007.nii"))
+    pair = _fold(tmp_path / "pair", probs)
+    _write(tmp_path / "pair" / "slice_001.nii.gz", ScalarVolume(probs[..., 1], ISO), gz=True)
+    unnamed = _fold(tmp_path / "unnamed", probs)
+    _write(tmp_path / "unnamed" / "slice.nii", ScalarVolume(probs[..., 1], ISO))
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("stack read a slice before checking the slice names")
+
+    monkeypatch.setattr(cli, "_read_file", must_not_run)
+    for argv, message in (([base, short], f"fold {short} has 3 slices, fold {base} has 4"),
+                          ([base, gap], f"fold {gap}: missing slice indices [2] of 0..3"),
+                          ([pair], "both hold volume 'slice_001'"),
+                          ([unnamed], "cannot parse slice index")):
+        capsys.readouterr()
+        assert main(["stack", *argv, "--out", str(tmp_path / "o.nii")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cordpipe-error kind=ValidationError"), err
+        assert message in err[0]
+    assert not (tmp_path / "o.nii").exists()
+
+
+def test_stack_reads_each_slice_file_once(tmp_path, monkeypatch):
+    import collections
+    import cordpipe.cli as cli
+
+    rng = np.random.default_rng(9)
+    folds = [_fold(tmp_path / f"fold{i}", rng.random((6, 5, 3, 7)).astype(np.float32))
+             for i in range(3)]
+    reads = collections.Counter()
+    read_file = cli._read_file
+
+    def counted(path):
+        reads[path] += 1
+        return read_file(path)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("slice-directory stack merged a whole-volume stack")
+
+    monkeypatch.setattr(cli, "_read_file", counted)
+    monkeypatch.setattr(cli, "merge_regions", must_not_run)
+    assert main(["stack", *folds, "--out", str(tmp_path / "o.nii")]) == 0
+    assert len(reads) == 21 and set(reads.values()) == {1}
 
 
 def test_unknown_spatial_unit_exits_2(tmp_path, capsys):
@@ -1076,6 +1136,35 @@ def test_stack_without_its_inputs_exits_1(grids, tmp_path, capsys, argv, message
     err = capsys.readouterr().err.splitlines()
     assert err == [f'cordpipe-error kind=ValidationError msg="{message}"']
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["slices", "--input", "mag"], "--input"),
+    (["slices", "--phase", "phase"], "--phase"),
+    (["slices", "--fit-labels", "labels"], "--fit-labels"),
+    (["slices", "--tta"], "--tta"),
+    (["slices", "--predictor", "mock", "--input", "mag", "--phase", "phase",
+      "--fit-labels", "labels"], "--predictor"),
+    (["--predictor", "cmd:true", "--input", "mag", "--fit-labels", "labels"], "--fit-labels"),
+], ids=["slices-input", "slices-phase", "slices-fit-labels", "slices-tta",
+        "predictor-with-slices", "cmd-fit-labels"])
+def test_stack_rejects_a_flag_its_mode_does_not_read(grids, tmp_path, capsys, monkeypatch,
+                                                     argv, flag):
+    import cordpipe.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("stack read a file before rejecting an unread flag")
+
+    slices = _slice_dir(tmp_path / "slices", np.zeros((6, 6, 3, 2), np.float32),
+                        "slice_{:03d}.nii")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_read_file", must_not_run)
+    args = [{"slices": slices}.get(a, grids.get(a, a)) for a in argv]
+    assert main(["stack", *args, "--out", "o.nii"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cordpipe-error kind=ValidationError"), err
+    assert flag in err[0]
+    assert not (tmp_path / "o.nii").exists()
 
 
 # ---------------------------------------------------------------------------
