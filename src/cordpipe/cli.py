@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import re
+import shlex
 import sys
 import tempfile
 
@@ -55,7 +56,7 @@ from .pseudolabel import (
 from .regions import RegionStack, check_thresholds, merge_region_arrays, merge_regions, to_regions
 from .softlabel import PROFILES as SOFT_PROFILES
 from .softlabel import SoftProfile, soften
-from .volume import CLASS_NAMES, FOREGROUND_CLASSES, LabelVolume, ScalarVolume
+from .volume import CLASS_NAMES, FOREGROUND_CLASSES, LabelVolume, ScalarVolume, _on_grid
 
 
 def _read_file(path: str) -> bytes:
@@ -109,12 +110,12 @@ def _load_volume(path: str, labels: bool = False):
 
 
 def _load_on_grid(path: str, ref_path: str, ref, labels: bool = False):
-    """Load a voxel-wise input that must share the dims and spacing of ``ref``."""
+    """Load a voxel-wise input on the grid of ``ref`` (``volume._on_grid``)."""
     vol = _load_volume(path, labels)
-    if vol.dims != ref.dims or vol.spacing != ref.spacing:
-        raise ValidationError(
-            f"{path}: dims {vol.dims} at spacing {vol.spacing.as_tuple()} differ from "
-            f"{ref.dims} at {ref.spacing.as_tuple()} of {ref_path}")
+    try:
+        _on_grid(vol, ref)
+    except ValidationError as exc:
+        raise type(exc)(f"{path} vs {ref_path}: {exc}") from exc
     return vol
 
 
@@ -328,8 +329,6 @@ def _stack_folds(folds: list[list[str]], tissue_thresh: float,
 
 def _predictor_command(text: str) -> list[str]:
     """Split a ``cmd:`` predictor command the way a POSIX shell would."""
-    import shlex
-
     try:
         command = shlex.split(text)
     except ValueError as exc:
@@ -374,7 +373,7 @@ def _cmd_stack(args, cfg: dict) -> int:
     else:
         if not args.slice_dirs:
             raise ValidationError("stack needs slice directories or --predictor")
-        unread = [f"--{f}" for f in ("input", "phase", "fit-labels", "tta")
+        unread = [f"--{f}" for f in ("input", "phase", "fit-labels", "tta", "threads")
                   if getattr(args, f.replace("-", "_"))]
         if unread:
             raise ValidationError(f"slice directories do not read {' or '.join(unread)}")
@@ -414,8 +413,7 @@ def _evaluate_one(pred_path: str, gt_path: str, volume_id: str):
             _load_volume(gt_path, labels=True)
         return evaluate(pred, gt, volume_id=volume_id)
     except ValidationError as exc:
-        raise type(exc)(f"volume {volume_id} (pred {pred_path}, gt {gt_path}): {exc}") \
-            from exc
+        raise type(exc)(f"volume {volume_id} (pred {pred_path}, gt {gt_path}): {exc}") from exc
 
 
 def _nifti_stems(path: str) -> dict[str, str]:
@@ -449,9 +447,7 @@ def _cmd_evaluate_batch(args) -> int:
     gts = _nifti_stems(args.gt)
     stems = sorted(set(preds) & set(gts))
     if not stems:
-        raise ValidationError(
-            f"no matching volume names between {args.pred} and {args.gt}"
-        )
+        raise ValidationError(f"no matching volume names between {args.pred} and {args.gt}")
     reports = thread_map(lambda stem: _evaluate_one(preds[stem], gts[stem], stem),
                          stems, args.threads)
     _write_reports(args, reports, {"volumes": [r.to_json_dict() for r in reports],
@@ -555,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phase")
     p.add_argument("--fit-labels", help="labels used to calibrate the mock predictor")
     p.add_argument("--tta", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_stack)
 
@@ -567,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--volume-id")
     p.add_argument("--csv")
     p.add_argument("--json")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("phantom", parents=[dry_run],
@@ -585,9 +581,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         for name in ("threads", "annotate_every"):  # counts, checked before any file
-            if getattr(args, name, 1) < 1:
-                raise ValidationError(f"--{name.replace('_', '-')} must be at least 1, "
-                                      f"got {getattr(args, name)}")
+            if (count := getattr(args, name, None)) is not None and count < 1:
+                raise ValidationError(f"--{name.replace('_', '-')} must be at least 1, got {count}")
         config = getattr(args, "config", None)
         cfg = load_config(_read_file(config), config) if config else {}
         unknown = sorted(set(cfg) - set(_CONFIG_KEYS))

@@ -42,8 +42,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .nifti import SparseAnnotation
-from .volume import CLASS_NAMES, FOREGROUND_CLASSES, LabelVolume, Spacing
+from .volume import (CLASS_NAMES, FOREGROUND_CLASSES, LabelVolume, SparseAnnotation, Spacing,
+                     _on_grid)
 
 
 def _mask_pair(g: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,42 +297,23 @@ def evaluate(pred: LabelVolume, gt: LabelVolume | SparseAnnotation,
     planes where it is defined. DSC_z always runs on the full dense
     prediction, since it measures the prediction's own smoothness.
 
-    This is the one place where ground truth is checked against the
-    prediction's grid. Dense ground truth must have the prediction's
-    dims and spacing. Sparse planes must have its plane size, indices
-    below its slice count and, when read from disk, its in-plane spacing
-    (dx, dy). A size disagreement is a ``DimensionError``; any other is a
-    ``ValidationError``.
+    Ground truth must lie on the prediction's grid (``volume._on_grid``).
     """
     sparse = isinstance(gt, SparseAnnotation)
+    if sparse and len(gt) == 0:
+        raise ValidationError("no annotated slices to evaluate")
+    try:
+        _on_grid(gt, pred)
+    except ValidationError as exc:
+        raise type(exc)(f"ground truth vs prediction: {exc}") from exc
     n_classes = len(FOREGROUND_CLASSES)
     pred_boxes = _class_boxes(pred.data, n_classes)
     if sparse:
-        if len(gt) == 0:
-            raise ValidationError("no annotated slices to evaluate")
-        if gt.plane_dims != pred.dims[:2]:
-            raise DimensionError(
-                f"annotation planes {gt.plane_dims} vs prediction planes {pred.dims[:2]}"
-            )
-        if gt.z_indices[-1] >= pred.dims[2]:
-            raise ValidationError(f"annotated index {gt.z_indices[-1]} is past the last "
-                                  f"of the prediction's {pred.dims[2]} slices")
-        if gt.spacing is not None and gt.spacing.as_tuple()[:2] != pred.spacing.as_tuple()[:2]:
-            raise ValidationError(
-                f"annotation in-plane spacing {gt.spacing.as_tuple()[:2]} vs "
-                f"pred in-plane spacing {pred.spacing.as_tuple()[:2]}"
-            )
         gt_planes = gt.planes
         pred_planes = pred.data[:, :, gt.z_indices]
         scope = len(gt)
         boxes = [(slice(None),) * 3] * n_classes
     else:
-        if gt.dims != pred.dims:
-            raise DimensionError(f"gt dims {gt.dims} vs pred dims {pred.dims}")
-        if gt.spacing != pred.spacing:
-            raise ValidationError(
-                f"gt spacing {gt.spacing.as_tuple()} vs pred spacing {pred.spacing.as_tuple()}"
-            )
         gt_planes = gt.data
         pred_planes = pred.data
         scope = pred.dims[2]

@@ -58,7 +58,7 @@ from .errors import (
     UnsupportedDatatypeError,
     ValidationError,
 )
-from .volume import LabelVolume, ScalarVolume, Spacing, _all_finite, _in_order, _label_ids
+from .volume import LabelVolume, ScalarVolume, SparseAnnotation, Spacing, _all_finite, _in_order
 
 HEADER_SIZE = 348
 SINGLE_FILE_VOX_OFFSET = 352
@@ -495,41 +495,6 @@ def gzip_nifti(raw: bytes) -> bytes:
     return b"".join((_GZIP_HEADER, deflate.compress(raw), deflate.flush(), trailer))
 
 
-@dataclass(eq=False)
-class SparseAnnotation:
-    """Sparsely annotated axial slices: indices plus their label planes.
-
-    ``spacing`` is the voxel size of the planes file when read from disk;
-    ``evaluate`` then checks its in-plane part against the prediction's.
-    """
-
-    volume_id: str
-    z_indices: list[int]
-    planes: np.ndarray  # (H, W, K) uint8, plane k annotates z_indices[k]
-    spacing: Spacing | None = None
-
-    def __post_init__(self):
-        planes = np.asarray(self.planes)
-        if planes.ndim != 3:
-            raise SidecarError(f"planes must be (H, W, K), got shape {planes.shape}")
-        if len(self.z_indices) != planes.shape[2]:
-            raise SidecarError(
-                f"{len(self.z_indices)} indices but {planes.shape[2]} planes"
-            )
-        if any(b <= a for a, b in zip(self.z_indices, self.z_indices[1:])):
-            raise SidecarError("z indices must be strictly increasing and unique")
-        if any(z < 0 for z in self.z_indices):
-            raise SidecarError("negative z index")
-        self.planes = _label_ids(planes, "annotation plane", LabelRangeError)
-
-    def __len__(self) -> int:
-        return len(self.z_indices)
-
-    @property
-    def plane_dims(self) -> tuple[int, int]:
-        return self.planes.shape[:2]
-
-
 def write_sparse_annotation(ann: SparseAnnotation, planes_filename: str,
                             spacing: Spacing) -> tuple[bytes, bytes]:
     """Serialize to (sidecar JSON bytes, companion planes NIfTI bytes)."""
@@ -572,9 +537,9 @@ def read_sparse_annotation(json_bytes: bytes, planes_bytes: bytes) -> SparseAnno
     """Decode sidecar JSON plus its companion planes file.
 
     Only the sidecar's own consistency is checked here: one plane per
-    index, each index unique and not negative. ``evaluate`` checks the
-    planes against the prediction's grid. The result carries the planes
-    file's spacing.
+    index, each index unique and not negative. ``volume._on_grid`` checks
+    the planes against a grid. The result carries the planes file's
+    spacing.
     """
     doc = parse_sidecar(json_bytes)
     z_indices = doc["z_indices"]

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+import shlex
 import subprocess
 import tempfile
 from abc import ABC, abstractmethod
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, ValidationError
+from .errors import CordpipeError, DimensionError, FormatError, ValidationError
 from .nifti import read_nifti, write_nifti
 from .regions import REGION_CLASSES, RegionStack, check_thresholds, merge_region_arrays
 from . import volume
@@ -86,12 +87,17 @@ class SlicePredictor(ABC):
         """Predict an (H, W, n) block of axial slices at once.
 
         The default calls :meth:`predict` on each slice and checks the
-        shape of every plane it returns.
+        shape of every plane it returns; an error names its slice.
         """
         h, w, n = magnitude.shape
-        return _stack_planes((self.predict(magnitude[:, :, z],
-                                           None if phase is None else phase[:, :, z])
-                              for z in range(n)), (h, w), n)
+        return _stack_planes(lambda z: self.predict(magnitude[:, :, z],
+                                                    None if phase is None else phase[:, :, z]),
+                             (h, w), n)
+
+
+def _named(exc: CordpipeError, where: str) -> CordpipeError:
+    """``exc`` as its type with ``where`` before its message, and its path if any."""
+    return type(exc)(f"{where}: {exc}", *([exc.path] if isinstance(exc, FormatError) else []))
 
 
 class MockPredictor(SlicePredictor):
@@ -132,8 +138,8 @@ class MockPredictor(SlicePredictor):
         holds the C-order sequence a boolean gather yields, and its
         float32 ``mean()`` sums it in the same pairwise order.
         """
-        if not magnitude.dims == phase.dims == labels.dims:
-            raise DimensionError(f"fit dims differ: {magnitude.dims} {phase.dims} {labels.dims}")
+        volume._on_grid(phase, magnitude)
+        volume._on_grid(labels, magnitude)
         classes = (0, *FOREGROUND_CLASSES)
         slabs = [slice(r, r + _FIT_ROWS) for r in range(0, labels.dims[0], _FIT_ROWS)]
         sizes = [0] * len(classes)
@@ -308,14 +314,18 @@ def stack_slices(plane_stacks: dict[int, RegionStack], z_extent: int) -> RegionS
     first = plane_stacks[0]
     if first.wm.ndim != 2:
         raise DimensionError("stack_slices expects 2D per-slice region stacks")
-    return _stack_planes((plane_stacks[z] for z in range(z_extent)), first.shape, z_extent)
+    return _stack_planes(plane_stacks.__getitem__, first.shape, z_extent)
 
 
 def _stack_planes(planes, plane_shape: tuple[int, int], n: int) -> RegionStack:
-    """The ``n`` region planes of ``planes``, in z order, as three x-fastest
-    float32 (H, W, n) volumes; a plane of another shape is a DimensionError."""
+    """``planes(z)`` for z < n as three x-fastest float32 (H, W, n) volumes; an
+    error names its slice, and a plane of another shape is a DimensionError."""
     out = [np.empty(plane_shape + (n,), np.float32, order="F") for _ in range(3)]
-    for z, plane in enumerate(planes):
+    for z in range(n):
+        try:
+            plane = planes(z)
+        except CordpipeError as exc:
+            raise _named(exc, f"slice {z} of {n}") from exc
         if plane.shape != plane_shape:
             raise DimensionError(f"slice {z} has shape {plane.shape}, expected {plane_shape}")
         for o, ch in zip(out, plane.channels()):
@@ -356,17 +366,22 @@ def _predict_chunks(predictor: SlicePredictor, magnitude: ScalarVolume,
     may run concurrently, and as ``emit`` writes only its own z range,
     the result is that of the serial order either way. Without ``tta``
     each slice is predicted once, through the identity-only TTA path.
+    An error of a chunk names its z range.
     """
-    if phase is not None and phase.dims != magnitude.dims:
-        raise DimensionError("magnitude and phase volumes disagree on dims")
+    if phase is not None:
+        volume._on_grid(phase, magnitude)
     h, w, z_extent = magnitude.dims
     cfg = TtaConfig(("identity",)) if tta is None else tta
     k = max(1, _CHUNK_VOXELS // (h * w))
 
     def run(z0: int) -> None:
         zs = slice(z0, min(z0 + k, z_extent))
-        emit(zs, _tta(predictor, magnitude.data[:, :, zs],
-                      None if phase is None else phase.data[:, :, zs], cfg))
+        try:
+            channels = _tta(predictor, magnitude.data[:, :, zs],
+                            None if phase is None else phase.data[:, :, zs], cfg)
+        except CordpipeError as exc:
+            raise _named(exc, f"slices {zs.start}..{zs.stop - 1}") from exc
+        emit(zs, channels)
 
     if not predictor.thread_safe and threads is not None:
         threads = min(threads, 1)  # serial, but a count below 1 is still rejected
@@ -433,7 +448,8 @@ class SubprocessPredictor(SlicePredictor):
     (float32, single-slice volumes) into a fresh temp directory, runs
     ``command + [mag_path, phase_path, out_path]``, and reads back
     ``out.nii``: a (H, W, 3) float32 NIfTI whose three planes are the
-    wm, gm and lesion probabilities.
+    wm, gm and lesion probabilities. An error names the command, quoted
+    as a shell would quote it, and none of its temp-file arguments.
     """
 
     thread_safe = False
@@ -445,29 +461,27 @@ class SubprocessPredictor(SlicePredictor):
                 phase: np.ndarray | None = None) -> RegionStack:
         mag = np.asarray(magnitude, dtype=np.float32)
         phs = np.zeros_like(mag) if phase is None else np.asarray(phase, dtype=np.float32)
-        with tempfile.TemporaryDirectory(prefix="cordpipe-pred-") as tmp:
-            mag_path = os.path.join(tmp, "mag.nii")
-            phase_path = os.path.join(tmp, "phase.nii")
-            out_path = os.path.join(tmp, "out.nii")
-            for path, plane in ((mag_path, mag), (phase_path, phs)):
-                with open(path, "wb") as fh:
-                    fh.write(write_nifti(ScalarVolume(plane[:, :, None], self.spacing)))
-            try:
-                proc = subprocess.run(self.command + [mag_path, phase_path, out_path],
-                                      capture_output=True, timeout=_PREDICT_TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                raise ValidationError(
-                    f"predictor command timed out after {_PREDICT_TIMEOUT_S:g} s") from None
-            if proc.returncode != 0:
-                raise ValidationError(
-                    f"predictor command failed ({proc.returncode}): "
-                    f"{proc.stderr.decode(errors='replace').strip()[:500]}"
-                )
-            try:
-                with open(out_path, "rb") as fh:
-                    out = read_nifti(fh.read())
-            except FileNotFoundError:
-                raise FormatError("predictor command produced no output file")
-        if out.dims[:2] != mag.shape:
-            raise DimensionError(f"predictor output planes {out.dims[:2]}, expected {mag.shape}")
-        return _region_planes(out)
+        try:
+            with tempfile.TemporaryDirectory(prefix="cordpipe-pred-") as tmp:
+                paths = [os.path.join(tmp, name) for name in ("mag.nii", "phase.nii", "out.nii")]
+                for path, plane in zip(paths, (mag, phs)):
+                    with open(path, "wb") as fh:
+                        fh.write(write_nifti(ScalarVolume(plane[:, :, None], self.spacing)))
+                try:
+                    proc = subprocess.run(self.command + paths, capture_output=True,
+                                          timeout=_PREDICT_TIMEOUT_S)
+                except subprocess.TimeoutExpired:
+                    raise ValidationError(f"timed out after {_PREDICT_TIMEOUT_S:g} s") from None
+                if proc.returncode != 0:
+                    stderr = proc.stderr.decode(errors="replace").strip()[:500]
+                    raise ValidationError(f"failed ({proc.returncode}): {stderr}")
+                try:
+                    with open(paths[2], "rb") as fh:
+                        out = read_nifti(fh.read())
+                except FileNotFoundError:
+                    raise FormatError("produced no output file") from None
+            if out.dims[:2] != mag.shape:
+                raise DimensionError(f"output planes {out.dims[:2]}, expected {mag.shape}")
+            return _region_planes(out)
+        except CordpipeError as exc:
+            raise _named(exc, f"predictor cmd:{shlex.join(self.command)}") from exc

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, LabelRangeError, SidecarError, ValidationError
 
 # Exclusive class ids.
 BACKGROUND = 0
@@ -160,6 +160,51 @@ class LabelVolume:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
+
+
+@dataclass(eq=False)
+class SparseAnnotation:
+    """Sparsely annotated axial slices: indices plus their label planes, and
+    the planes file's voxel size when read from disk, whose in-plane part
+    ``_on_grid`` checks."""
+
+    volume_id: str
+    z_indices: list[int]
+    planes: np.ndarray  # (H, W, K) uint8, plane k annotates z_indices[k]
+    spacing: Spacing | None = None
+
+    def __post_init__(self):
+        planes = np.asarray(self.planes)
+        if planes.ndim != 3:
+            raise SidecarError(f"planes must be (H, W, K), got shape {planes.shape}")
+        if len(self.z_indices) != planes.shape[2]:
+            raise SidecarError(f"{len(self.z_indices)} indices but {planes.shape[2]} planes")
+        if any(b <= a for a, b in zip([-1, *self.z_indices], self.z_indices)):
+            raise SidecarError("z indices must be strictly increasing, unique and not negative")
+        self.planes = _label_ids(planes, "annotation plane", LabelRangeError)
+
+    def __len__(self) -> int:
+        return len(self.z_indices)
+
+    @property
+    def plane_dims(self) -> tuple[int, int]:
+        return self.planes.shape[:2]
+
+
+def _on_grid(vol, ref) -> None:
+    """The one grid rule: a volume ``vol`` needs the dims and spacing of the
+    volume ``ref``; a ``SparseAnnotation`` its plane size, indices below its
+    slice count and, if it has a spacing (read from disk), its (dx, dy). A size
+    disagreement is a ``DimensionError``, any other a ``ValidationError``."""
+    sparse = isinstance(vol, SparseAnnotation)
+    size, ref_size = (vol.plane_dims, ref.dims[:2]) if sparse else (vol.dims, ref.dims)
+    if size != ref_size:
+        raise DimensionError(f"{'planes' if sparse else 'dims'} {size} differ from {ref_size}")
+    if sparse and vol.z_indices and vol.z_indices[-1] >= ref.dims[2]:
+        raise ValidationError(f"index {vol.z_indices[-1]} is past the last of {ref.dims[2]} slices")
+    step, ref_step = (s.as_tuple()[:len(size)] for s in (vol.spacing or ref.spacing, ref.spacing))
+    if step != ref_step:
+        raise ValidationError(f"spacing {step} differs from {ref_step}")
 
 
 @dataclass(eq=False)

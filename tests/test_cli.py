@@ -349,19 +349,26 @@ def test_stack_rejects_an_empty_or_unparsable_command_before_loading(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("code, rc, kind", [
-    ("pass", 2, "FormatError"),
+# Slice 1 of the magnitude is all zeros; "marked" fails on it alone.
+@pytest.mark.parametrize("code, rc, kind, z", [
+    ("pass", 2, "FormatError", 0),
     ("import sys, numpy as np; from cordpipe import ScalarVolume, Spacing, write_nifti; "
      "open(sys.argv[-1], 'wb').write(write_nifti(ScalarVolume("
-     "np.zeros((5, 5, 3), np.float32), Spacing.isotropic())))", 1, "DimensionError"),
-    ("import time; time.sleep(3)", 1, "ValidationError"),
-], ids=["no-output", "wrong-plane-size", "hangs"])
-def test_stack_subprocess_predictor_bad_output(tmp_path, capsys, monkeypatch, code, rc, kind):
+     "np.zeros((5, 5, 3), np.float32), Spacing.isotropic())))", 1, "DimensionError", 0),
+    ("import time; time.sleep(3)", 1, "ValidationError", 0),
+    ("import sys, numpy as np; from cordpipe import ScalarVolume, Spacing, read_nifti, "
+     "write_nifti; mag = read_nifti(open(sys.argv[-3], 'rb').read()).data; "
+     "mag.any() or sys.exit('marked slice'); "
+     "open(sys.argv[-1], 'wb').write(write_nifti(ScalarVolume("
+     "np.zeros((16, 16, 3), np.float32), Spacing.isotropic())))", 1, "ValidationError", 1),
+], ids=["no-output", "wrong-plane-size", "hangs", "marked"])
+def test_stack_subprocess_predictor_bad_output(tmp_path, capsys, monkeypatch, code, rc, kind, z):
     import cordpipe.pseudolabel as pseudolabel
 
     if code.startswith("import time"):
         monkeypatch.setattr(pseudolabel, "_PREDICT_TIMEOUT_S", 0.5)
-    mag, _, _ = generate(PhantomConfig.fitted((16, 16, 1), seed=4))
+    mag, _, _ = generate(PhantomConfig.fitted((16, 16, 3), seed=4))
+    mag.data[:, :, 1] = 0
     mag_path = _write(tmp_path / "mag.nii", mag)
     command = f"{shlex.quote(sys.executable)} -c {shlex.quote(code)}"
     out = tmp_path / "labels.nii"
@@ -369,7 +376,14 @@ def test_stack_subprocess_predictor_bad_output(tmp_path, capsys, monkeypatch, co
                  "--out", str(out)]) == rc
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"cordpipe-error kind={kind} "), err
+    # the record names the chunk, the slice in it and the command as given,
+    # with each " written as ' like every record message
+    named = f"slices 0..2: slice {z} of 3: predictor cmd:{command}: "
+    assert 'msg="' + named.replace('"', "'") in err[0]
     assert mag_path not in err[0]  # the magnitude file is fine; the command is not
+    assert "cordpipe-pred-" not in err[0]  # nor any temp file
+    if z:
+        assert err[0].endswith('marked slice"')
     assert not out.exists()
 
 
@@ -795,11 +809,12 @@ def test_stack_folds_must_agree(tmp_path, capsys):
     short = _fold(tmp_path / "short", probs[..., :4])
     coarse = _fold(tmp_path / "coarse", probs, Spacing(0.075, 0.075, 0.15))
     small = _fold(tmp_path / "small", probs[:5, :5])
-    for other in (short, coarse, small):
+    for other, kind in ((short, "ValidationError"), (coarse, "ValidationError"),
+                        (small, "DimensionError")):
         capsys.readouterr()
         assert main(["stack", base, other, "--out", str(tmp_path / "o.nii")]) == 1
         err = capsys.readouterr().err
-        assert "kind=ValidationError" in err and base in err and other in err
+        assert f"kind={kind}" in err and base in err and other in err
     # a gap in the first fold, or the same count at shifted indices
     gap = _fold(tmp_path / "gap", probs[..., :4])
     os.rename(os.path.join(gap, "slice_003.nii"), os.path.join(gap, "slice_004.nii"))
@@ -821,12 +836,14 @@ def test_stack_slices_of_one_fold_must_agree(tmp_path, capsys):
     _write(tmp_path / "two_planes" / "slice_002.nii", ScalarVolume(probs[:, :, :2, 2], ISO))
     doubled = _fold(tmp_path / "doubled", probs)
     _write(tmp_path / "doubled" / "slice_1.nii.gz", ScalarVolume(probs[..., 1], ISO), gz=True)
-    for fold, name in ((mixed, "slice_002.nii"), (resized, "slice_002.nii"),
-                       (two_planes, "slice_002.nii"), (doubled, "duplicate slice index 1")):
+    for fold, name, kind in ((mixed, "slice_002.nii", "ValidationError"),
+                             (resized, "slice_002.nii", "DimensionError"),
+                             (two_planes, "slice_002.nii", "DimensionError"),
+                             (doubled, "duplicate slice index 1", "ValidationError")):
         capsys.readouterr()
         assert main(["stack", fold, "--out", str(tmp_path / "o.nii")]) == 1
         err = capsys.readouterr().err
-        assert "kind=ValidationError" in err and fold in err and name in err
+        assert f"kind={kind}" in err and fold in err and name in err
     assert not (tmp_path / "o.nii").exists()
 
 
@@ -950,7 +967,8 @@ def test_voxelwise_inputs_must_share_one_grid(grids, tmp_path, capsys, argv, ref
     rc = main([grids.get(a, a) for a in argv] + ["--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1, err
-    assert "kind=ValidationError" in err and grids[ref] in err and grids[odd] in err
+    kind = "DimensionError" if odd.startswith("big_") else "ValidationError"
+    assert f"kind={kind}" in err and grids[ref] in err and grids[odd] in err
     assert not out.exists()
 
 
@@ -1143,11 +1161,12 @@ def test_stack_without_its_inputs_exits_1(grids, tmp_path, capsys, argv, message
     (["slices", "--phase", "phase"], "--phase"),
     (["slices", "--fit-labels", "labels"], "--fit-labels"),
     (["slices", "--tta"], "--tta"),
+    (["slices", "--threads", "2"], "--threads"),
     (["slices", "--predictor", "mock", "--input", "mag", "--phase", "phase",
       "--fit-labels", "labels"], "--predictor"),
     (["--predictor", "cmd:true", "--input", "mag", "--fit-labels", "labels"], "--fit-labels"),
 ], ids=["slices-input", "slices-phase", "slices-fit-labels", "slices-tta",
-        "predictor-with-slices", "cmd-fit-labels"])
+        "slices-threads", "predictor-with-slices", "cmd-fit-labels"])
 def test_stack_rejects_a_flag_its_mode_does_not_read(grids, tmp_path, capsys, monkeypatch,
                                                      argv, flag):
     import cordpipe.cli as cli

@@ -724,3 +724,21 @@ def test_scipy_loads_only_for_the_exact_transform_fallback():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_metrics_imports_nothing_from_nifti():
+    # `import cordpipe` loads every module, so only the source can show
+    # that metrics takes its types from volume, where the grid rule lives
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(metrics.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update("." * node.level + a.name for a in node.names if not node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert ".volume" in imported
+    assert not imported & {".nifti", "cordpipe.nifti"}

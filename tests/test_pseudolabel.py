@@ -588,6 +588,25 @@ def test_mock_fit_rejects_volumes_on_other_grids(which):
         MockPredictor.fit(mag, phs, labels)
 
 
+@pytest.mark.parametrize("which", ["phase", "labels"])
+def test_library_rejects_a_volume_at_another_spacing(which):
+    # the grid rule holds for library calls too, not only for the CLI
+    mag, phs, labels = generate(PhantomConfig.fitted((32, 32, 4), seed=5))
+    coarse = Spacing.isotropic(0.5)
+    if which == "phase":
+        phs = ScalarVolume(phs.data, coarse)
+    else:
+        labels = LabelVolume(labels.data, coarse)
+    with pytest.raises(ValidationError, match="spacing") as exc:
+        MockPredictor.fit(mag, phs, labels)
+    assert exc.type is ValidationError
+    if which == "phase":
+        for predict in (predict_volume, predict_labels):
+            with pytest.raises(ValidationError, match="spacing") as exc:
+                predict(_mock(), mag, phs)
+            assert exc.type is ValidationError
+
+
 def _assert_x_fastest_planes(vol, planes):
     for ch, name in zip(vol.channels(), ("wm", "gm", "lesion")):
         assert ch.dtype == np.float32 and ch.flags.f_contiguous

@@ -8,6 +8,7 @@ from cordpipe import (
     ScalarVolume,
     SoftLabelVolume,
     Spacing,
+    SparseAnnotation,
     extract_patch,
     patch1,
 )
@@ -176,3 +177,29 @@ def test_in_order_is_asarray_in_that_layout(shape, source, layout, order, dtype)
     assert (got is a) == kept
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert got.flags[f"{order}_CONTIGUOUS"]
+
+
+# One case per clause of the grid rule, against a 4x4x4 reference at 75 um.
+@pytest.mark.parametrize("make, kind", [
+    (lambda: LabelVolume(np.zeros((4, 4, 5), np.uint8), ISO), DimensionError),
+    (lambda: LabelVolume(np.zeros((4, 4, 4), np.uint8), Spacing(0.075, 0.075, 0.5)),
+     ValidationError),
+    (lambda: SparseAnnotation("v", [1], np.zeros((3, 4, 1), np.uint8)), DimensionError),
+    (lambda: SparseAnnotation("v", [1, 4], np.zeros((4, 4, 2), np.uint8)), ValidationError),
+    (lambda: SparseAnnotation("v", [1], np.zeros((4, 4, 1), np.uint8),
+                              Spacing(0.5, 0.075, 0.075)), ValidationError),
+], ids=["dense-dims", "dense-spacing", "sparse-plane-size", "sparse-index-past-end",
+        "sparse-in-plane-spacing"])
+def test_the_grid_rule_gives_each_disagreement_its_kind(make, kind):
+    from cordpipe.volume import _on_grid
+
+    ref = ScalarVolume(np.zeros((4, 4, 4), np.float32), ISO)
+    with pytest.raises(ValidationError) as exc:
+        _on_grid(make(), ref)
+    assert exc.type is kind
+    # inputs on the grid pass: an annotation with ref's in-plane spacing and
+    # another dz, one without a spacing, and a volume of ref's dims and spacing
+    _on_grid(SparseAnnotation("v", [0, 3], np.zeros((4, 4, 2), np.uint8),
+                              Spacing(0.075, 0.075, 0.5)), ref)
+    _on_grid(SparseAnnotation("v", [], np.zeros((4, 4, 0), np.uint8)), ref)
+    _on_grid(LabelVolume(np.zeros((4, 4, 4), np.uint8), ISO), ref)
