@@ -121,8 +121,8 @@ def _load_on_grid(path: str, ref_path: str, ref, labels: bool = False):
 
 def _err_record(exc: Exception, path: str | None = None) -> str:
     where = f" file={path}" if path else ""
-    msg = str(exc).replace('"', "'").replace("\n", " ")
-    return f'cordpipe-error kind={type(exc).__name__}{where} msg="{msg}"'
+    msg = json.dumps(str(exc), ensure_ascii=False)  # one line, and parses back
+    return f"cordpipe-error kind={type(exc).__name__}{where} msg={msg}"
 
 
 # Every config key a subcommand reads, with its value type. A key that is
@@ -321,7 +321,7 @@ def _stack_folds(folds: list[list[str]], tissue_thresh: float,
             try:
                 planes.append(_region_planes(vol).channels())
             except ValidationError as exc:
-                raise ValidationError(f"{files[z]}: {exc}") from exc
+                raise type(exc)(f"{files[z]}: {exc}") from exc
         labels[:, :, z] = merge_region_arrays(*_mean(planes, len(planes)),
                                               tissue_thresh, lesion_thresh)
     return LabelVolume(labels, ref.spacing)

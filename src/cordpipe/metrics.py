@@ -26,10 +26,11 @@ zero-padded surfaces and the distances between in-box voxel centers are
 the same as on the full grid. Surface distances come from a shell
 search: each source surface voxel tries the integer offsets within
 ``_SHELL_RADIUS_VOXELS`` voxels of the finest axis, nearest first, and
-takes the length of the first offset that lands on the other surface.
-Lengths are computed as ``distance_transform_edt`` computes them, and
-only voxels with no surface inside the shell fall back to that
-transform over the box.
+takes the length of the first offset that lands on the other surface,
+computed as ``distance_transform_edt`` computes it. The walk stops once
+it has resolved the two order statistics the 95th percentile reads, so
+scipy loads, for that transform over the box, only when the percentile
+itself lies beyond the shell.
 """
 
 from __future__ import annotations
@@ -122,15 +123,17 @@ _SHELL_RADIUS_VOXELS = 3
 
 
 @functools.lru_cache(maxsize=16)
-def _offset_table(sampling: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Integer offsets no longer than the shell radius, nearest first.
+def _offset_table(sampling: tuple[float, ...],
+                  radius_voxels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer offsets within ``radius_voxels`` voxels of the finest axis
+    (a cache key, so a patched radius takes effect), nearest first.
 
     Returns (offsets, lengths in mm). A length is sqrt of the sum, in axis
     order, of (offset_k * sampling_k)**2: the float ``distance_transform_edt``
     returns for a nearest feature at that offset.
     """
     s = np.asarray(sampling, dtype=np.float64)
-    radius = _SHELL_RADIUS_VOXELS * s.min()
+    radius = radius_voxels * s.min()
     reach = [np.arange(-r, r + 1) for r in (np.floor(radius / s).astype(int) + 1)]
     offsets = np.stack([a.ravel() for a in np.meshgrid(*reach, indexing="ij")], axis=1)
     lengths = np.sqrt(sum((offsets[:, k] * s[k]) ** 2 for k in range(len(s))))
@@ -142,11 +145,13 @@ def _offset_table(sampling: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     return offsets, lengths
 
 
-def _directed_distances(src_surface: np.ndarray, dst_surface: np.ndarray,
-                        sampling) -> np.ndarray:
-    """Distance in mm from each src surface voxel to the nearest dst one,
-    in the memory order of the dst surface (C or Fortran)."""
-    offsets, lengths = _offset_table(tuple(sampling))
+def _directed_p95(src_surface: np.ndarray, dst_surface: np.ndarray, sampling) -> float:
+    """``np.percentile(d, 95)`` of the distances d in mm from each src
+    surface voxel to the nearest dst one, bit for bit, without building d:
+    the walk resolves voxels nearest first, so it counts them and stops at
+    the order statistics k = floor((n-1) * 0.95) and min(k+1, n-1) that
+    the linear rule reads. Voxels left past the shell supply the rest."""
+    offsets, lengths = _offset_table(tuple(sampling), _SHELL_RADIUS_VOXELS)
     order = "F" if np.isfortran(dst_surface) else "C"
     pad = np.abs(offsets).max(axis=0)
     inner = tuple(slice(p, p + n) for p, n in zip(pad, dst_surface.shape))
@@ -157,23 +162,33 @@ def _directed_distances(src_surface: np.ndarray, dst_surface: np.ndarray,
     padded[inner] = dst_surface
     steps = offsets @ (np.asarray(padded.strides) // padded.itemsize)
 
-    out = np.empty(idx.size)
-    pos = np.arange(idx.size)  # output slot of each voxel still searching
+    virtual = (idx.size - 1) * (95 / 100)  # numpy's virtual index, as a float
+    k = int(virtual)
+    ranks = (k, min(k + 1, idx.size - 1))
+    stats = []  # the statistics at ranks, as they are crossed
+    resolved = 0
     for step, length in zip(steps, lengths):
         hit = flat[idx + step]
-        if hit.any():
-            out[pos[hit]] = length
-            miss = ~hit
-            idx, pos = idx[miss], pos[miss]
-            if not idx.size:
-                return out
-    # No dst surface within the shell: the exact transform over the box.
-    # scipy is imported only here, so the shell path never loads it.
-    from scipy import ndimage
+        n_hit = np.count_nonzero(hit)
+        if n_hit:
+            resolved += n_hit
+            while len(stats) < 2 and ranks[len(stats)] < resolved:
+                stats.append(length)
+            if len(stats) == 2:
+                break
+            idx = idx[~hit]
+    else:
+        # No dst surface within the shell: the exact transform over the box,
+        # whose values all lie beyond the shell. scipy is imported only here.
+        from scipy import ndimage
 
-    dist_to_dst = ndimage.distance_transform_edt(~dst_surface, sampling=sampling)
-    out[pos] = dist_to_dst.ravel(order=order)[src_surface.ravel(order=order)][pos]
-    return out
+        dist = ndimage.distance_transform_edt(~dst_surface, sampling=sampling)
+        coords = np.unravel_index(idx, padded.shape, order=order)
+        far = np.sort(dist[tuple(c - p for c, p in zip(coords, pad))])
+        stats += [far[r - resolved] for r in ranks[len(stats):]]
+    a, b = stats
+    t = virtual - k  # numpy's "linear" _lerp, its t >= 0.5 branch included
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
 def hd95(g: np.ndarray, p: np.ndarray, spacing: Spacing) -> float | None:
@@ -197,11 +212,7 @@ def _hd95_in_box(g: np.ndarray, p: np.ndarray, spacing: Spacing) -> float:
     exact on the full grid when that grid holds the bounding box of g | p."""
     sampling = spacing.as_tuple()[:g.ndim]
     gs, ps = surface_mask(g), surface_mask(p)
-    d_gp = _directed_distances(gs, ps, sampling)
-    d_pg = _directed_distances(ps, gs, sampling)
-    h_gp = float(np.percentile(d_gp, 95))
-    h_pg = float(np.percentile(d_pg, 95))
-    return max(h_gp, h_pg)
+    return max(_directed_p95(gs, ps, sampling), _directed_p95(ps, gs, sampling))
 
 
 def inter_slice_dice(labels: LabelVolume, class_id: int) -> float | None:

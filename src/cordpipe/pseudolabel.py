@@ -136,7 +136,8 @@ class MockPredictor(SlicePredictor):
         float32 buffer per class, then, one channel at a time, every
         slab appends each class's values to its buffer. A buffer then
         holds the C-order sequence a boolean gather yields, and its
-        float32 ``mean()`` sums it in the same pairwise order.
+        float32 ``mean()`` sums it in the same pairwise order. So centers
+        depend on voxel order: z-reversed volumes move them by up to ~1e-7.
         """
         volume._on_grid(phase, magnitude)
         volume._on_grid(labels, magnitude)

@@ -25,6 +25,7 @@ from cordpipe import (
 )
 from cordpipe.cli import main
 from cordpipe.config import get_typed, parse_config_text
+from cordpipe.errors import ConfigError
 
 ISO = Spacing.isotropic()
 
@@ -331,7 +332,9 @@ def test_stack_subprocess_command_is_split_like_a_shell(tmp_path):
     assert json.loads(seen.read_text()) == ["two words", "plain", "--flag=a b"]
 
 
-@pytest.mark.parametrize("spec", ["cmd:", "cmd:   ", 'cmd:""', "cmd:'unclosed"])
+# The last three echo a ", a \ and a newline in their record's message.
+@pytest.mark.parametrize("spec", ["cmd:", "cmd:   ", 'cmd:""', "cmd:'unclosed",
+                                  'cmd:say "a\\b', 'cmd:say "a\nb', "cmd:say 'a\\\"b"])
 def test_stack_rejects_an_empty_or_unparsable_command_before_loading(
         tmp_path, capsys, monkeypatch, spec):
     import cordpipe.cli as cli
@@ -347,6 +350,11 @@ def test_stack_rejects_an_empty_or_unparsable_command_before_loading(
     assert rc == 1, err
     assert "kind=ConfigError" in err and "cordpipe-pred-" not in err
     assert not out.exists()
+    # the record is one line, and its msg parses back to the exact message
+    with pytest.raises(ConfigError) as raised:
+        cli._predictor_command(spec[len("cmd:"):])
+    [record] = err.splitlines()
+    assert json.loads(record.split(" msg=", 1)[1]) == str(raised.value)
 
 
 # Slice 1 of the magnitude is all zeros; "marked" fails on it alone.
@@ -377,9 +385,9 @@ def test_stack_subprocess_predictor_bad_output(tmp_path, capsys, monkeypatch, co
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"cordpipe-error kind={kind} "), err
     # the record names the chunk, the slice in it and the command as given,
-    # with each " written as ' like every record message
+    # escaped as a JSON string like every record message
     named = f"slices 0..2: slice {z} of 3: predictor cmd:{command}: "
-    assert 'msg="' + named.replace('"', "'") in err[0]
+    assert "msg=" + json.dumps(named, ensure_ascii=False)[:-1] in err[0]
     assert mag_path not in err[0]  # the magnitude file is fine; the command is not
     assert "cordpipe-pred-" not in err[0]  # nor any temp file
     if z:
@@ -834,11 +842,16 @@ def test_stack_slices_of_one_fold_must_agree(tmp_path, capsys):
     _write(tmp_path / "resized" / "slice_002.nii", ScalarVolume(probs[:5, :5, :, 2], ISO))
     two_planes = _fold(tmp_path / "two_planes", probs)
     _write(tmp_path / "two_planes" / "slice_002.nii", ScalarVolume(probs[:, :, :2, 2], ISO))
+    # the first slice is the grid reference, so only the plane count sees it
+    two_planes_first = _fold(tmp_path / "two_planes_first", probs)
+    _write(tmp_path / "two_planes_first" / "slice_000.nii",
+           ScalarVolume(probs[:, :, :2, 0], ISO))
     doubled = _fold(tmp_path / "doubled", probs)
     _write(tmp_path / "doubled" / "slice_1.nii.gz", ScalarVolume(probs[..., 1], ISO), gz=True)
     for fold, name, kind in ((mixed, "slice_002.nii", "ValidationError"),
                              (resized, "slice_002.nii", "DimensionError"),
                              (two_planes, "slice_002.nii", "DimensionError"),
+                             (two_planes_first, "slice_000.nii", "DimensionError"),
                              (doubled, "duplicate slice index 1", "ValidationError")):
         capsys.readouterr()
         assert main(["stack", fold, "--out", str(tmp_path / "o.nii")]) == 1

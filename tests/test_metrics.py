@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
@@ -272,13 +272,26 @@ def _far_pairs(draw):
     return g, p
 
 
+def _p95_beyond_shell(src, dst, sampling) -> bool:
+    """Whether an order statistic the linear 95th percentile of src's
+    distances to dst reads lies beyond the search shell."""
+    d = np.sort(ndimage.distance_transform_edt(~dst, sampling=sampling)[src])
+    k = int((d.size - 1) * 0.95)
+    return bool(d[min(k + 1, d.size - 1)] > metrics._SHELL_RADIUS_VOXELS * min(sampling))
+
+
 @settings(max_examples=100, deadline=None)
 @given(_far_pairs(), _SPACINGS)
 def test_hd95_fallback_beyond_the_shell_matches_brute_force(masks, spacing):
+    # the exact transform runs once for each direction whose 95th
+    # percentile lies beyond the shell, and for no other
     g, p = masks
+    gs, ps = surface_mask(g), surface_mask(p)
+    sampling = spacing.as_tuple()[:g.ndim]
+    far = _p95_beyond_shell(gs, ps, sampling) + _p95_beyond_shell(ps, gs, sampling)
     with _counting_edt() as edt:
         got = hd95(g, p, spacing)
-    assert edt.call_count >= 1
+    assert edt.call_count == far
     assert abs(got - brute_hd95(g, p, spacing.as_tuple())) <= 1e-9
 
 
@@ -290,6 +303,53 @@ def test_hd95_is_the_same_in_every_memory_layout(masks, spacing, layout):
     assert got == hd95(g, p, spacing)
     want = brute_hd95(g, p, spacing.as_tuple())
     assert got is None if want is None else abs(got - want) <= 1e-9
+
+
+def _line(shape, n, row):
+    """A 2D mask holding the first n voxels of one row."""
+    m = np.zeros(shape, bool)
+    m[row, :n] = True
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mask_pairs() | _far_pairs(), _SPACINGS, _LAYOUTS, st.sampled_from([0, 1, 3]))
+@example((_line((3, 3), 1, 0), _line((3, 3), 1, 2)), ISO, "C", 3)           # n = 1
+@example((_line((3, 3), 2, 0), _line((3, 3), 1, 2)), ISO, "F", 1)           # n = 2, gamma .95
+@example((_line((3, 12), 12, 0), _line((3, 12), 12, 2)), ISO, "strided", 1)  # all tied
+@example((_line((9, 12), 12, 0), _line((9, 12), 3, 8)), Spacing(0.3, 0.075, 1.0),
+         "F-box", 3)                                                          # n = 12, gamma .45
+@example((_line((9, 11), 11, 0), _line((9, 11), 2, 8)), ISO, "C", 0)        # n = 11, gamma .5
+def test_directed_p95_is_np_percentile_of_the_exact_transform(masks, spacing, layout, radius):
+    # radius 0 and 1 send every voxel, or the far ones, to the fallback
+    g, p = (_laid_out(m, layout) for m in masks)
+    assume(g.any() and p.any())
+    directed, calls = metrics._directed_p95, []
+
+    def spy(src, dst, sampling):
+        calls.append((src, dst, sampling, directed(src, dst, sampling)))
+        return calls[-1][-1]
+
+    with mock.patch.object(metrics, "_SHELL_RADIUS_VOXELS", radius), \
+            mock.patch.object(metrics, "_directed_p95", spy):
+        got = metrics._hd95_in_box(g, p, spacing)
+    gs, ps = surface_mask(g), surface_mask(p)
+    assert len(calls) == 2
+    for (src, dst, *_), pair in zip(calls, [(gs, ps), (ps, gs)]):
+        assert np.array_equal(src, pair[0]) and np.array_equal(dst, pair[1])
+    for src, dst, sampling, value in calls:
+        assert sampling == spacing.as_tuple()[:g.ndim]
+        want = np.percentile(ndimage.distance_transform_edt(~dst, sampling=sampling)[src], 95)
+        assert type(value) is float and value == want
+    assert got == max(value for *_, value in calls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mask_pairs() | _far_pairs(), _SPACINGS, st.data())
+def test_hd95_is_unchanged_when_both_masks_are_flipped(masks, spacing, data):
+    g, p = masks
+    axis = data.draw(st.integers(0, g.ndim - 1))
+    assert hd95(np.flip(g, axis), np.flip(p, axis), spacing) == hd95(g, p, spacing)
 
 
 def test_perturbed_phantom_needs_no_exact_transform_but_a_far_pair_does():
@@ -702,7 +762,9 @@ def test_json_report_shape():
 
 def test_scipy_loads_only_for_the_exact_transform_fallback():
     # in a fresh interpreter: neither the CLI import nor a dense evaluate of
-    # a one-voxel jitter, whose surfaces all lie within the shell, loads it
+    # a one-voxel jitter, whose surfaces all lie within the shell, loads it;
+    # nor does one far island, whose distance is in the top 5% the
+    # percentile never reads
     import os
     import pathlib
     import subprocess
@@ -710,13 +772,23 @@ def test_scipy_loads_only_for_the_exact_transform_fallback():
 
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "import cordpipe.cli\n"
         "assert 'scipy.ndimage' not in sys.modules, 'import'\n"
-        "from cordpipe import PhantomConfig, evaluate, generate, perturb_slices\n"
+        "from cordpipe import LabelVolume, PhantomConfig, evaluate, generate, perturb_slices\n"
         "_, _, gt = generate(PhantomConfig.fitted((48, 48, 12), seed=3))\n"
-        "report = evaluate(perturb_slices(gt, max_shift=1, seed=4), gt)\n"
+        "pred = perturb_slices(gt, max_shift=1, seed=4)\n"
+        "report = evaluate(pred, gt)\n"
         "assert report.mean_hd95 > 0\n"
         "assert 'scipy.ndimage' not in sys.modules, 'evaluate'\n"
+        "island = (0, 0, 5)\n"
+        "assert pred.data[island] == 0\n"
+        "data = pred.data.copy()\n"
+        "data[island] = 1\n"
+        "mm = (np.argwhere(gt.data == 1) - island) * gt.spacing.as_tuple()\n"
+        "assert np.sqrt((mm ** 2).sum(axis=1)).min() > 3 * min(gt.spacing.as_tuple())\n"
+        "assert evaluate(LabelVolume(data, pred.spacing), gt).per_class[1].hd95_mm > 0\n"
+        "assert 'scipy.ndimage' not in sys.modules, 'far island'\n"
     )
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
