@@ -12,6 +12,7 @@ Errors print to stderr as single-line machine-parseable records.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import re
@@ -24,33 +25,26 @@ import numpy as np
 from .config import get_typed, load_config
 from .errors import ConfigError, FormatError, ValidationError
 from .metrics import evaluate, fold_aggregate, report_to_csv
+from . import nifti, preprocess, pseudolabel
 from .nifti import (
     SparseAnnotation,
+    _write_chunks,
     gzip_nifti,
     parse_sidecar,
     read_nifti,
     read_sparse_annotation,
-    write_nifti,
     write_sparse_annotation,
 )
 from .phantom import PhantomConfig, generate
-from .preprocess import (
-    ClaheConfig,
-    StretchConfig,
-    apply_mask,
-    clahe_slicewise,
-    minmax_rescale,
-    otsu_mask,
-    percentile_stretch,
-    zscore_normalize,
-)
+from .preprocess import ClaheConfig, StretchConfig, otsu_mask
 from .pseudolabel import (
     MockPredictor,
     SubprocessPredictor,
     TtaConfig,
+    _chunk_labels,
+    _fit_centers,
     _mean,
     _region_planes,
-    predict_labels,
     thread_map,
 )
 from .regions import RegionStack, check_thresholds, merge_region_arrays, merge_regions, to_regions
@@ -73,7 +67,10 @@ def _umask() -> int:
     return mask
 
 
-def _write_atomic(path: str, data: bytes, dry_run: bool = False) -> None:
+def _write_atomic(path: str, pieces, dry_run: bool = False) -> None:
+    """Write the bytes ``pieces`` yields to ``path`` through a temp file in
+    its folder, so a failure, in a write or in making a piece, leaves no
+    file behind."""
     if dry_run:
         return
     dirname = os.path.dirname(os.path.abspath(path))
@@ -84,7 +81,7 @@ def _write_atomic(path: str, data: bytes, dry_run: bool = False) -> None:
         # mkstemp creates the file 0600; give it the mode open() would
         os.chmod(tmp, 0o666 & ~_umask())
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -95,10 +92,53 @@ def _write_atomic(path: str, data: bytes, dry_run: bool = False) -> None:
 
 
 def _write_volume(path: str, vol, dry_run: bool = False) -> None:
-    raw = write_nifti(vol)
-    if path.endswith(".gz"):
-        raw = gzip_nifti(raw)
-    _write_atomic(path, raw, dry_run)
+    """Write ``vol`` as the bytes of ``gzip_nifti(write_nifti(vol))`` for a
+    ``.gz`` path, else of ``write_nifti(vol)``, in z-chunks."""
+    _write_atomic(path, _write_chunks(vol, path.endswith(".gz")), dry_run)
+
+
+def _read_chunks(path: str, labels: bool = False, voxels: int | None = None):
+    """``nifti._read_chunks`` of the file at ``path``: its header, then its
+    z-chunks; every error names the file."""
+    try:
+        with open(path, "rb") as fh:
+            yield from nifti._read_chunks(fh, voxels, labels)
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}", path) from exc
+    except FormatError as exc:
+        raise type(exc)(f"{path}: {exc}", path) from exc
+
+
+def _header(path: str, labels: bool = False, ref_path: str | None = None, ref=None):
+    """The header of the file at ``path``, on the grid of the header ``ref``
+    of ``ref_path`` if one is given."""
+    hdr = next(_read_chunks(path, labels))
+    return hdr if ref is None else _on_grid_of(path, hdr, ref_path, ref)
+
+
+def _zipped(files, voxels: int):
+    """``(zs, arrays)`` for each z-chunk of files on one grid, read side by
+    side; ``files`` lists ``(path, labels)`` pairs. Every file is read to
+    its end, so each gzip trailer is checked."""
+    readers = [_read_chunks(path, labels, voxels) for path, labels in files]
+    for reader in readers:
+        next(reader)  # the header
+    for parts in zip(*readers):
+        yield parts[0][0], [data for _, data in parts]
+    for reader in readers:
+        collections.deque(reader, maxlen=0)
+
+
+def _read_volume(path: str) -> ScalarVolume:
+    """The intensity volume of the file at ``path``: its z-chunks are
+    written into one x-fastest float32 array as they are read, so neither
+    the file's bytes nor a second copy of the payload are held."""
+    chunks = _read_chunks(path)
+    hdr = next(chunks)
+    data = np.empty(hdr.shape, np.float32, order="F")
+    for zs, chunk in chunks:
+        data[:, :, zs] = chunk
+    return ScalarVolume(data, hdr.spacing)
 
 
 def _load_volume(path: str, labels: bool = False):
@@ -110,8 +150,13 @@ def _load_volume(path: str, labels: bool = False):
 
 
 def _load_on_grid(path: str, ref_path: str, ref, labels: bool = False):
-    """Load a voxel-wise input on the grid of ``ref`` (``volume._on_grid``)."""
-    vol = _load_volume(path, labels)
+    """Load a voxel-wise input on the grid of ``ref``."""
+    return _on_grid_of(path, _load_volume(path, labels), ref_path, ref)
+
+
+def _on_grid_of(path: str, vol, ref_path: str, ref):
+    """``vol``, a volume or header read from ``path``, checked on the grid
+    of ``ref`` read from ``ref_path`` (``volume._on_grid``)."""
     try:
         _on_grid(vol, ref)
     except ValidationError as exc:
@@ -120,8 +165,9 @@ def _load_on_grid(path: str, ref_path: str, ref, labels: bool = False):
 
 
 def _err_record(exc: Exception, path: str | None = None) -> str:
-    where = f" file={path}" if path else ""
-    msg = json.dumps(str(exc), ensure_ascii=False)  # one line, and parses back
+    # both fields as JSON strings: one line, and they parse back
+    where = f" file={json.dumps(path, ensure_ascii=False)}" if path else ""
+    msg = json.dumps(str(exc), ensure_ascii=False)
     return f"cordpipe-error kind={type(exc).__name__}{where} msg={msg}"
 
 
@@ -189,24 +235,26 @@ def _cmd_preprocess(args, cfg: dict) -> int:
             raise ConfigError(f"preprocess.clahe.{exc}{where}") from exc
     use_zscore = _setting(args, cfg, "zscore", "preprocess.zscore", False)
 
-    vol = _load_volume(args.input)
+    # one float32 working volume: every stage writes into it in place
+    vol = _read_volume(args.input)
+    data = vol.data
 
     mask = None
     if use_otsu:
-        mask = otsu_mask(vol if args.mask_from is None else
-                         _load_on_grid(args.mask_from, args.input, vol)).mask
-        vol = apply_mask(vol, mask)  # the unmasked input is freed here
+        mask = otsu_mask(vol if args.mask_from is None else _on_grid_of(
+            args.mask_from, _read_volume(args.mask_from), args.input, vol)).mask
+        preprocess._mask(data, mask, data)
 
     if stretch is not None:
-        vol = percentile_stretch(vol, stretch, mask=mask)
+        preprocess._stretch(data, stretch, mask, data)
 
     if clahe is not None:
-        if vol.data.min() < 0 or vol.data.max() > 1:
-            vol = minmax_rescale(vol)
-        vol = clahe_slicewise(vol, clahe)
+        if data.min() < 0 or data.max() > 1:
+            preprocess._rescale(data, data)
+        preprocess._clahe(data, clahe, data)
 
     if use_zscore:
-        vol = zscore_normalize(vol, mask=mask)
+        preprocess._zscore(data, mask, data)
 
     _write_volume(args.out, vol, args.dry_run)
     print(f"preprocess ok in={args.input} out={args.out} "
@@ -327,6 +375,17 @@ def _stack_folds(folds: list[list[str]], tissue_thresh: float,
     return LabelVolume(labels, ref.spacing)
 
 
+def _fit_files(mag_path: str, phase_path: str, labels_path: str) -> dict:
+    """``MockPredictor`` centers from three files on one grid, in z-chunks
+    of ``pseudolabel._CHUNK_VOXELS``: the labels alone, then all three side
+    by side (``pseudolabel._fit_centers``)."""
+    k = pseudolabel._CHUNK_VOXELS
+    return _fit_centers(
+        (ids for _, (ids,) in _zipped([(labels_path, True)], k)),
+        (arrays for _, arrays in _zipped([(labels_path, True), (mag_path, False),
+                                          (phase_path, False)], k)))
+
+
 def _predictor_command(text: str) -> list[str]:
     """Split a ``cmd:`` predictor command the way a POSIX shell would."""
     try:
@@ -361,15 +420,23 @@ def _cmd_stack(args, cfg: dict) -> int:
         tta = None
         if args.tta:
             tta = TtaConfig(**_given(transforms=_config(cfg, "tta.flips")))
-        mag = _load_volume(args.input)
-        phase = _load_on_grid(args.phase, args.input, mag) if args.phase else None
+        # headers first; then the fit's two passes and the prediction's
+        # one, each over z-chunks read from the files as they go
+        k = pseudolabel._CHUNK_VOXELS
+        mag = _header(args.input)
+        files = [(args.input, False)]
+        if args.phase:
+            _header(args.phase, ref_path=args.input, ref=mag)
+            files.append((args.phase, False))
         if args.predictor == "mock":
-            predictor = MockPredictor.fit(
-                mag, phase, _load_on_grid(args.fit_labels, args.input, mag, labels=True))
+            _header(args.fit_labels, labels=True, ref_path=args.input, ref=mag)
+            predictor = MockPredictor(_fit_files(args.input, args.phase, args.fit_labels))
         else:
             predictor = SubprocessPredictor(command, spacing=mag.spacing)
-        labels = predict_labels(predictor, mag, phase, tta=tta, threads=args.threads,
-                                tissue_thresh=tissue_thresh, lesion_thresh=lesion_thresh)
+        chunks = ((zs, arrays[0], arrays[1] if args.phase else None)
+                  for zs, arrays in _zipped(files, k))
+        labels = _chunk_labels(predictor, chunks, mag.dims, mag.spacing, tta, args.threads,
+                               tissue_thresh, lesion_thresh)
     else:
         if not args.slice_dirs:
             raise ValidationError("stack needs slice directories or --predictor")
@@ -437,9 +504,9 @@ def _json_text(doc: dict) -> str:
 def _write_reports(args, reports: list, doc: dict) -> None:
     """Write the JSON document and the CSV table that --json and --csv name."""
     if args.json:
-        _write_atomic(args.json, _json_text(doc).encode(), args.dry_run)
+        _write_atomic(args.json, [_json_text(doc).encode()], args.dry_run)
     if args.csv:
-        _write_atomic(args.csv, report_to_csv(reports).encode(), args.dry_run)
+        _write_atomic(args.csv, [report_to_csv(reports).encode()], args.dry_run)
 
 
 def _cmd_evaluate_batch(args) -> int:
@@ -484,9 +551,9 @@ def _cmd_phantom(args, cfg: dict) -> int:
     ann = SparseAnnotation(f"phantom-{args.seed}", z_idx, labels.data[:, :, z_idx])
     sidecar, planes_nii = write_sparse_annotation(ann, "annotation_planes.nii.gz",
                                                   labels.spacing)
-    _write_atomic(os.path.join(out, "annotation.json"), sidecar, args.dry_run)
+    _write_atomic(os.path.join(out, "annotation.json"), [sidecar], args.dry_run)
     _write_atomic(os.path.join(out, "annotation_planes.nii.gz"),
-                  gzip_nifti(planes_nii), args.dry_run)
+                  [gzip_nifti(planes_nii)], args.dry_run)
     print(f"phantom ok seed={args.seed} dims={labels.dims} out_dir={out} "
           f"annotated={len(z_idx)}")
     return 0

@@ -18,11 +18,22 @@ Reads auto-detect gzip compression and byte order. zlib's gzip mode
 frames each member: it parses the header (extra field, name, comment,
 header CRC), rejects reserved flag bits and checks the CRC32 and ISIZE
 trailer. cordpipe bounds the rest: the stream is inflated in bounded
-pieces into one buffer sized from the NIfTI header, so bytes decoded
-past the payload are never held. Supported
-datatypes are uint8 (2), int16 (4) and float32 (16); anything else is
-rejected rather than silently cast. Files are 2D or 3D; a 4D header (``dim[0] = 4``)
-is read as 3D when it holds a single timepoint (``dim[4] = 1``).
+pieces into buffers sized from the NIfTI header, so bytes decoded past
+the payload are never held. Supported datatypes are uint8 (2), int16 (4)
+and float32 (16); anything else is rejected rather than silently cast.
+Files are 2D or 3D; a 4D header (``dim[0] = 4``) is read as 3D when it
+holds a single timepoint (``dim[4] = 1``).
+
+One decode loop and one encoder serve bytes and files alike. The
+private chunk reader ``_read_chunks`` reads a file in ``_INFLATE_INPUT``
+pieces and yields its payload as runs of whole slices of at most
+``_PIECE_VOXELS`` voxels, so neither the stored file nor the whole
+payload is held; ``read_nifti`` runs the same loop on bytes as one run.
+The private chunk writer ``_write_chunks`` feeds one deflate stream
+from the volume's array a run of slices at a time, copying a run only
+if the array is not x-fastest, and the tier probe reads its windows
+from the array; ``write_nifti`` and ``gzip_nifti`` are its one-piece
+case, with the same bytes.
 Voxel sizes are read in millimetres: the spatial unit code
 (``xyzt_units & 0x07``) may be 0 (unknown, read as mm), 1 (m), 2 (mm)
 or 3 (µm), and any other code is rejected. Writes always use mm.
@@ -39,9 +50,11 @@ K axial planes are the annotated label planes, in ``z_indices`` order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import os
 import re
 import struct
 import zlib
@@ -58,7 +71,8 @@ from .errors import (
     UnsupportedDatatypeError,
     ValidationError,
 )
-from .volume import LabelVolume, ScalarVolume, SparseAnnotation, Spacing, _all_finite, _in_order
+from .volume import (LabelVolume, ScalarVolume, SparseAnnotation, Spacing, _all_finite,
+                     _in_order, _z_runs)
 
 HEADER_SIZE = 348
 SINGLE_FILE_VOX_OFFSET = 352
@@ -96,6 +110,10 @@ _GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\xff"
 # bounded whatever a member decodes to.
 _INFLATE_PIECE = 1 << 18
 _INFLATE_INPUT = 1 << 16
+# Voxels per z-chunk of the chunk reader and writer (_read_chunks,
+# _write_chunks): 13 slices of a 192x208 plane, 2 MB of float32, so a
+# file is read or written with per-chunk buffers whatever its depth.
+_PIECE_VOXELS = 1 << 19
 # Deflate decodes to at most 1032 bytes per input byte (a 258-byte match
 # in two 1-bit codes), so a payload ending past this many bytes per
 # gzip byte cannot be in the stream.
@@ -160,6 +178,11 @@ class NiftiHeader:
     end: int  # the stream offset one past the last payload byte
     scl_slope: float
     scl_inter: float
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        """The volume's dims, so that ``volume._on_grid`` takes a header."""
+        return self.shape
 
 
 def parse_header(raw: bytes) -> NiftiHeader:
@@ -228,109 +251,108 @@ def parse_header(raw: bytes) -> NiftiHeader:
     )
 
 
-def _read_payload(raw, hdr: NiftiHeader) -> np.ndarray:
-    """The payload as an (H, W, Z) view on ``raw``, in the header's dtype."""
-    start, end = hdr.vox_offset, hdr.end
-    if len(raw) < end:
-        raise TruncatedPayloadError(
-            f"payload needs {end - start} bytes at offset {start}, stream has {len(raw) - start}"
-        )
-    flat = np.frombuffer(raw, dtype=hdr.dtype, count=(end - start) // hdr.dtype.itemsize,
-                         offset=start)
-    # Serialized order is x fastest, matching Fortran order of (H, W, Z).
-    return flat.reshape(hdr.shape, order="F")
-
-
-def _inflate(raw: bytes):
-    """Yield the decoded bytes of the gzip stream ``raw`` in pieces of at
-    most ``_INFLATE_PIECE``.
+def _inflate(chunks):
+    """Yield the decoded bytes of the gzip stream whose stored bytes the
+    iterator ``chunks`` yields, in pieces of at most ``_INFLATE_PIECE``.
 
     Decodes as ``gzip.decompress`` does: members are concatenated and
     zero bytes after a member are padding. zlib's gzip mode parses each
     member's header, rejects its reserved flag bits and a wrong header
     CRC, and checks its CRC32 and ISIZE trailer once it ends; a failed
-    check is a ``zlib.error``. This loop only bounds the pieces.
+    check is a ``FormatError``. This loop only bounds the pieces.
     """
-    view = memoryview(raw)
-    pos = 0
+    data = b""
     while True:
         inflate = zlib.decompressobj(16 + zlib.MAX_WBITS)
         while not inflate.eof:
-            data = inflate.unconsumed_tail
             if not data:
-                data = view[pos:pos + _INFLATE_INPUT]
-                pos += len(data)
-            piece = inflate.decompress(data, _INFLATE_PIECE)
+                data = next(chunks, b"")
+            try:
+                piece = inflate.decompress(data, _INFLATE_PIECE)
+            except zlib.error as exc:
+                raise FormatError(f"gzip stream failed to decode: {exc}") from exc
             if not (piece or data):
                 raise FormatError("gzip stream ends before its end-of-stream marker")
+            data = inflate.unconsumed_tail
             yield piece
-        member = _NONZERO.search(raw, pos - len(inflate.unused_data))
-        if member is None:
-            return
-        pos = member.start()
+        data = inflate.unused_data
+        while not (member := _NONZERO.search(data)):
+            data = next(chunks, b"")
+            if not data:
+                return
+        data = data[member.start():]
 
 
-def _gunzip(raw: bytes) -> tuple[NiftiHeader, np.ndarray]:
-    """The NIfTI header of the gzip stream ``raw`` and its decoded bytes up
-    to the end of the payload, as one uint8 buffer.
-
-    The buffer is sized from the header once the first pieces are out,
-    never from a trailer's size field. Decoded bytes past the payload are
-    inflated for zlib's CRC32 and ISIZE checks only and dropped.
-    """
-    pieces = _inflate(raw)
+def _peek(pieces, n: int):
+    """The first ``n`` or more bytes of the iterator ``pieces`` (all of
+    them if fewer), and an iterator over every piece, those included."""
     head = b""
     for piece in pieces:
         head += piece
-        if len(head) >= SINGLE_FILE_VOX_OFFSET:
+        if len(head) >= n:
             break
-    hdr = parse_header(head)
-    end = hdr.end
-    if end > _MAX_INFLATE_RATIO * len(raw):
-        raise TruncatedPayloadError(
-            f"payload ends at byte {end} of the stream, but a {len(raw)}-byte gzip "
-            f"stream decodes to at most {_MAX_INFLATE_RATIO * len(raw)}")
-    buf = np.empty(end, np.uint8)
-    filled = 0
-    for piece in itertools.chain((head,), pieces):
-        n = min(len(piece), end - filled)
-        if n:
-            buf[filled:filled + n] = np.frombuffer(piece, np.uint8, n)
-            filled += n
-    return hdr, buf[:filled]
+    return head, itertools.chain((head,), pieces)
 
 
-def read_nifti(raw: bytes, labels: bool = False):
-    """Decode a NIfTI-1 stream into a ScalarVolume or LabelVolume.
+def _decode(chunks, size: int, voxels: int | None):
+    """Yield the ``NiftiHeader`` of the NIfTI stream whose ``size`` stored
+    bytes the iterator ``chunks`` yields, then its payload as ``(zs,
+    block)`` for each run ``zs`` of ``volume._z_runs(shape, voxels)``: an
+    x-fastest (H, W, n) block of those slices in the header's dtype.
 
-    A magnitude and a phase file decode alike: the caller knows which is
-    which. ``labels=True`` enforces an integer datatype, no intensity scaling
-    and class ids within 0..4.
-
-    A gzip stream is inflated piece by piece into one buffer sized from
-    the NIfTI header, with each member framed and checked by zlib; bytes
-    decoded past the payload are not kept. When the payload is stored in
-    the native dtype, the returned data is a view on that buffer. A plain
-    stream's payload is always copied, x fastest as stored, so the result
-    never shares memory with ``raw`` and has the layout of a gzip read.
-    The volume types make the one pass over the payload (finite
-    intensities, or label ids in range before the cast to uint8); their
-    ``ValidationError`` is re-raised as a ``FormatError``.
+    A gzip stream is inflated by ``_inflate`` and read to its end, so its
+    trailer is checked after its last block is yielded; a payload that
+    would end past ``_MAX_INFLATE_RATIO`` decoded bytes per stored byte is
+    rejected before any block is allocated. A plain stream is read up to
+    the end of its payload. Each block is a buffer of its own, and decoded
+    bytes outside the payload are never held.
     """
-    owned = raw[:2] == b"\x1f\x8b"
-    if owned:
-        try:
-            hdr, raw = _gunzip(raw)
-        except zlib.error as exc:
-            raise FormatError(f"gzip stream failed to decode: {exc}") from exc
-    else:
-        hdr = parse_header(raw)
-    arr = _read_payload(raw, hdr)
-    # The volume types keep a payload already in their dtype as it is, so
-    # it must be aligned and not a view on the caller's ``raw``.
-    if arr.dtype == (np.uint8 if labels else np.float32) and not (owned and arr.flags.aligned):
-        arr = arr.copy(order="F")
+    magic, pieces = _peek(chunks, 2)
+    gz = magic[:2] == b"\x1f\x8b"
+    if gz:
+        pieces = _inflate(pieces)
+    head, pieces = _peek(pieces, SINGLE_FILE_VOX_OFFSET)
+    hdr = parse_header(head)
+    start, end = hdr.vox_offset, hdr.end
+    if gz and end > _MAX_INFLATE_RATIO * size:
+        raise TruncatedPayloadError(
+            f"payload ends at byte {end} of the stream, but a {size}-byte gzip "
+            f"stream decodes to at most {_MAX_INFLATE_RATIO * size}")
+    if not gz and end > size:
+        raise TruncatedPayloadError(
+            f"payload needs {end - start} bytes at offset {start}, stream has {size - start}")
+    yield hdr
 
+    h, w, _ = hdr.shape
+    plane = h * w * hdr.dtype.itemsize
+    runs = iter(_z_runs(hdr.shape, voxels))
+    zs = next(runs)
+    block, filled = np.empty((zs.stop - zs.start) * plane, np.uint8), 0
+    pos = 0  # the stream offset of the next piece
+    for piece in pieces:
+        piece = np.frombuffer(piece, np.uint8)
+        at = min(max(start - pos, 0), piece.size)
+        pos += piece.size
+        while at < piece.size and zs is not None:
+            n = min(piece.size - at, block.size - filled)
+            block[filled:filled + n] = piece[at:at + n]
+            filled += n
+            at += n
+            if filled == block.size:
+                yield zs, block.view(hdr.dtype).reshape((h, w, -1), order="F")
+                zs = next(runs, None)
+                if zs is not None:
+                    block, filled = np.empty((zs.stop - zs.start) * plane, np.uint8), 0
+        if zs is None and not gz:
+            return  # a plain stream's bytes past the payload are not read
+    if zs is not None:
+        raise TruncatedPayloadError(
+            f"payload needs {end - start} bytes at offset {start}, stream has {pos - start}")
+
+
+def _typed(hdr: NiftiHeader, arr: np.ndarray, labels: bool):
+    """``arr``, payload in the header's dtype, as the volume ``read_nifti``
+    returns; the volume type's ``ValidationError`` is a ``FormatError``."""
     if labels:
         if hdr.dtype.kind == "f":
             raise UnsupportedDatatypeError("label volumes require an integer datatype")
@@ -348,6 +370,54 @@ def read_nifti(raw: bytes, labels: bool = False):
         return ScalarVolume(arr, hdr.spacing)
     except ValidationError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def read_nifti(raw: bytes, labels: bool = False):
+    """Decode a NIfTI-1 stream into a ScalarVolume or LabelVolume.
+
+    A magnitude and a phase file decode alike: the caller knows which is
+    which. ``labels=True`` enforces an integer datatype, no intensity scaling
+    and class ids within 0..4.
+
+    ``raw`` goes through the decode loop of ``_read_chunks``, in pieces of
+    ``_INFLATE_INPUT`` bytes, as one block: a buffer sized from the NIfTI
+    header that a gzip stream is inflated into piece by piece, each member
+    framed and checked by zlib, and that a plain stream's payload is copied
+    into, x fastest as stored. Bytes outside the payload are not kept, and
+    the result never shares memory with ``raw``. When the payload is stored
+    in the volume's dtype, the returned data is a view on that buffer. The
+    volume types make the one pass over the payload (finite intensities, or
+    label ids in range before the cast to uint8); their ``ValidationError``
+    is re-raised as a ``FormatError``.
+    """
+    view = memoryview(raw)
+    chunks = (view[i:i + _INFLATE_INPUT] for i in range(0, len(view), _INFLATE_INPUT))
+    blocks = _decode(chunks, len(raw), None)
+    hdr = next(blocks)
+    (_, arr), = blocks
+    return _typed(hdr, arr, labels)
+
+
+def _read_chunks(fh, voxels: int | None = None, labels: bool = False):
+    """Read the NIfTI file ``fh`` (binary, at its start) in z-chunks.
+
+    Yields its ``NiftiHeader``, then ``(zs, data)`` for each run of whole
+    slices of at most ``voxels`` voxels (``_PIECE_VOXELS`` if None), at
+    least one: ``zs`` is its z slice and ``data`` its x-fastest array,
+    checked and cast as ``read_nifti`` does (float32 intensities, or uint8
+    labels). The file is read in ``_INFLATE_INPUT`` pieces, so neither its
+    stored bytes nor its whole payload are held, and the inflate ratio is
+    bounded by its size. Every decode rule and error is that of
+    ``read_nifti``, which runs the same loop on bytes; a gzip stream's
+    trailer is checked once its last chunk has been taken.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    blocks = _decode(iter(functools.partial(fh.read, _INFLATE_INPUT), b""), size,
+                     _PIECE_VOXELS if voxels is None else voxels)
+    hdr = next(blocks)
+    yield hdr
+    for zs, block in blocks:
+        yield zs, _typed(hdr, block, labels).data
 
 
 def _pack_header(shape, spacing: Spacing, datatype: int) -> bytes:
@@ -371,12 +441,8 @@ def _pack_header(shape, spacing: Spacing, datatype: int) -> bytes:
     return bytes(buf)
 
 
-def write_nifti(vol, datatype: int | None = None) -> bytes:
-    """Encode a volume as single-file little-endian NIfTI-1 bytes.
-
-    Scalar volumes default to float32; pass ``datatype=DT_INT16`` to
-    store integral intensities as int16. Labels are always uint8.
-    """
+def _encode(vol, datatype: int | None = None) -> "_Stream":
+    """The NIfTI stream of a volume, checked as ``write_nifti`` documents."""
     if isinstance(vol, LabelVolume):
         if datatype not in (None, DT_UINT8):
             raise ValidationError("label volumes are written as uint8")
@@ -400,17 +466,79 @@ def write_nifti(vol, datatype: int | None = None) -> bytes:
             raise UnsupportedDatatypeError(f"cannot write datatype code {datatype}")
     else:
         raise ValidationError(f"cannot serialize object of type {type(vol).__name__}")
-
-    hdr = _pack_header(vol.dims, vol.spacing, datatype)
-    little = payload.dtype.newbyteorder("<")
-    # ravel is a view of an x-fastest payload, so join makes the one copy;
-    # another layout is first copied in cache-sized slabs
-    data = _in_order(payload, "F", little).ravel(order="F")
-    return b"".join((hdr, b"\x00\x00\x00\x00", data))  # no extensions
+    # no extensions: a zero extension flag, then the payload
+    return _Stream(_pack_header(vol.dims, vol.spacing, datatype) + bytes(4), payload)
 
 
-def _deflate_strategy(raw: bytes) -> tuple[int, int]:
-    """The ``(level, strategy)`` that ``gzip_nifti`` deflates ``raw`` with.
+class _Stream:
+    """A single-file NIfTI stream held as its header bytes and its (H, W, Z)
+    payload array, in any layout: its length, its bytes in x-fastest
+    pieces, and byte ranges for the tier probe, read from the array."""
+
+    def __init__(self, head: bytes, payload: np.ndarray):
+        self.head, self.payload = head, payload
+        self.dtype = payload.dtype.newbyteorder("<")
+        # an x-fastest payload is its own byte string
+        self.flat = payload.ravel(order="F").view(np.uint8) \
+            if payload.flags.f_contiguous and payload.dtype == self.dtype else None
+
+    def __len__(self) -> int:
+        return len(self.head) + self.payload.size * self.dtype.itemsize
+
+    def __getitem__(self, cut: slice) -> bytes:
+        start, stop, _ = cut.indices(len(self))
+        out = self.head[start:stop]
+        lo, hi = max(start - len(self.head), 0), max(stop - len(self.head), 0)
+        if hi <= lo:
+            return out
+        if self.flat is not None:
+            return out + self.flat[lo:hi].tobytes()
+        size = self.dtype.itemsize
+        first = lo // size
+        at = np.unravel_index(np.arange(first, -(-hi // size)), self.payload.shape, order="F")
+        data = self.payload[at].astype(self.dtype).tobytes()
+        return out + data[lo - first * size:hi - first * size]
+
+    def pieces(self, voxels: int | None):
+        """The stream's bytes: the header, then runs of whole slices of at
+        most ``voxels`` voxels (at least one; ``None``: one run), each
+        copied only if the payload is not x-fastest in its stored dtype."""
+        yield self.head
+        for zs in _z_runs(self.payload.shape, voxels):
+            run = _in_order(self.payload[:, :, zs], "F", self.dtype)
+            yield run.ravel(order="F").view(np.uint8)
+
+
+def write_nifti(vol, datatype: int | None = None) -> bytes:
+    """Encode a volume as single-file little-endian NIfTI-1 bytes.
+
+    Scalar volumes default to float32; pass ``datatype=DT_INT16`` to
+    store integral intensities as int16. Labels are always uint8. The
+    bytes are the one-piece case of the chunk writer ``_write_chunks``: an
+    x-fastest payload is joined as it is, another layout is copied once.
+    """
+    return b"".join(_encode(vol, datatype).pieces(None))
+
+
+def _write_chunks(vol, gz: bool):
+    """The bytes of ``vol``'s NIfTI file, gzipped as ``gzip_nifti`` does
+    when ``gz``, as an iterator of pieces made as they are taken.
+
+    The volume is checked at the call. The payload is encoded in runs of
+    whole slices of at most ``_PIECE_VOXELS`` voxels, which one deflate
+    stream is fed one at a time, so neither the encoded stream nor a
+    reordered copy of the payload is held. The tier probe reads its
+    windows from the array, so every byte is that of
+    ``gzip_nifti(write_nifti(vol))``.
+    """
+    stream = _encode(vol)
+    pieces = stream.pieces(_PIECE_VOXELS)
+    return _gzip(stream, pieces) if gz else pieces
+
+
+def _deflate_strategy(raw) -> tuple[int, int]:
+    """The ``(level, strategy)`` that ``gzip_nifti`` deflates ``raw``, an
+    encoded stream (bytes or a ``_Stream``), with.
 
     Deflates a fixed sample of ``raw`` (all of it when short) at level 1.
     A sample that keeps more than ``_STORED_SHARE`` of its bytes gives
@@ -418,7 +546,7 @@ def _deflate_strategy(raw: bytes) -> tuple[int, int]:
     at ``_GZIP_LEVEL``; anything else the default strategy at that level.
     """
     if len(raw) <= _PROBE_WINDOW * _PROBE_WINDOWS:
-        sample = raw
+        sample = raw[:]
     else:
         span = len(raw) - _PROBE_WINDOW
         starts = (int(span * (k * _GOLDEN % 1.0)) for k in range(1, _PROBE_WINDOWS + 1))
@@ -490,9 +618,22 @@ def gzip_nifti(raw: bytes) -> bytes:
 
     The stream decodes to ``raw`` exactly.
     """
-    deflate = _deflater(*_deflate_strategy(raw))
-    trailer = struct.pack("<II", zlib.crc32(raw), len(raw) & 0xFFFFFFFF)
-    return b"".join((_GZIP_HEADER, deflate.compress(raw), deflate.flush(), trailer))
+    return b"".join(_gzip(raw, (raw,)))
+
+
+def _gzip(stream, pieces):
+    """Yield the gzip member of ``gzip_nifti`` for the encoded ``stream``
+    (bytes or a ``_Stream``) whose bytes ``pieces`` yields in order: the
+    tier probe reads ``stream``, and one deflate stream is fed each piece.
+    Feeding in pieces gives the one-shot stream in every tier."""
+    deflate = _deflater(*_deflate_strategy(stream))
+    yield _GZIP_HEADER
+    crc = 0
+    for piece in pieces:
+        crc = zlib.crc32(piece, crc)
+        yield deflate.compress(piece)
+    yield deflate.flush()
+    yield struct.pack("<II", crc, len(stream) & 0xFFFFFFFF)
 
 
 def write_sparse_annotation(ann: SparseAnnotation, planes_filename: str,

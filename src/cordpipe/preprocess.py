@@ -1,8 +1,15 @@
 """Intensity operators: Otsu background masking, CLAHE, contrast
 stretching and z-score normalization.
 
-All operators are pure functions of their inputs. CLAHE runs per axial
-slice even on 3D volumes; the other operators act on the whole grid.
+All public operators are pure functions of their inputs. CLAHE runs per
+axial slice even on 3D volumes; the other operators act on the whole
+grid. Each of the mask, stretch, rescale, CLAHE and z-score stages has
+one private core that writes into a given float32 output, which may be
+its input: a public operator calls it with a fresh output, and
+``cordpipe preprocess`` with its one working volume, so the command
+holds that volume, its uint8 mask and the stretch's gathered scope.
+The stretch reads ``np.percentile``'s values bit for bit off a float32
+copy of its scope partitioned in place (``_percentiles``).
 
 CLAHE builds the tile grid, each pixel's four corner tiles and its
 bilinear weights once per volume. Each slice then takes all tile
@@ -15,6 +22,7 @@ it bit for bit to the loop oracle ``loop_clahe_plane`` in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +36,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .volume import ScalarVolume, _blocks
+from . import volume
 
 OTSU_BINS = 256
 
@@ -133,8 +142,17 @@ def apply_mask(vol: ScalarVolume, mask: np.ndarray) -> ScalarVolume:
     The same (magnitude-derived) mask is meant to be applied to both
     channels so that background is uniform in each.
     """
-    out = np.where(_checked_mask(mask, vol) > 0, vol.data, np.float32(0.0))
+    out = np.empty_like(vol.data)
+    _mask(vol.data, _checked_mask(mask, vol), out)
     return ScalarVolume(out, vol.spacing)
+
+
+def _mask(data: np.ndarray, mask: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = np.where(mask > 0, data, 0)``; ``out`` may be ``data``."""
+    keep = np.greater(mask, 0)
+    if out is not data:
+        np.copyto(out, data)
+    np.copyto(out, np.float32(0.0), where=np.logical_not(keep, out=keep))
 
 
 def _clip_and_redistribute(hist: np.ndarray, clip) -> np.ndarray:
@@ -191,8 +209,10 @@ def _blend(edges: np.ndarray, extent: int):
     return lower, upper, np.clip(weight, 0.0, 1.0)
 
 
-def _clahe(data: np.ndarray, cfg: ClaheConfig) -> np.ndarray:
-    """CLAHE of every plane ``data[:, :, z]``, as float32 of the same shape.
+def _clahe(data: np.ndarray, cfg: ClaheConfig, out: np.ndarray) -> None:
+    """CLAHE of every plane ``data[:, :, z]`` into the float32 array ``out``
+    of the same shape, which may be ``data``: a plane is read before its
+    output is written.
 
     The tile grid, the bilinear weights and the corner tiles of every
     pixel depend only on the plane shape, so they are built once. Each
@@ -235,7 +255,6 @@ def _clahe(data: np.ndarray, cfg: ClaheConfig) -> np.ndarray:
     corners = [np.asarray((a[:, None] * ty + b[None, :]) * nbins, order=order)
                for a, b in ((ix, iy), (ix, iy1), (ix1, iy), (ix1, iy1))]
 
-    out = np.empty_like(data, dtype=np.float32)
     term = np.empty_like(weights[0])
     for z in range(data.shape[2]):
         scaled = np.multiply(data[:, :, z], nbins, dtype=np.float64)
@@ -247,7 +266,6 @@ def _clahe(data: np.ndarray, cfg: ClaheConfig) -> np.ndarray:
         for wgt, corner in zip(weights[1:], corners[1:]):
             acc += np.multiply(wgt, luts[corner + binned], out=term)
         out[:, :, z] = np.clip(acc, 0.0, 1.0, out=acc)
-    return out
 
 
 def clahe_slicewise(vol: ScalarVolume, cfg: ClaheConfig) -> ScalarVolume:
@@ -259,7 +277,9 @@ def clahe_slicewise(vol: ScalarVolume, cfg: ClaheConfig) -> ScalarVolume:
     and each pixel maps through the clipped CDFs of its four surrounding
     tiles with bilinear weights. Input must already lie in [0, 1].
     """
-    return ScalarVolume(_clahe(vol.data, cfg), vol.spacing)
+    out = np.empty_like(vol.data, dtype=np.float32)
+    _clahe(vol.data, cfg, out)
+    return ScalarVolume(out, vol.spacing)
 
 
 def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),
@@ -270,58 +290,115 @@ def percentile_stretch(vol: ScalarVolume, cfg: StretchConfig = StretchConfig(),
     mask, they are computed over masked-in voxels only, while the mapping
     applies to the whole volume.
 
-    Percentiles do not depend on element order, so the scope is taken in
-    memory order: the whole volume as a flat view, or the masked voxels
-    gathered in one memory order shared by the data and the mask, so
-    ``np.percentile`` partitions one float64 copy in place. The
-    mapping is one buffered ``np.nditer`` in memory order: float64 blocks
-    of ``volume._BLOCK_VOXELS`` are shifted, divided and clipped, and cast
+    The scope is copied once as float32 in memory order: the whole volume,
+    or the masked voxels gathered z-slab by z-slab in a memory order
+    shared by the data and the mask. ``_percentiles`` partitions that copy
+    in place and gives ``np.percentile``'s values bit for bit. The mapping
+    is one buffered ``np.nditer`` in memory order: float64 blocks of
+    ``volume._BLOCK_VOXELS`` are shifted, divided and clipped, and cast
     into the float32 output, the same ops per element as on a
     whole-volume float64 copy, without that copy.
     """
-    data = vol.data
+    out = np.empty_like(vol.data)
+    _stretch(vol.data, cfg, None if mask is None else _checked_mask(mask, vol), out)
+    return ScalarVolume(out, vol.spacing)
+
+
+def _stretch(data: np.ndarray, cfg: StretchConfig, mask: np.ndarray | None,
+             out: np.ndarray) -> None:
+    """The ``percentile_stretch`` of ``data`` into ``out``, which may be
+    ``data``; ``mask`` has the shape of ``data``."""
     if mask is None:
-        scope = data.ravel(order="K")
+        scope = data.flatten(order="K")
     else:
-        # the iterator's views of both, with their axes in one memory order
-        data_k, mask_k = np.nditer([data, _checked_mask(mask, vol)], order="K").itviews
-        scope = data_k.ravel()[mask_k.ravel() > 0]
+        # each slab as the iterator's views of both, axes in one memory order
+        slabs = [[view.ravel() for view in np.nditer([data[:, :, zs], mask[:, :, zs]],
+                                                     order="K").itviews]
+                 for zs in volume._z_runs(data.shape, volume._BLOCK_VOXELS)]
+        scope = np.empty(sum(np.count_nonzero(m > 0) for _, m in slabs), np.float32)
+        at = 0
+        for d, m in slabs:
+            part = d[m > 0]
+            scope[at:at + part.size] = part
+            at += part.size
     if scope.size == 0:
         raise ValidationError("percentile scope is empty")
-    q_low, q_high = np.percentile(scope.astype(np.float64), [cfg.p_low, cfg.p_high],
-                                  overwrite_input=True)
+    q_low, q_high = _percentiles(scope, (cfg.p_low, cfg.p_high))
     if q_low == q_high:
         raise DegenerateRangeError(
             f"percentiles {cfg.p_low} and {cfg.p_high} both map to {q_low}"
         )
-    del scope  # a masked gather is freed before the output is allocated
+    del scope  # freed before the mapping
     span = q_high - q_low
-    with _blocks([data, None], op_flags=[["readonly"], ["writeonly", "allocate"]],
+    with _blocks([data, out], op_flags=[["readonly"], ["writeonly"]],
                  op_dtypes=[np.float64, np.float32]) as blocks:
         for src, dst in blocks:
             shifted = src - q_low
             shifted /= span
             np.clip(shifted, 0.0, 1.0, out=dst)
-        return ScalarVolume(blocks.operands[1], vol.spacing)
+
+
+def _percentiles(scope: np.ndarray, ps) -> list[float]:
+    """``np.percentile(scope.astype(np.float64), ps)`` of a 1-D float32
+    array, bit for bit, partitioning ``scope`` in place.
+
+    numpy's "linear" rule: the virtual index (n-1)*p/100, its floor and the
+    next order statistic (both the last one at or past n-1), partitioned
+    with the kth list numpy uses, then ``_lerp`` in float64 with its t >=
+    0.5 branch and t the virtual index less the lower statistic's index.
+    """
+    last = scope.size - 1
+    picks = []
+    for p in ps:
+        virtual = last * (p / 100)
+        low = -1 if virtual >= last else math.floor(virtual)
+        picks.append((virtual, low, -1 if low == -1 else low + 1))
+    scope.partition(np.unique([0, -1, *(i for _, low, high in picks for i in (low, high))]))
+    out = []
+    for virtual, low, high in picks:
+        a, b = float(scope[low]), float(scope[high])
+        t = virtual - low
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
 
 
 def zscore_normalize(vol: ScalarVolume, mask: np.ndarray | None = None) -> ScalarVolume:
     """Shift and scale so the (masked) scope has mean 0 and stddev 1."""
-    scope = vol.data if mask is None else vol.data[_checked_mask(mask, vol) > 0]
+    out = np.empty_like(vol.data)
+    _zscore(vol.data, None if mask is None else _checked_mask(mask, vol), out)
+    return ScalarVolume(out, vol.spacing)
+
+
+def _zscore(data: np.ndarray, mask: np.ndarray | None, out: np.ndarray) -> None:
+    """The ``zscore_normalize`` of ``data`` into ``out``, which may be
+    ``data``: the float64 mean and std of the scope, then one buffered
+    ``np.nditer`` that maps float64 blocks into the float32 output."""
+    scope = data if mask is None else data[mask > 0]
     if scope.size < 2:
         raise ValidationError("normalization scope needs at least 2 voxels")
     mean = float(scope.astype(np.float64).mean())
     std = float(scope.astype(np.float64).std())
     if std == 0.0:
         raise ZeroVarianceError("normalization scope has zero variance")
-    out = ((vol.data.astype(np.float64) - mean) / std).astype(np.float32)
-    return ScalarVolume(out, vol.spacing)
+    del scope
+    with _blocks([data, out], op_flags=[["readonly"], ["writeonly"]],
+                 op_dtypes=[np.float64, np.float32]) as blocks:
+        for src, dst in blocks:
+            shifted = src - mean
+            np.divide(shifted, std, out=dst)
 
 
 def minmax_rescale(vol: ScalarVolume) -> ScalarVolume:
     """Plain [min, max] -> [0, 1] rescale (helper for CLAHE pipelines)."""
-    lo, hi = float(vol.data.min()), float(vol.data.max())
+    out = np.empty_like(vol.data)
+    _rescale(vol.data, out)
+    return ScalarVolume(out, vol.spacing)
+
+
+def _rescale(data: np.ndarray, out: np.ndarray) -> None:
+    """The ``minmax_rescale`` of ``data`` into ``out``, which may be ``data``."""
+    lo, hi = float(data.min()), float(data.max())
     if lo == hi:
         raise DegenerateRangeError("constant volume cannot be rescaled")
-    out = ((vol.data - lo) / (hi - lo)).astype(np.float32)
-    return ScalarVolume(out, vol.spacing)
+    np.divide(np.subtract(data, lo, out=out), hi - lo, out=out)

@@ -13,7 +13,12 @@ through one TTA loop: flip, ``predict_batch``, un-flip, and the mean of
 :func:`_mean` (as for folds), written into the chunk's slices of three
 float32 volumes. :func:`predict_labels` shares that chunk walk but
 merges each chunk's channels straight into a uint8 label volume, so the
-whole-volume probabilities are never held.
+whole-volume probabilities are never held. The walk takes its chunks
+from an iterator, so ``stack --predictor`` feeds it chunks read from
+its files and holds only the uint8 labels and up to ``--threads``
+chunks. :meth:`MockPredictor.fit` makes each center the exact mean of
+its class's values (:func:`_fit_centers`), which the same files give
+in two passes over their z-chunks.
 :func:`predict_with_tta` runs a single plane through the same loop as a
 one-slice block. A predictor that declares ``flip_equivariant`` gets
 only the identity pass, which is exact: its flipped passes would give
@@ -29,6 +34,7 @@ volumes with the plane loop of :meth:`SlicePredictor.predict_batch`.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import os
 import shlex
@@ -43,7 +49,7 @@ from .errors import CordpipeError, DimensionError, FormatError, ValidationError
 from .nifti import read_nifti, write_nifti
 from .regions import REGION_CLASSES, RegionStack, check_thresholds, merge_region_arrays
 from . import volume
-from .volume import FOREGROUND_CLASSES, LabelVolume, ScalarVolume, Spacing, _blocks, _in_order
+from .volume import FOREGROUND_CLASSES, LabelVolume, ScalarVolume, Spacing, _blocks
 from .metrics import inter_slice_dice
 
 # Each TTA flip as the steps of its (x, y) slices; every flip is its own inverse.
@@ -56,9 +62,11 @@ FLIP_NAMES = tuple(_FLIP_STEPS)
 # whatever the volume's z extent.
 _CHUNK_VOXELS = 1 << 19
 
-# Rows (axis 0) per slab of ``MockPredictor.fit``: a 16x208x64 slab of a
-# 192x208 plane is 0.85 MB of float32, copied to C order one at a time.
-_FIT_ROWS = 16
+# The classes ``MockPredictor.fit`` estimates a center for, and the
+# exponents ``np.frexp`` gives finite float32 values: -148 for the least
+# subnormal (0.5 * 2**-148) up to 128.
+_FIT_CLASSES = (0, *FOREGROUND_CLASSES)
+_EXPONENTS = range(-148, 129)
 
 # Seconds a ``SubprocessPredictor`` command may take for one slice.
 _PREDICT_TIMEOUT_S = 120.0
@@ -129,42 +137,14 @@ class MockPredictor(SlicePredictor):
             labels: LabelVolume) -> "MockPredictor":
         """Estimate per-class channel means from a labeled volume pair.
 
-        Each center is ``data[labels == c].mean()`` of one channel, bit
-        for bit, without whole-volume temporaries. Labels and intensities
-        are walked in slabs of ``_FIT_ROWS`` rows along axis 0, each
-        copied to C order: a counting pass over the label slabs sizes one
-        float32 buffer per class, then, one channel at a time, every
-        slab appends each class's values to its buffer. A buffer then
-        holds the C-order sequence a boolean gather yields, and its
-        float32 ``mean()`` sums it in the same pairwise order. So centers
-        depend on voxel order: z-reversed volumes move them by up to ~1e-7.
+        Each center is the exact mean of its class's float32 values,
+        rounded once to float64 (``_fit_centers``), so it depends neither
+        on voxel order nor on the volumes' layouts: z-reversed volumes, or
+        the same volumes read in z-chunks, give the same centers.
         """
         volume._on_grid(phase, magnitude)
         volume._on_grid(labels, magnitude)
-        classes = (0, *FOREGROUND_CLASSES)
-        slabs = [slice(r, r + _FIT_ROWS) for r in range(0, labels.dims[0], _FIT_ROWS)]
-        sizes = [0] * len(classes)
-        for rows in slabs:
-            ids = _in_order(labels.data[rows], "C")
-            sizes = [n + np.count_nonzero(ids == cid) for n, cid in zip(sizes, classes)]
-        for cid, n in zip(classes, sizes):
-            if not n:
-                raise ValidationError(f"cannot fit centers: class {cid} absent")
-        centers = {cid: [] for cid in classes}
-        for vol in (magnitude, phase):
-            buffers = [np.empty(n, np.float32) for n in sizes]
-            ends = [0] * len(classes)
-            for rows in slabs:
-                ids = _in_order(labels.data[rows], "C")
-                values = _in_order(vol.data[rows], "C")
-                for i, cid in enumerate(classes):
-                    part = values[ids == cid]
-                    buffers[i][ends[i]:ends[i] + part.size] = part
-                    ends[i] += part.size
-            for means, buf in zip(centers.values(), buffers):
-                means.append(float(buf.mean()))
-            del buffers  # one channel's class buffers at a time
-        return cls(centers)
+        return cls(_fit_centers([labels.data], [(labels.data, magnitude.data, phase.data)]))
 
     def predict(self, magnitude: np.ndarray,
                 phase: np.ndarray | None = None) -> RegionStack:
@@ -345,48 +325,64 @@ def _region_planes(vol: ScalarVolume) -> RegionStack:
 
 def thread_map(fn, items, threads: int | None) -> list:
     """``[fn(x) for x in items]``, in input order, on up to ``threads``
-    threads; ``None`` means one. A count below 1 is a ``ValidationError``."""
+    threads; ``None`` means one. ``items`` is taken in the calling thread
+    and never runs ahead: an item is taken only once fewer than
+    ``threads`` are in flight. A count below 1 is a ``ValidationError``."""
     n = 1 if threads is None else threads
     if n < 1:
         raise ValidationError(f"thread count must be at least 1, got {threads}")
     if n == 1:
         return [fn(x) for x in items]
+    results, pending = [], collections.deque()
     with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+        try:
+            for x in items:
+                pending.append(pool.submit(fn, x))
+                if len(pending) == n:
+                    results.append(pending.popleft().result())
+            while pending:
+                results.append(pending.popleft().result())
+        finally:
+            for future in pending:
+                future.cancel()
+    return results
 
 
-def _predict_chunks(predictor: SlicePredictor, magnitude: ScalarVolume,
-                    phase: ScalarVolume | None, tta: TtaConfig | None,
-                    threads: int | None, emit) -> None:
-    """Send every z-chunk of a volume through the TTA loop and call
-    ``emit(zs, channels)`` with the chunk's z slice and its three float32
-    channels.
-
-    Chunks hold at most ``_CHUNK_VOXELS`` voxels (at least one slice).
-    They are independent work units; with a thread-safe predictor they
-    may run concurrently, and as ``emit`` writes only its own z range,
-    the result is that of the serial order either way. Without ``tta``
-    each slice is predicted once, through the identity-only TTA path.
-    An error of a chunk names its z range.
-    """
+def _volume_chunks(magnitude: ScalarVolume, phase: ScalarVolume | None):
+    """The ``(zs, magnitude, phase)`` z-chunks of two volumes on one grid:
+    runs of whole slices of at most ``_CHUNK_VOXELS`` voxels, at least one."""
     if phase is not None:
         volume._on_grid(phase, magnitude)
-    h, w, z_extent = magnitude.dims
-    cfg = TtaConfig(("identity",)) if tta is None else tta
-    k = max(1, _CHUNK_VOXELS // (h * w))
+    return ((zs, magnitude.data[:, :, zs], None if phase is None else phase.data[:, :, zs])
+            for zs in volume._z_runs(magnitude.dims, _CHUNK_VOXELS))
 
-    def run(z0: int) -> None:
-        zs = slice(z0, min(z0 + k, z_extent))
+
+def _predict_chunks(predictor: SlicePredictor, chunks, tta: TtaConfig | None,
+                    threads: int | None, emit) -> None:
+    """Send every ``(zs, magnitude, phase)`` z-chunk of ``chunks`` through
+    the TTA loop and call ``emit(zs, channels)`` with the chunk's z slice
+    and its three float32 channels.
+
+    Chunks are independent work units; with a thread-safe predictor up to
+    ``threads`` of them run at once, taken from ``chunks`` only as earlier
+    ones finish, and as ``emit`` writes only its own z range, the result
+    is that of the serial order either way. Without ``tta`` each slice is
+    predicted once, through the identity-only TTA path. An error of a
+    chunk names its z range.
+    """
+    cfg = TtaConfig(("identity",)) if tta is None else tta
+
+    def run(chunk) -> None:
+        zs, magnitude, phase = chunk
         try:
-            channels = _tta(predictor, magnitude.data[:, :, zs],
-                            None if phase is None else phase.data[:, :, zs], cfg)
+            channels = _tta(predictor, magnitude, phase, cfg)
         except CordpipeError as exc:
             raise _named(exc, f"slices {zs.start}..{zs.stop - 1}") from exc
         emit(zs, channels)
 
     if not predictor.thread_safe and threads is not None:
         threads = min(threads, 1)  # serial, but a count below 1 is still rejected
-    thread_map(run, range(0, z_extent, k), threads)
+    thread_map(run, chunks, threads)
 
 
 def predict_volume(predictor: SlicePredictor, magnitude: ScalarVolume,
@@ -402,13 +398,14 @@ def predict_volume(predictor: SlicePredictor, magnitude: ScalarVolume,
     result is the same either way. Without ``tta`` each slice is
     predicted once.
     """
+    chunks = _volume_chunks(magnitude, phase)
     out = [np.empty(magnitude.dims, np.float32, order="F") for _ in range(3)]
 
     def emit(zs: slice, channels) -> None:
         for o, ch in zip(out, channels):
             o[:, :, zs] = ch
 
-    _predict_chunks(predictor, magnitude, phase, tta, threads, emit)
+    _predict_chunks(predictor, chunks, tta, threads, emit)
     return RegionStack(*out)
 
 
@@ -423,13 +420,60 @@ def predict_labels(predictor: SlicePredictor, magnitude: ScalarVolume,
     of one uint8 label volume, so only the chunk's channels are held.
     """
     check_thresholds(tissue_thresh, lesion_thresh)
-    labels = np.empty(magnitude.dims, np.uint8, order="F")
+    return _chunk_labels(predictor, _volume_chunks(magnitude, phase), magnitude.dims,
+                         magnitude.spacing, tta, threads, tissue_thresh, lesion_thresh)
+
+
+def _chunk_labels(predictor: SlicePredictor, chunks, dims, spacing: Spacing,
+                  tta: TtaConfig | None, threads: int | None, tissue_thresh: float,
+                  lesion_thresh: float) -> LabelVolume:
+    """The ``predict_labels`` walk over ``(zs, magnitude, phase)`` z-chunks
+    that cover a volume of ``dims``, from its arrays or from its files."""
+    labels = np.empty(dims, np.uint8, order="F")
 
     def emit(zs: slice, channels) -> None:
         labels[:, :, zs] = merge_region_arrays(*channels, tissue_thresh, lesion_thresh)
 
-    _predict_chunks(predictor, magnitude, phase, tta, threads, emit)
-    return LabelVolume(labels, magnitude.spacing)
+    _predict_chunks(predictor, chunks, tta, threads, emit)
+    return LabelVolume(labels, spacing)
+
+
+def _fit_centers(label_chunks, chunks) -> dict:
+    """``MockPredictor`` centers: class id -> (magnitude, phase) means.
+
+    A labels-only pass over the uint8 arrays ``label_chunks`` counts each
+    class and names the lowest absent one before any intensity is read.
+    A second pass walks the ``(ids, magnitude, phase)`` chunks of the same
+    voxels, each in buffered blocks of ``volume._BLOCK_VOXELS``. Per block,
+    ``np.frexp`` splits each float32 value into a significand of 24 bits
+    and an exponent, and one ``np.bincount`` sums the significands per
+    (class, exponent); that float64 sum is exact below 2**29 voxels per
+    block. The sums are accumulated in int64 and combined with Python
+    ints, so a center is the exact mean of its class's values, rounded
+    once to float64, whatever the order, layout or chunking of the voxels.
+    """
+    counts = np.zeros(len(_FIT_CLASSES), np.int64)
+    for ids in label_chunks:
+        for block in _blocks(ids):
+            counts += np.bincount(block, minlength=len(_FIT_CLASSES))
+    for cid, n in zip(_FIT_CLASSES, counts):
+        if not n:
+            raise ValidationError(f"cannot fit centers: class {cid} absent")
+    width = len(_EXPONENTS)
+    sums = np.zeros((2, len(_FIT_CLASSES) * width), np.int64)
+    for chunk in chunks:
+        with _blocks(list(chunk), op_dtypes=[np.intp, np.float32, np.float32]) as blocks:
+            for ids, *channels in blocks:
+                base = ids * width - _EXPONENTS[0]
+                for acc, values in zip(sums, channels):
+                    significand, exponent = np.frexp(values)
+                    acc += (np.bincount(base + exponent, weights=significand,
+                                        minlength=acc.size) * 2.0 ** 24).astype(np.int64)
+    # a class's sum is sum(s * 2**j) * 2**(_EXPONENTS[0] - 24) over its row
+    scale = 24 - _EXPONENTS[0]
+    return {cid: tuple(sum(int(s) << j for j, s in enumerate(acc[i * width:(i + 1) * width]))
+                       / (int(n) << scale) for acc in sums)
+            for i, (cid, n) in enumerate(zip(_FIT_CLASSES, counts))}
 
 
 def jitter_score(labels: LabelVolume) -> dict[int, float | None]:

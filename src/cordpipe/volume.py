@@ -58,6 +58,15 @@ def _blocks(operands, op_flags=None, op_dtypes=None) -> np.nditer:
                      buffersize=_BLOCK_VOXELS)
 
 
+def _z_runs(dims, voxels: int | None) -> list[slice]:
+    """The z slices of the runs of whole slices, in order, that split an
+    (H, W, Z) grid into chunks of at most ``voxels`` voxels, but at least
+    one slice each; ``None`` gives one run of every slice."""
+    h, w, depth = dims
+    k = depth if voxels is None else max(1, voxels // (h * w))
+    return [slice(z, min(z + k, depth)) for z in range(0, depth, k)]
+
+
 def _all_finite(data: np.ndarray) -> bool:
     """``np.all(np.isfinite(data))``, in blocks of ``_blocks``."""
     return all(np.isfinite(block).all() for block in _blocks(data))

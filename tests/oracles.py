@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
+from fractions import Fraction
 
 import numpy as np
 
@@ -386,6 +387,17 @@ def where_warp(plane: np.ndarray, labels: np.ndarray, matrix):
         image += wgt * flat[flat_index(x0 + dx, y0 + dy)]
     flat = np.append(labels.ravel(), np.zeros(1, labels.dtype))
     return image.astype(np.float32), flat[flat_index(np.rint(src_x), np.rint(src_y))]
+
+
+def exact_class_means(labels, *channels) -> dict:
+    """Class id -> the exact mean of each channel's values over the class,
+    summed as fractions and rounded once to a Python float."""
+    out = {}
+    for cid in np.unique(labels).tolist():
+        sel = labels == cid
+        out[cid] = tuple(float(sum(map(Fraction, ch[sel].tolist()), Fraction(0)) / int(sel.sum()))
+                         for ch in channels)
+    return out
 
 
 # ---------------------------------------------------------------------------

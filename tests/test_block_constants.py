@@ -23,10 +23,10 @@ from cordpipe.cli import main
 BLOCK_CONSTANTS = {
     ("volume", "_BLOCK_VOXELS"): (1, 97, 1 << 24),
     ("volume", "_ORDER_COLUMNS"): (1, 3, 1 << 20),
-    ("pseudolabel", "_FIT_ROWS"): (1, 7, 1 << 20),
     ("pseudolabel", "_CHUNK_VOXELS"): (1, 3 * 32 * 32 + 5, 1 << 30),
     ("nifti", "_INFLATE_PIECE"): (1, 4099, 1 << 30),
     ("nifti", "_INFLATE_INPUT"): (1, 4099, 1 << 30),
+    ("nifti", "_PIECE_VOXELS"): (1, 3 * 32 * 32 + 5, 1 << 30),
     ("metrics", "_SHELL_RADIUS_VOXELS"): (0, 1, 9),
 }
 

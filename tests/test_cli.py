@@ -38,6 +38,12 @@ def _write(path, vol, gz=False):
     return str(path)
 
 
+def _file_field(path):
+    """The ``file=`` field of an error record that names ``path``, with the
+    space that ends it."""
+    return f"file={json.dumps(str(path), ensure_ascii=False)} "
+
+
 def _read_labels(path):
     return read_nifti(path.read_bytes(), labels=True)
 
@@ -343,6 +349,7 @@ def test_stack_rejects_an_empty_or_unparsable_command_before_loading(
         raise AssertionError("stack read an input before checking the command")
 
     monkeypatch.setattr(cli, "_load_volume", must_not_run)
+    monkeypatch.setattr(cli, "_read_chunks", must_not_run)
     out = tmp_path / "o.nii"
     rc = main(["stack", "--predictor", spec, "--input", str(tmp_path / "mag.nii"),
                "--out", str(out)])
@@ -355,6 +362,33 @@ def test_stack_rejects_an_empty_or_unparsable_command_before_loading(
         cli._predictor_command(spec[len("cmd:"):])
     [record] = err.splitlines()
     assert json.loads(record.split(" msg=", 1)[1]) == str(raised.value)
+
+
+def _parse_record(line: str) -> dict:
+    """The fields of one error record: ``kind`` as given, ``file`` and
+    ``msg`` decoded from their JSON strings."""
+    head = "cordpipe-error kind="
+    assert line.startswith(head), line
+    kind, _, rest = line[len(head):].partition(" ")
+    fields, at, decoder = {"kind": kind}, 0, json.JSONDecoder()
+    while at < len(rest):
+        name, eq, _ = rest[at:].partition("=")
+        assert eq and name in ("file", "msg") and name not in fields, rest[at:]
+        fields[name], at = decoder.raw_decode(rest, at + len(name) + 1)
+        at += rest[at:at + 1] == " "
+    return fields
+
+
+@pytest.mark.parametrize("name", ['a b\nc".nii', 'plain.nii', 'back\\slash "q".nii.gz'])
+def test_error_record_file_field_parses_back_to_the_path(tmp_path, capsys, name):
+    # a path holding a space, a quote, a backslash or a newline stays in
+    # the record's one line and decodes to itself
+    missing = tmp_path / name
+    assert main(["preprocess", str(missing), "--out", str(tmp_path / "o.nii")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    record = _parse_record(line)
+    assert record["kind"] == "FormatError" and record["file"] == str(missing)
+    assert record["msg"].startswith(f"cannot read {missing}: ")
 
 
 # Slice 1 of the magnitude is all zeros; "marked" fails on it alone.
@@ -424,7 +458,7 @@ def test_undecodable_config_exits_2_naming_it(tmp_path, capsys):
                "--config", str(cfg)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "kind=FormatError" in err and f"file={cfg}" in err
+    assert "kind=FormatError" in err and _file_field(cfg) in err
     assert not (tmp_path / "o.nii").exists()
 
 
@@ -618,7 +652,7 @@ def test_preprocess_hostile_stored_member_exits_2(tmp_path, capsys, how):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert err[0].startswith("cordpipe-error kind=FormatError")
-    assert f"file={bad} " in err[0]
+    assert _file_field(bad) in err[0]
     assert not out.exists()
 
 
@@ -634,7 +668,7 @@ def test_evaluate_gzip_header_fault_exits_2(tmp_path, capsys, how):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert err[0].startswith("cordpipe-error kind=FormatError")
-    assert f"file={bad} " in err[0]
+    assert _file_field(bad) in err[0]
 
 
 def test_evaluate_dense_spacing_mismatch_exits_1(tmp_path, capsys):
@@ -711,7 +745,7 @@ def test_evaluate_sidecar_inconsistent_in_itself_exits_2(tmp_path, capsys, z_ind
     _write(tmp_path / "planes.nii", LabelVolume(np.zeros((4, 4, planes), np.uint8), ISO))
     assert main(["evaluate", pred, str(ann)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"cordpipe-error kind=SidecarError file={ann} ")
+    assert len(err) == 1 and err[0].startswith("cordpipe-error kind=SidecarError " + _file_field(ann))
 
 
 # Ground truth off the prediction's grid, as (file, dims or plane dims,
@@ -751,7 +785,7 @@ def test_a_failed_write_names_its_destination_not_the_temp_file(tmp_path, capsys
     assert main(["evaluate", labels, labels, "--json", str(taken)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("cordpipe-error kind=FormatError "), err
-    assert f"file={taken} " in err[0] and ".cordpipe-tmp-" not in err[0]
+    assert _file_field(taken) in err[0] and ".cordpipe-tmp-" not in err[0]
     assert not list(tmp_path.glob(".cordpipe-tmp-*"))
     assert list(taken.iterdir()) == []
 
@@ -767,7 +801,7 @@ def test_error_names_the_failing_merge_input(phantom_dir, tmp_path, capsys):
                "--lesion", str(regions / "region_lesion.nii.gz"),
                "--out", str(tmp_path / "m.nii.gz")])
     assert rc == 2
-    assert f"file={missing} " in capsys.readouterr().err
+    assert _file_field(missing) in capsys.readouterr().err
 
 
 def test_error_names_a_missing_fit_labels_file(phantom_dir, tmp_path, capsys):
@@ -776,7 +810,7 @@ def test_error_names_a_missing_fit_labels_file(phantom_dir, tmp_path, capsys):
                "--phase", str(phantom_dir / "phase.nii.gz"), "--fit-labels", missing,
                "--out", str(tmp_path / "p.nii.gz")])
     assert rc == 2
-    assert f"file={missing} " in capsys.readouterr().err
+    assert _file_field(missing) in capsys.readouterr().err
 
 
 def test_error_names_a_missing_sidecar_planes_file(phantom_dir, capsys):
@@ -785,20 +819,20 @@ def test_error_names_a_missing_sidecar_planes_file(phantom_dir, capsys):
     rc = main(["evaluate", str(phantom_dir / "labels.nii.gz"),
                str(phantom_dir / "annotation.json")])
     assert rc == 2
-    assert f"file={planes} " in capsys.readouterr().err
+    assert _file_field(planes) in capsys.readouterr().err
 
 
 def test_error_names_a_missing_slice_dir(tmp_path, capsys):
     missing = str(tmp_path / "no_such_dir")
     assert main(["stack", missing, "--out", str(tmp_path / "x.nii")]) == 2
-    assert f"file={missing} " in capsys.readouterr().err
+    assert _file_field(missing) in capsys.readouterr().err
 
 
 def test_error_names_an_undecodable_main_input(tmp_path, capsys):
     bad = tmp_path / "bad.nii"
     bad.write_bytes(b"not a nifti")
     assert main(["preprocess", str(bad), "--out", str(tmp_path / "o.nii")]) == 2
-    assert f"file={bad} " in capsys.readouterr().err
+    assert _file_field(bad) in capsys.readouterr().err
 
 
 def _fold(d, probs, spacing=ISO, odd=None, first_z=0):
@@ -877,6 +911,7 @@ def test_stack_checks_slice_names_before_reading_a_slice(tmp_path, capsys, monke
         raise AssertionError("stack read a slice before checking the slice names")
 
     monkeypatch.setattr(cli, "_read_file", must_not_run)
+    monkeypatch.setattr(cli, "_read_chunks", must_not_run)
     for argv, message in (([base, short], f"fold {short} has 3 slices, fold {base} has 4"),
                           ([base, gap], f"fold {gap}: missing slice indices [2] of 0..3"),
                           ([pair], "both hold volume 'slice_001'"),
@@ -887,6 +922,25 @@ def test_stack_checks_slice_names_before_reading_a_slice(tmp_path, capsys, monke
         assert len(err) == 1 and err[0].startswith("cordpipe-error kind=ValidationError"), err
         assert message in err[0]
     assert not (tmp_path / "o.nii").exists()
+
+
+def test_stack_threads_give_the_bytes_of_one_thread(tmp_path, monkeypatch):
+    # seven z-chunks of 3 slices, taken from the files as threads free up
+    import cordpipe.pseudolabel as pseudolabel
+
+    monkeypatch.setattr(pseudolabel, "_CHUNK_VOXELS", 3 * 24 * 24)
+    ph = tmp_path / "ph"
+    assert main(["phantom", "--seed", "2", "--dims", "24", "24", "20",
+                 "--out-dir", str(ph)]) == 0
+    written = []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / f"pseudo_t{threads}.nii.gz"
+        assert main(["stack", "--predictor", "mock", "--input", str(ph / "magnitude.nii.gz"),
+                     "--phase", str(ph / "phase.nii.gz"), "--fit-labels",
+                     str(ph / "labels.nii.gz"), "--tta", "--threads", threads,
+                     "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
 
 
 def test_stack_reads_each_slice_file_once(tmp_path, monkeypatch):
@@ -1014,8 +1068,9 @@ def test_stack_rejects_a_bad_threshold_before_loading_or_predicting(
         raise AssertionError("stack did work before validating its thresholds")
 
     monkeypatch.setattr(cli, "_load_volume", must_not_run)
+    monkeypatch.setattr(cli, "_read_chunks", must_not_run)
     monkeypatch.setattr(cli.MockPredictor, "fit", must_not_run)
-    monkeypatch.setattr(cli, "predict_labels", must_not_run)
+    monkeypatch.setattr(cli, "_chunk_labels", must_not_run)
     cfg = tmp_path / "merge.cfg"
     cfg.write_text(f"merge.{key} = 1.5\n")
     out = tmp_path / "o.nii"
@@ -1045,6 +1100,7 @@ def test_stack_checks_its_predictor_flags_before_reading(grids, tmp_path, capsys
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "_read_file", must_not_run)
+    monkeypatch.setattr(cli, "_read_chunks", must_not_run)
     assert main(["stack", *[grids.get(a, a) for a in argv], "--out", "o.nii"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("cordpipe-error kind=ValidationError"), err
@@ -1069,6 +1125,7 @@ def test_regions_names_a_missing_flag_before_reading(grids, tmp_path, capsys,
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "_read_file", must_not_run)
+    monkeypatch.setattr(cli, "_read_chunks", must_not_run)
     assert main(["regions", *[grids.get(a, a) for a in argv]]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("cordpipe-error kind=ValidationError")
@@ -1191,6 +1248,7 @@ def test_stack_rejects_a_flag_its_mode_does_not_read(grids, tmp_path, capsys, mo
                         "slice_{:03d}.nii")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "_read_file", must_not_run)
+    monkeypatch.setattr(cli, "_read_chunks", must_not_run)
     args = [{"slices": slices}.get(a, grids.get(a, a)) for a in argv]
     assert main(["stack", *args, "--out", "o.nii"]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -1226,6 +1284,7 @@ def test_a_bad_setting_exits_1_before_any_volume_is_read(
     work.mkdir()
     monkeypatch.chdir(work)
     monkeypatch.setattr(cli, "_load_volume", must_not_run)
+    monkeypatch.setattr(cli, "_read_chunks", must_not_run)
     argv = [grids.get(a, a) for a in argv]
     if cfg_text is not None:
         (work / "bad.cfg").write_text(cfg_text)
@@ -1251,7 +1310,7 @@ def test_a_missing_config_is_a_format_error_naming_it(grids, tmp_path, capsys, c
     assert main([grids.get(a, a) for a in command] + ["--config", missing]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("cordpipe-error kind=FormatError "), err
-    assert f"file={missing} " in err[0]
+    assert _file_field(missing) in err[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1273,6 +1332,7 @@ def test_a_misspelt_config_key_exits_1_naming_it_before_any_read(
         raise AssertionError("a volume was read before the config keys were checked")
 
     monkeypatch.setattr(cli, "_load_volume", must_not_run)
+    monkeypatch.setattr(cli, "_read_chunks", must_not_run)
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("preprocess.stretch.p_high = 70\npreprocess.strech.p_low = 5\n")
     out = tmp_path / "o.nii"

@@ -2,6 +2,7 @@ import gzip
 import io
 import json
 import struct
+import tempfile
 import tracemalloc
 import zlib
 
@@ -643,7 +644,7 @@ def _gzip_streams(draw):
 def test_gzip_reads_decode_as_gzip_decompress(case):
     raw, stream, labels, _ = case
     assert gzip.decompress(stream) == raw
-    assert b"".join(nifti._inflate(stream)) == raw
+    assert b"".join(nifti._inflate(iter([stream]))) == raw
     got, want = read_nifti(stream, labels=labels), read_nifti(raw, labels=labels)
     assert got.data.dtype == want.data.dtype and got.spacing == want.spacing
     assert got.data.tobytes("F") == want.data.tobytes("F")
@@ -667,6 +668,49 @@ def test_cut_or_flipped_gzip_trailer_is_format_error(case, data):
         bad = bytes(bad)
     with pytest.raises(FormatError):
         read_nifti(bad, labels=labels)
+
+
+def _outcome(read):
+    """What ``read()`` gives: the decoded bytes, dtype and spacing, or the
+    type and message of the ``FormatError`` it raises."""
+    try:
+        vol = read()
+    except FormatError as exc:
+        return type(exc), str(exc)
+    return vol.data.tobytes("F"), vol.data.dtype, vol.spacing
+
+
+def _read_file_chunks(stream: bytes, labels: bool, voxels):
+    """The volume the chunk reader assembles from a file holding ``stream``."""
+    with tempfile.TemporaryFile() as fh:
+        fh.write(stream)
+        fh.seek(0)
+        chunks = nifti._read_chunks(fh, voxels, labels)
+        hdr = next(chunks)
+        data = np.empty(hdr.shape, np.uint8 if labels else np.float32, order="F")
+        for zs, chunk in chunks:
+            data[:, :, zs] = chunk
+    return (LabelVolume if labels else ScalarVolume)(data, hdr.spacing)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gzip_streams(), st.data())
+def test_file_chunk_reader_reads_and_fails_as_read_nifti(case, data):
+    # every member, padding and FNAME/FEXTRA/FHCRC layout _gzip_streams
+    # draws, and the plain stream, as they are, cut short or with one bit
+    # flipped; read in chunks of one slice, a few voxels or the default
+    raw, stream, labels, _ = case
+    source = data.draw(st.sampled_from([stream, raw]))
+    how = data.draw(st.sampled_from(["whole", "cut", "flip"]))
+    if how == "cut":
+        source = source[:data.draw(st.integers(0, len(source) - 1))]
+    elif how == "flip":
+        at = data.draw(st.integers(0, len(source) - 1))
+        source = source[:at] + bytes([source[at] ^ 1 << data.draw(st.integers(0, 7))]) \
+            + source[at + 1:]
+    voxels = data.draw(st.sampled_from([1, 7, None]))
+    want = _outcome(lambda: read_nifti(source, labels=labels))
+    assert _outcome(lambda: _read_file_chunks(source, labels, voxels)) == want
 
 
 def _traced_peak(fn, *args):

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cordpipe import (
     ClaheConfig,
@@ -24,7 +24,7 @@ from cordpipe.errors import (
     ValidationError,
     ZeroVarianceError,
 )
-from cordpipe import volume
+from cordpipe import preprocess, volume
 from cordpipe.preprocess import _clip_and_redistribute
 
 from oracles import (
@@ -361,7 +361,7 @@ def test_stretch_masked_scope():
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_unmasked_stretch_copies_the_volume_once(order):
-    # one float64 copy for np.percentile: twice the float32 volume
+    # one float32 copy of the scope, partitioned in place, and the output
     rng = np.random.default_rng(12)
     data = np.asarray(rng.normal(size=(128, 128, 64)).astype(np.float32), order=order)
     vol = _vol(data)
@@ -375,6 +375,40 @@ def test_unmasked_stretch_copies_the_volume_once(order):
         tracemalloc.stop()
     assert peak <= 2.5 * data.nbytes
     assert got.tobytes("K") == want.tobytes("K")
+
+
+@st.composite
+def _scopes(draw):
+    """A float32 scope of 1 to 60 values: ties from a small pool (both
+    zeros in it), constant runs, or any finite floats."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["ties", "runs", "floats"]))
+    if kind == "ties":
+        pool = [-0.0, 0.0, 1.0, -2.5, 3.0]
+        values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    elif kind == "runs":
+        runs = draw(st.lists(st.tuples(st.floats(-1e3, 1e3, width=32), st.integers(1, 12)),
+                             min_size=1, max_size=5))
+        values = [v for v, k in runs for _ in range(k)]
+    else:
+        values = draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                               min_size=n, max_size=n))
+    return np.array(values, np.float32)
+
+
+@settings(max_examples=400, deadline=None)
+@given(scope=_scopes(),
+       ps=st.lists(st.one_of(st.sampled_from([0.0, 15.0, 50.0, 70.0, 95.0, 100.0]),
+                             st.floats(0.0, 100.0)), min_size=1, max_size=3))
+@example(scope=np.array([2.0], np.float32), ps=[0.0, 100.0])
+@example(scope=np.array([3.0, -1.0], np.float32), ps=[0.0, 15.0, 100.0])
+@example(scope=np.array([-0.0, 0.0, 0.0, -0.0], np.float32), ps=[0.0, 70.0, 100.0])
+def test_percentiles_are_np_percentile_bit_for_bit(scope, ps):
+    want = np.percentile(scope.astype(np.float64), ps)
+    work = scope.copy()
+    got = preprocess._percentiles(work, ps)
+    assert np.array(got).tobytes() == want.tobytes()  # the sign of a zero too
+    assert np.array_equal(np.sort(work), np.sort(scope))  # partitioned in place
 
 
 def test_stretch_constant_degenerate():

@@ -17,18 +17,20 @@ from cordpipe import (
     TtaConfig,
     ensemble,
     generate,
+    gzip_nifti,
     jitter_score,
     perturb_slices,
     predict_labels,
     predict_volume,
     predict_with_tta,
     stack_slices,
+    write_nifti,
 )
 from cordpipe.errors import ConfigError, DimensionError, ValidationError
 from cordpipe import merge_regions, pseudolabel, volume
 from cordpipe.pseudolabel import FLIP_NAMES, SlicePredictor, _flip
 
-from oracles import LAYOUTS, argmin_nearest_class, laid_out
+from oracles import LAYOUTS, argmin_nearest_class, exact_class_means, laid_out
 
 ISO = Spacing.isotropic()
 
@@ -203,6 +205,29 @@ def test_thread_counts_below_1_are_rejected(threads):
     assert pseudolabel.thread_map(abs, [1, -2, 3], None) == [1, 2, 3]
 
 
+@pytest.mark.parametrize("threads", [2, 3])
+def test_thread_map_takes_an_item_only_while_fewer_than_n_are_in_flight(threads):
+    import threading
+    import time
+
+    done, lock, ahead = [0], threading.Lock(), []
+
+    def items():
+        for i in range(12):
+            with lock:
+                ahead.append(i - done[0])  # taken but unfinished before this one
+            yield i
+
+    def work(i):
+        time.sleep(0.002 * (i % 3))
+        with lock:
+            done[0] += 1
+        return -i
+
+    assert pseudolabel.thread_map(work, items(), threads) == [-i for i in range(12)]
+    assert max(ahead) <= threads - 1
+
+
 def test_jitter_direction_on_phantom():
     # smooth phantom scores near 1; per-slice jitter strictly lowers every
     # class, the same ordering as stacked-2D vs native-3D predictions
@@ -292,15 +317,14 @@ def test_blocked_predict_matches_argmin_reference_on_a_phantom(monkeypatch):
 @pytest.mark.parametrize("layouts", [("F", "F", "F"), ("C", "C", "C"), ("F", "C", "F"),
                                      ("C", "F", "reversed")])
 def test_fit_centers_equal_masked_means_bit_for_bit(layouts):
-    # per-class sums of thousands of float32 values round differently in
-    # another element order, so only a C-order gather gives these bits
+    # a float32 mean of thousands of values rounds differently in another
+    # element order; each center is the exact mean, rounded once
     rng = np.random.default_rng(83)
     shape = (40, 36, 9)
     labels = rng.integers(0, 5, shape).astype(np.uint8)
     mag = rng.random(shape, dtype=np.float32) * 3
     phs = rng.standard_normal(shape).astype(np.float32)
-    want = {c: (float(mag[labels == c].mean()), float(phs[labels == c].mean()))
-            for c in range(5)}
+    want = exact_class_means(labels, mag, phs)
     m, p, lab = (laid_out(a, lay) for a, lay in zip((mag, phs, labels), layouts))
     got = MockPredictor.fit(ScalarVolume(m, ISO), ScalarVolume(p, ISO),
                             LabelVolume(lab, ISO)).centers
@@ -315,20 +339,20 @@ def test_fit_centers_equal_masked_means_bit_for_bit(layouts):
 @example(h=17, w=3, z=5, rows=None, layouts=("F", "F", "F"), seed=2)
 @example(h=9, w=4, z=6, rows=3, layouts=("strided", "C", "F"), seed=3)
 def test_fit_centers_equal_masked_means_for_every_slab_split(h, w, z, rows, layouts, seed):
-    rows = rows or pseudolabel._FIT_ROWS
+    # ``rows`` voxels per block of the fit's walk (the default if None);
+    # class 4 occurs only in the last ``rows or 16`` rows
+    cut = rows or 16
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 4, (h, w, z)).astype(np.uint8)
-    # class 4 occurs only in the last slab of rows
-    last = labels[(h - 1) // rows * rows:]
+    last = labels[(h - 1) // cut * cut:]
     last[rng.random(last.shape) < 0.3] = 4
     last[-1, -1, -1] = 4
     labels[0, 0, :4] = range(4)
     mag = rng.random(labels.shape, dtype=np.float32) * 3
     phs = rng.standard_normal(labels.shape).astype(np.float32)
-    want = {c: (float(mag[labels == c].mean()), float(phs[labels == c].mean()))
-            for c in range(5)}
+    want = exact_class_means(labels, mag, phs)
     m, p, lab = (laid_out(a, lay) for a, lay in zip((mag, phs, labels), layouts))
-    with mock.patch.object(pseudolabel, "_FIT_ROWS", rows):
+    with mock.patch.object(volume, "_BLOCK_VOXELS", rows or volume._BLOCK_VOXELS):
         got = MockPredictor.fit(ScalarVolume(m, ISO), ScalarVolume(p, ISO),
                                 LabelVolume(lab, ISO)).centers
     assert got == want
@@ -342,23 +366,69 @@ def test_fit_rejects_an_absent_class():
         MockPredictor.fit(mag, phs, LabelVolume(data, ISO))
 
 
-def test_fit_names_the_lowest_absent_class_before_copying_an_intensity_slab(monkeypatch):
+def _fit_inputs(tmp_path):
+    """Random float32 channels and labels in 40x36x9, and their files."""
+    rng = np.random.default_rng(84)
+    shape = (40, 36, 9)
+    labels = rng.integers(0, 5, shape).astype(np.uint8)
+    mag = rng.random(shape, dtype=np.float32) * 3
+    phs = rng.standard_normal(shape).astype(np.float32)
+    paths = []
+    for name, vol, gz in (("mag.nii", ScalarVolume(mag, ISO), False),
+                          ("phase.nii.gz", ScalarVolume(phs, ISO), True),
+                          ("labels.nii.gz", LabelVolume(labels, ISO), True)):
+        raw = write_nifti(vol)
+        (tmp_path / name).write_bytes(gzip_nifti(raw) if gz else raw)
+        paths.append(str(tmp_path / name))
+    return (mag, phs, labels), paths
+
+
+def test_fit_centers_are_free_of_order_layout_and_chunking(tmp_path, monkeypatch):
+    from cordpipe import cli
+
+    (mag, phs, labels), paths = _fit_inputs(tmp_path)
+    want = MockPredictor.fit(ScalarVolume(mag, ISO), ScalarVolume(phs, ISO),
+                             LabelVolume(labels, ISO)).centers
+    assert want == exact_class_means(labels, mag, phs)
+    flip = (slice(None), slice(None), slice(None, None, -1))
+    for arrays in ([a[flip] for a in (mag, phs, labels)],
+                   *([laid_out(a, layout) for a in (mag, phs, labels)] for layout in LAYOUTS)):
+        m, p, lab = arrays
+        assert MockPredictor.fit(ScalarVolume(m, ISO), ScalarVolume(p, ISO),
+                                 LabelVolume(lab, ISO)).centers == want
+    for chunk in (1, 3 * 40 * 36 + 7, 1 << 30):  # one slice, 3 slices, all
+        monkeypatch.setattr(pseudolabel, "_CHUNK_VOXELS", chunk)
+        assert cli._fit_files(*paths) == want
+
+
+def test_fit_names_the_lowest_absent_class_before_copying_an_intensity_slab(
+        tmp_path, monkeypatch):
+    from cordpipe import cli, nifti
+
     mag, phs, labels = generate(PhantomConfig.fitted((40, 32, 4), seed=6))
-    copied, in_order = [], pseudolabel._in_order
-
-    def spy(a, order, dtype=None):
-        copied.append(a.dtype)
-        return in_order(a, order, dtype)
-
-    monkeypatch.setattr(pseudolabel, "_in_order", spy)
-    MockPredictor.fit(mag, phs, labels)
-    assert np.dtype(np.float32) in copied  # the spy sees the intensity slabs
-    copied.clear()
     data = labels.data.copy()
     data[(data == 2) | (data == 4)] = 1
+    paths = {}
+    for name, vol in (("mag", mag), ("phase", phs), ("labels", labels),
+                      ("absent", LabelVolume(data, ISO))):
+        paths[name] = tmp_path / f"{name}.nii.gz"
+        paths[name].write_bytes(gzip_nifti(write_nifti(vol)))
+    taken, read_chunks = [], nifti._read_chunks
+
+    def spy(fh, voxels=None, labels=False):
+        reader = read_chunks(fh, voxels, labels)
+        yield next(reader)  # the header
+        for chunk in reader:
+            taken.append(labels)
+            yield chunk
+
+    monkeypatch.setattr(nifti, "_read_chunks", spy)
+    cli._fit_files(str(paths["mag"]), str(paths["phase"]), str(paths["labels"]))
+    assert False in taken  # the spy sees the intensity chunks
+    taken.clear()
     with pytest.raises(ValidationError, match=r"^cannot fit centers: class 2 absent$"):
-        MockPredictor.fit(mag, phs, LabelVolume(data, ISO))
-    assert np.dtype(np.float32) not in copied
+        cli._fit_files(str(paths["mag"]), str(paths["phase"]), str(paths["absent"]))
+    assert taken and False not in taken
 
 
 # ---------------------------------------------------------------------------
