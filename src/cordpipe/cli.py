@@ -12,7 +12,6 @@ Errors print to stderr as single-line machine-parseable records.
 from __future__ import annotations
 
 import argparse
-import collections
 import json
 import os
 import re
@@ -26,13 +25,14 @@ from .config import get_typed, load_config
 from .errors import ConfigError, FormatError, ValidationError
 from .metrics import evaluate, fold_aggregate, report_to_csv
 from . import nifti, preprocess, pseudolabel
-from .nifti import (
+# no command reads bytes; read_nifti stays importable here for bench/spans.py
+from .nifti import (  # noqa: F401
     SparseAnnotation,
+    _annotation,
     _write_chunks,
     gzip_nifti,
     parse_sidecar,
     read_nifti,
-    read_sparse_annotation,
     write_sparse_annotation,
 )
 from .phantom import PhantomConfig, generate
@@ -54,6 +54,7 @@ from .volume import CLASS_NAMES, FOREGROUND_CLASSES, LabelVolume, ScalarVolume, 
 
 
 def _read_file(path: str) -> bytes:
+    """The bytes of a config or sidecar JSON file."""
     try:
         with open(path, "rb") as fh:
             return fh.read()
@@ -99,7 +100,8 @@ def _write_volume(path: str, vol, dry_run: bool = False) -> None:
 
 def _read_chunks(path: str, labels: bool = False, voxels: int | None = None):
     """``nifti._read_chunks`` of the file at ``path``: its header, then its
-    z-chunks; every error names the file."""
+    runs of slices (one run if ``voxels`` is None); every error names the
+    file."""
     try:
         with open(path, "rb") as fh:
             yield from nifti._read_chunks(fh, voxels, labels)
@@ -107,6 +109,13 @@ def _read_chunks(path: str, labels: bool = False, voxels: int | None = None):
         raise FormatError(f"cannot read {path}: {exc}", path) from exc
     except FormatError as exc:
         raise type(exc)(f"{path}: {exc}", path) from exc
+
+
+def _read_volume(path: str, labels: bool = False):
+    """The volume of the file at ``path``, decoded as one run of slices:
+    the file is read in pieces into one buffer, and checked once."""
+    _, (_, vol) = _read_chunks(path, labels)
+    return vol
 
 
 def _header(path: str, labels: bool = False, ref_path: str | None = None, ref=None):
@@ -118,40 +127,13 @@ def _header(path: str, labels: bool = False, ref_path: str | None = None, ref=No
 
 def _zipped(files, voxels: int):
     """``(zs, arrays)`` for each z-chunk of files on one grid, read side by
-    side; ``files`` lists ``(path, labels)`` pairs. Every file is read to
-    its end, so each gzip trailer is checked."""
+    side; ``files`` lists ``(path, labels)`` pairs. Each gzip trailer is
+    checked before its file's last chunk comes."""
     readers = [_read_chunks(path, labels, voxels) for path, labels in files]
     for reader in readers:
         next(reader)  # the header
     for parts in zip(*readers):
-        yield parts[0][0], [data for _, data in parts]
-    for reader in readers:
-        collections.deque(reader, maxlen=0)
-
-
-def _read_volume(path: str) -> ScalarVolume:
-    """The intensity volume of the file at ``path``: its z-chunks are
-    written into one x-fastest float32 array as they are read, so neither
-    the file's bytes nor a second copy of the payload are held."""
-    chunks = _read_chunks(path)
-    hdr = next(chunks)
-    data = np.empty(hdr.shape, np.float32, order="F")
-    for zs, chunk in chunks:
-        data[:, :, zs] = chunk
-    return ScalarVolume(data, hdr.spacing)
-
-
-def _load_volume(path: str, labels: bool = False):
-    raw = _read_file(path)
-    try:
-        return read_nifti(raw, labels=labels)
-    except FormatError as exc:
-        raise type(exc)(f"{path}: {exc}", path) from exc
-
-
-def _load_on_grid(path: str, ref_path: str, ref, labels: bool = False):
-    """Load a voxel-wise input on the grid of ``ref``."""
-    return _on_grid_of(path, _load_volume(path, labels), ref_path, ref)
+        yield parts[0][0], [vol.data for _, vol in parts]
 
 
 def _on_grid_of(path: str, vol, ref_path: str, ref):
@@ -279,7 +261,7 @@ def _cmd_softlabel(args, cfg: dict) -> int:
          for c, w in base.weights.items()},
         {c: _config(cfg, f"softlabel.{CLASS_NAMES[c]}.kernel", k)
          for c, k in base.kernels.items()})
-    labels = _load_volume(args.input, labels=True)
+    labels = _read_volume(args.input, labels=True)
     soft = soften(labels, profile)
     for cid in FOREGROUND_CLASSES:
         out = ScalarVolume(soft.class_channel(cid), labels.spacing)
@@ -308,7 +290,7 @@ def _cmd_regions(args, cfg: dict) -> int:
     if missing:
         raise ValidationError(f"regions {args.mode} needs {' and '.join(missing)}")
     if args.mode == "split":
-        labels = _load_volume(args.input, labels=True)
+        labels = _read_volume(args.input, labels=True)
         stack = to_regions(labels)
         for name, grid in (("wm", stack.wm), ("gm", stack.gm), ("lesion", stack.lesion)):
             _write_volume(os.path.join(args.out_dir, f"region_{name}.nii.gz"),
@@ -317,9 +299,9 @@ def _cmd_regions(args, cfg: dict) -> int:
         return 0
 
     tissue_thresh, lesion_thresh = _merge_thresholds(args, cfg)
-    wm = _load_volume(args.wm)
-    gm = _load_on_grid(args.gm, args.wm, wm)
-    lesion = _load_on_grid(args.lesion, args.wm, wm)
+    wm = _read_volume(args.wm)
+    gm = _on_grid_of(args.gm, _read_volume(args.gm), args.wm, wm)
+    lesion = _on_grid_of(args.lesion, _read_volume(args.lesion), args.wm, wm)
     stack = RegionStack(wm.data, gm.data, lesion.data)
     merged = merge_regions(stack, wm.spacing, tissue_thresh, lesion_thresh)
     _write_volume(args.out, merged, args.dry_run)
@@ -360,12 +342,13 @@ def _stack_folds(folds: list[list[str]], tissue_thresh: float,
     order, read one z at a time: each file is read once, checked against
     the first, and its planes averaged by ``_mean`` with the other folds'."""
     first = folds[0][0]
-    ref = _load_volume(first)
+    ref = _read_volume(first)
     labels = np.empty(ref.dims[:2] + (len(folds[0]),), np.uint8, order="F")
     for z in range(len(folds[0])):
         planes = []
         for files in folds:
-            vol = ref if files[z] == first else _load_on_grid(files[z], first, ref)
+            vol = ref if files[z] == first else \
+                _on_grid_of(files[z], _read_volume(files[z]), first, ref)
             try:
                 planes.append(_region_planes(vol).channels())
             except ValidationError as exc:
@@ -466,7 +449,7 @@ def _load_sidecar(path: str) -> SparseAnnotation:
     try:
         doc = parse_sidecar(sidecar)
         planes_path = os.path.join(os.path.dirname(os.path.abspath(path)), doc["planes_nifti"])
-        return read_sparse_annotation(sidecar, _read_file(planes_path))
+        return _annotation(doc, _read_volume(planes_path, labels=True))
     except FormatError as exc:
         raise type(exc)(f"{path}: {exc}", exc.path or path) from exc
 
@@ -475,9 +458,9 @@ def _evaluate_one(pred_path: str, gt_path: str, volume_id: str):
     """Score one prediction file against one ground-truth file; a
     validation error names the volume and both files."""
     try:
-        pred = _load_volume(pred_path, labels=True)
+        pred = _read_volume(pred_path, labels=True)
         gt = _load_sidecar(gt_path) if gt_path.endswith(".json") else \
-            _load_volume(gt_path, labels=True)
+            _read_volume(gt_path, labels=True)
         return evaluate(pred, gt, volume_id=volume_id)
     except ValidationError as exc:
         raise type(exc)(f"volume {volume_id} (pred {pred_path}, gt {gt_path}): {exc}") from exc

@@ -25,10 +25,11 @@ Files are 2D or 3D; a 4D header (``dim[0] = 4``) is read as 3D when it
 holds a single timepoint (``dim[4] = 1``).
 
 One decode loop and one encoder serve bytes and files alike. The
-private chunk reader ``_read_chunks`` reads a file in ``_INFLATE_INPUT``
-pieces and yields its payload as runs of whole slices of at most
-``_PIECE_VOXELS`` voxels, so neither the stored file nor the whole
-payload is held; ``read_nifti`` runs the same loop on bytes as one run.
+private file reader ``_read_chunks`` reads a regular file in
+``_INFLATE_INPUT`` pieces, so its stored bytes are never held whole, and
+yields the checked volumes of runs of whole slices: one run for a
+whole-volume read, or runs of a given voxel count. ``read_nifti`` runs
+the same loop on bytes as one run.
 The private chunk writer ``_write_chunks`` feeds one deflate stream
 from the volume's array a run of slices at a time, copying a run only
 if the array is not x-fastest, and the tier probe reads its windows
@@ -56,6 +57,7 @@ import json
 import math
 import os
 import re
+import stat
 import struct
 import zlib
 from dataclasses import dataclass
@@ -110,9 +112,9 @@ _GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\xff"
 # bounded whatever a member decodes to.
 _INFLATE_PIECE = 1 << 18
 _INFLATE_INPUT = 1 << 16
-# Voxels per z-chunk of the chunk reader and writer (_read_chunks,
-# _write_chunks): 13 slices of a 192x208 plane, 2 MB of float32, so a
-# file is read or written with per-chunk buffers whatever its depth.
+# Voxels per z-chunk of the chunk writer (_write_chunks): 13 slices of a
+# 192x208 plane, 2 MB of float32, so a file is written with per-chunk
+# buffers whatever its depth.
 _PIECE_VOXELS = 1 << 19
 # Deflate decodes to at most 1032 bytes per input byte (a 258-byte match
 # in two 1-bit codes), so a payload ending past this many bytes per
@@ -294,18 +296,24 @@ def _peek(pieces, n: int):
     return head, itertools.chain((head,), pieces)
 
 
-def _decode(chunks, size: int, voxels: int | None):
-    """Yield the ``NiftiHeader`` of the NIfTI stream whose ``size`` stored
-    bytes the iterator ``chunks`` yields, then its payload as ``(zs,
-    block)`` for each run ``zs`` of ``volume._z_runs(shape, voxels)``: an
-    x-fastest (H, W, n) block of those slices in the header's dtype.
+def _pieces(raw):
+    """The bytes-like ``raw`` as views of ``_INFLATE_INPUT`` bytes."""
+    view = memoryview(raw)
+    return (view[i:i + _INFLATE_INPUT] for i in range(0, len(view), _INFLATE_INPUT))
 
-    A gzip stream is inflated by ``_inflate`` and read to its end, so its
-    trailer is checked after its last block is yielded; a payload that
-    would end past ``_MAX_INFLATE_RATIO`` decoded bytes per stored byte is
-    rejected before any block is allocated. A plain stream is read up to
-    the end of its payload. Each block is a buffer of its own, and decoded
-    bytes outside the payload are never held.
+
+def _decode(chunks, size: int, voxels: int | None, labels: bool):
+    """Yield the ``NiftiHeader`` of the NIfTI stream whose ``size`` stored
+    bytes the iterator ``chunks`` yields, then ``(zs, vol)`` for each run
+    ``zs`` of ``volume._z_runs(shape, voxels)``: ``vol`` is the volume
+    ``_typed`` builds of those slices.
+
+    A gzip stream is inflated by ``_inflate`` and read to its end before
+    its last block is yielded, so its trailer is checked first; a payload
+    that would end past ``_MAX_INFLATE_RATIO`` decoded bytes per stored
+    byte is rejected before any block is allocated. A plain stream is read
+    up to the end of its payload. Each block is a buffer of its own, and
+    decoded bytes outside the payload are never held.
     """
     magic, pieces = _peek(chunks, 2)
     gz = magic[:2] == b"\x1f\x8b"
@@ -333,26 +341,28 @@ def _decode(chunks, size: int, voxels: int | None):
         piece = np.frombuffer(piece, np.uint8)
         at = min(max(start - pos, 0), piece.size)
         pos += piece.size
-        while at < piece.size and zs is not None:
+        while at < piece.size and filled < block.size:
             n = min(piece.size - at, block.size - filled)
             block[filled:filled + n] = piece[at:at + n]
             filled += n
             at += n
-            if filled == block.size:
-                yield zs, block.view(hdr.dtype).reshape((h, w, -1), order="F")
-                zs = next(runs, None)
-                if zs is not None:
-                    block, filled = np.empty((zs.stop - zs.start) * plane, np.uint8), 0
-        if zs is None and not gz:
-            return  # a plain stream's bytes past the payload are not read
-    if zs is not None:
+            if filled == block.size and (following := next(runs, None)) is not None:
+                yield zs, _typed(hdr, block, labels)
+                zs = following
+                block, filled = np.empty((zs.stop - zs.start) * plane, np.uint8), 0
+        if filled == block.size and not gz:
+            break  # a plain stream's bytes past the payload are not read
+    if filled < block.size:
         raise TruncatedPayloadError(
             f"payload needs {end - start} bytes at offset {start}, stream has {pos - start}")
+    yield zs, _typed(hdr, block, labels)
 
 
-def _typed(hdr: NiftiHeader, arr: np.ndarray, labels: bool):
-    """``arr``, payload in the header's dtype, as the volume ``read_nifti``
-    returns; the volume type's ``ValidationError`` is a ``FormatError``."""
+def _typed(hdr: NiftiHeader, block: np.ndarray, labels: bool):
+    """The volume ``read_nifti`` returns of ``block``, a buffer of its own
+    holding whole slices of payload bytes as stored; the volume type's
+    ``ValidationError`` is a ``FormatError``."""
+    arr = block.view(hdr.dtype).reshape(hdr.shape[:2] + (-1,), order="F")
     if labels:
         if hdr.dtype.kind == "f":
             raise UnsupportedDatatypeError("label volumes require an integer datatype")
@@ -364,8 +374,9 @@ def _typed(hdr: NiftiHeader, arr: np.ndarray, labels: bool):
             raise LabelRangeError(str(exc)) from exc
 
     if hdr.scl_slope != 0.0 and (hdr.scl_slope != 1.0 or hdr.scl_inter != 0.0):
-        arr = arr.astype(np.float32, copy=False) * np.float32(hdr.scl_slope) \
-            + np.float32(hdr.scl_inter)
+        arr = arr.astype(np.float32, copy=False)  # arr itself if stored as native float32
+        arr *= np.float32(hdr.scl_slope)
+        arr += np.float32(hdr.scl_inter)
     try:
         return ScalarVolume(arr, hdr.spacing)
     except ValidationError as exc:
@@ -385,39 +396,34 @@ def read_nifti(raw: bytes, labels: bool = False):
     framed and checked by zlib, and that a plain stream's payload is copied
     into, x fastest as stored. Bytes outside the payload are not kept, and
     the result never shares memory with ``raw``. When the payload is stored
-    in the volume's dtype, the returned data is a view on that buffer. The
-    volume types make the one pass over the payload (finite intensities, or
-    label ids in range before the cast to uint8); their ``ValidationError``
-    is re-raised as a ``FormatError``.
+    in the volume's dtype, the returned data is a view on that buffer, and
+    intensity scaling is applied to it in place. The volume types make the
+    one pass over the payload (finite intensities, or label ids in range
+    before the cast to uint8); their ``ValidationError`` is re-raised as a
+    ``FormatError``.
     """
-    view = memoryview(raw)
-    chunks = (view[i:i + _INFLATE_INPUT] for i in range(0, len(view), _INFLATE_INPUT))
-    blocks = _decode(chunks, len(raw), None)
-    hdr = next(blocks)
-    (_, arr), = blocks
-    return _typed(hdr, arr, labels)
+    _, (_, vol) = _decode(_pieces(raw), len(raw), None, labels)
+    return vol
 
 
 def _read_chunks(fh, voxels: int | None = None, labels: bool = False):
-    """Read the NIfTI file ``fh`` (binary, at its start) in z-chunks.
+    """Read the NIfTI file ``fh`` (binary, at its start) in runs of slices.
 
-    Yields its ``NiftiHeader``, then ``(zs, data)`` for each run of whole
-    slices of at most ``voxels`` voxels (``_PIECE_VOXELS`` if None), at
-    least one: ``zs`` is its z slice and ``data`` its x-fastest array,
-    checked and cast as ``read_nifti`` does (float32 intensities, or uint8
-    labels). The file is read in ``_INFLATE_INPUT`` pieces, so neither its
-    stored bytes nor its whole payload are held, and the inflate ratio is
-    bounded by its size. Every decode rule and error is that of
-    ``read_nifti``, which runs the same loop on bytes; a gzip stream's
-    trailer is checked once its last chunk has been taken.
+    Returns an iterator over its ``NiftiHeader``, then ``(zs, vol)`` for
+    each run of whole slices of at most ``voxels`` voxels (one run if
+    None), at least one slice each: ``zs`` is its z slice and ``vol`` the
+    volume ``read_nifti`` builds of those slices, checked once. A regular
+    file is read in ``_INFLATE_INPUT`` pieces and its size bounds the
+    inflate ratio. A pipe or FIFO has no size until it ends, so it is read
+    whole first. Every decode rule and error is that of ``read_nifti``; a
+    gzip stream's trailer is checked before the last run is yielded.
     """
-    size = os.fstat(fh.fileno()).st_size
-    blocks = _decode(iter(functools.partial(fh.read, _INFLATE_INPUT), b""), size,
-                     _PIECE_VOXELS if voxels is None else voxels)
-    hdr = next(blocks)
-    yield hdr
-    for zs, block in blocks:
-        yield zs, _typed(hdr, block, labels).data
+    info = os.fstat(fh.fileno())
+    if stat.S_ISREG(info.st_mode):
+        return _decode(iter(functools.partial(fh.read, _INFLATE_INPUT), b""), info.st_size,
+                       voxels, labels)
+    raw = fh.read()
+    return _decode(_pieces(raw), len(raw), voxels, labels)
 
 
 def _pack_header(shape, spacing: Spacing, datatype: int) -> bytes:
@@ -674,6 +680,17 @@ def parse_sidecar(json_bytes: bytes) -> dict:
             "planes_nifti": doc["planes_nifti"]}
 
 
+def _annotation(doc: dict, planes: LabelVolume) -> SparseAnnotation:
+    """The annotation of the ``parse_sidecar`` document ``doc`` and its
+    decoded planes file: one plane per index, put in index order. The
+    result carries the planes file's spacing."""
+    z_indices = doc["z_indices"]
+    if planes.dims[2] != len(z_indices):
+        raise SidecarError("plane count does not match the index list")
+    return SparseAnnotation(doc["volume_id"], sorted(z_indices),
+                            planes.data[:, :, np.argsort(z_indices)], planes.spacing)
+
+
 def read_sparse_annotation(json_bytes: bytes, planes_bytes: bytes) -> SparseAnnotation:
     """Decode sidecar JSON plus its companion planes file.
 
@@ -682,11 +699,4 @@ def read_sparse_annotation(json_bytes: bytes, planes_bytes: bytes) -> SparseAnno
     the planes against a grid. The result carries the planes file's
     spacing.
     """
-    doc = parse_sidecar(json_bytes)
-    z_indices = doc["z_indices"]
-    planes_vol = read_nifti(planes_bytes, labels=True)
-    if planes_vol.dims[2] != len(z_indices):
-        raise SidecarError("plane count does not match the index list")
-    return SparseAnnotation(doc["volume_id"], sorted(z_indices),
-                            planes_vol.data[:, :, np.argsort(z_indices)],
-                            planes_vol.spacing)
+    return _annotation(parse_sidecar(json_bytes), read_nifti(planes_bytes, labels=True))

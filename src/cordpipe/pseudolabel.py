@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CordpipeError, DimensionError, FormatError, ValidationError
-from .nifti import read_nifti, write_nifti
+from .nifti import _read_chunks, write_nifti
 from .regions import REGION_CLASSES, RegionStack, check_thresholds, merge_region_arrays
 from . import volume
 from .volume import FOREGROUND_CLASSES, LabelVolume, ScalarVolume, Spacing, _blocks
@@ -522,7 +522,7 @@ class SubprocessPredictor(SlicePredictor):
                     raise ValidationError(f"failed ({proc.returncode}): {stderr}")
                 try:
                     with open(paths[2], "rb") as fh:
-                        out = read_nifti(fh.read())
+                        _, (_, out) = _read_chunks(fh)
                 except FileNotFoundError:
                     raise FormatError("produced no output file") from None
             if out.dims[:2] != mag.shape:

@@ -6,6 +6,7 @@ import shlex
 import stat
 import struct
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -348,7 +349,6 @@ def test_stack_rejects_an_empty_or_unparsable_command_before_loading(
     def must_not_run(*args, **kwargs):
         raise AssertionError("stack read an input before checking the command")
 
-    monkeypatch.setattr(cli, "_load_volume", must_not_run)
     monkeypatch.setattr(cli, "_read_chunks", must_not_run)
     out = tmp_path / "o.nii"
     rc = main(["stack", "--predictor", spec, "--input", str(tmp_path / "mag.nii"),
@@ -822,6 +822,15 @@ def test_error_names_a_missing_sidecar_planes_file(phantom_dir, capsys):
     assert _file_field(planes) in capsys.readouterr().err
 
 
+def test_error_names_an_undecodable_sidecar_planes_file(phantom_dir, capsys):
+    planes = phantom_dir / "annotation_planes.nii.gz"
+    planes.write_bytes(planes.read_bytes()[:60])
+    rc = main(["evaluate", str(phantom_dir / "labels.nii.gz"),
+               str(phantom_dir / "annotation.json")])
+    assert rc == 2
+    assert _file_field(planes) in capsys.readouterr().err
+
+
 def test_error_names_a_missing_slice_dir(tmp_path, capsys):
     missing = str(tmp_path / "no_such_dir")
     assert main(["stack", missing, "--out", str(tmp_path / "x.nii")]) == 2
@@ -951,16 +960,16 @@ def test_stack_reads_each_slice_file_once(tmp_path, monkeypatch):
     folds = [_fold(tmp_path / f"fold{i}", rng.random((6, 5, 3, 7)).astype(np.float32))
              for i in range(3)]
     reads = collections.Counter()
-    read_file = cli._read_file
+    read_volume = cli._read_volume
 
-    def counted(path):
+    def counted(path, labels=False):
         reads[path] += 1
-        return read_file(path)
+        return read_volume(path, labels)
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("slice-directory stack merged a whole-volume stack")
 
-    monkeypatch.setattr(cli, "_read_file", counted)
+    monkeypatch.setattr(cli, "_read_volume", counted)
     monkeypatch.setattr(cli, "merge_regions", must_not_run)
     assert main(["stack", *folds, "--out", str(tmp_path / "o.nii")]) == 0
     assert len(reads) == 21 and set(reads.values()) == {1}
@@ -994,6 +1003,65 @@ def test_preprocess_has_no_channel_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["preprocess", in_path, "--out", str(tmp_path / "o.nii"), "--channel", "phase"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Pipes and FIFOs, and one finite check per intensity read
+
+
+def _fifo(path, data: bytes):
+    """A FIFO at ``path`` that a thread fills with ``data`` once a reader
+    opens it; the thread, which ends when the reader has read it all."""
+    os.mkfifo(path)
+
+    def fill():
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    thread = threading.Thread(target=fill, daemon=True)
+    thread.start()
+    return thread
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_preprocess_and_evaluate_read_a_fifo_like_its_file(phantom_dir, tmp_path):
+    # a FIFO has no size until it ends, so it is read whole before decoding
+    mag = phantom_dir / "magnitude.nii.gz"
+    flags = ["--otsu", "--stretch", "--clahe"]
+    assert main(["preprocess", str(mag), *flags, "--out", str(tmp_path / "file.nii.gz")]) == 0
+    fill = _fifo(tmp_path / "mag.fifo", mag.read_bytes())
+    assert main(["preprocess", str(tmp_path / "mag.fifo"), *flags,
+                 "--out", str(tmp_path / "fifo.nii.gz")]) == 0
+    fill.join(timeout=10)
+    assert not fill.is_alive()
+    assert (tmp_path / "fifo.nii.gz").read_bytes() == (tmp_path / "file.nii.gz").read_bytes()
+
+    labels = phantom_dir / "labels.nii.gz"
+    argv = [str(labels), "--volume-id", "v", "--json"]
+    fill = _fifo(tmp_path / "pred.fifo", labels.read_bytes())
+    assert main(["evaluate", str(tmp_path / "pred.fifo"), *argv,
+                 str(tmp_path / "fifo.json")]) == 0
+    fill.join(timeout=10)
+    assert not fill.is_alive()
+    assert main(["evaluate", str(labels), *argv, str(tmp_path / "self.json")]) == 0
+    assert (tmp_path / "fifo.json").read_bytes() == (tmp_path / "self.json").read_bytes()
+
+
+def test_each_intensity_read_checks_its_values_once(phantom_dir, tmp_path, monkeypatch):
+    import cordpipe.volume as volume
+
+    checks = []
+    all_finite = volume._all_finite
+
+    def counted(data):
+        checks.append(data.shape)
+        return all_finite(data)
+
+    monkeypatch.setattr(volume, "_all_finite", counted)
+    assert main(["preprocess", str(phantom_dir / "phase.nii.gz"), "--otsu", "--stretch",
+                 "--mask-from", str(phantom_dir / "magnitude.nii.gz"),
+                 "--out", str(tmp_path / "o.nii.gz")]) == 0
+    assert checks == [(24, 24, 12)] * 2  # the input and the --mask-from volume
 
 
 @pytest.fixture()
@@ -1067,7 +1135,6 @@ def test_stack_rejects_a_bad_threshold_before_loading_or_predicting(
     def must_not_run(*args, **kwargs):
         raise AssertionError("stack did work before validating its thresholds")
 
-    monkeypatch.setattr(cli, "_load_volume", must_not_run)
     monkeypatch.setattr(cli, "_read_chunks", must_not_run)
     monkeypatch.setattr(cli.MockPredictor, "fit", must_not_run)
     monkeypatch.setattr(cli, "_chunk_labels", must_not_run)
@@ -1283,7 +1350,6 @@ def test_a_bad_setting_exits_1_before_any_volume_is_read(
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
-    monkeypatch.setattr(cli, "_load_volume", must_not_run)
     monkeypatch.setattr(cli, "_read_chunks", must_not_run)
     argv = [grids.get(a, a) for a in argv]
     if cfg_text is not None:
@@ -1331,7 +1397,6 @@ def test_a_misspelt_config_key_exits_1_naming_it_before_any_read(
     def must_not_run(*args, **kwargs):
         raise AssertionError("a volume was read before the config keys were checked")
 
-    monkeypatch.setattr(cli, "_load_volume", must_not_run)
     monkeypatch.setattr(cli, "_read_chunks", must_not_run)
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("preprocess.stretch.p_high = 70\npreprocess.strech.p_low = 5\n")

@@ -2,7 +2,8 @@
 
 ``preprocess --otsu --stretch --clahe`` and ``stack --predictor mock
 --tta`` run in-process under ``tracemalloc`` on two phantoms that differ
-only in depth, and slice-directory ``stack`` on two folds of random
+only in depth, ``preprocess`` also on their magnitudes stored as int16
+with intensity scaling, and slice-directory ``stack`` on two folds of random
 (H, W, 3) planes at two depths. The difference of their peaks over the
 added voxels is what a deeper sample costs per voxel; per-chunk,
 per-block and per-slice scratch is the same at both depths and drops
@@ -10,18 +11,30 @@ out. A 128x128 plane makes z-chunks of 32 slices, so both phantom depths
 span whole chunks.
 """
 
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cordpipe import ScalarVolume, Spacing, write_nifti
+from cordpipe import ScalarVolume, Spacing, gzip_nifti, read_nifti, write_nifti
+from cordpipe.nifti import DT_INT16
 from cordpipe.cli import main
 
 PLANE = (128, 128)
 DEPTHS = (64, 128)
 SLICE_PLANE = (64, 64)
 SLICE_DEPTHS = (32, 96)
+
+
+def _int16_scaled(src, dst):
+    """Write the magnitude file ``src`` to ``dst`` as int16 steps of 2**-13
+    with an offset of 0.25, held in the header's scl_slope and scl_inter."""
+    vol = read_nifti(src.read_bytes())
+    steps = ScalarVolume(np.rint(vol.data * 2**13), vol.spacing)
+    raw = bytearray(write_nifti(steps, DT_INT16))
+    struct.pack_into("<ff", raw, 112, 2**-13, 0.25)
+    dst.write_bytes(gzip_nifti(bytes(raw)))
 
 
 def _traced_peak(argv) -> int:
@@ -36,7 +49,7 @@ def _traced_peak(argv) -> int:
 
 @pytest.fixture(scope="module")
 def peaks(tmp_path_factory):
-    out = {"preprocess": [], "stack": [], "stack-slices": []}
+    out = {"preprocess": [], "preprocess-int16": [], "stack": [], "stack-slices": []}
     for depth in DEPTHS:
         d = tmp_path_factory.mktemp(f"depth{depth}")
         ph, pre = d / "ph", str(d / "pre.nii.gz")
@@ -45,6 +58,10 @@ def peaks(tmp_path_factory):
         out["preprocess"].append(_traced_peak(
             ["preprocess", str(ph / "magnitude.nii.gz"), "--otsu", "--stretch", "--clahe",
              "--out", pre]))
+        _int16_scaled(ph / "magnitude.nii.gz", d / "int16.nii.gz")
+        out["preprocess-int16"].append(_traced_peak(
+            ["preprocess", str(d / "int16.nii.gz"), "--otsu", "--stretch", "--clahe",
+             "--out", str(d / "pre16.nii.gz")]))
         out["stack"].append(_traced_peak(
             ["stack", "--predictor", "mock", "--input", pre, "--phase", str(ph / "phase.nii.gz"),
              "--fit-labels", str(ph / "labels.nii.gz"), "--tta", "--out", str(d / "pseudo.nii.gz")]))
@@ -64,12 +81,13 @@ def peaks(tmp_path_factory):
 
 
 # Bytes per added voxel. preprocess holds one float32 working volume, its
-# uint8 mask and the gathered stretch scope (~4 measured); stack holds its
-# uint8 labels (~1.2); slice-directory stack its uint8 labels and their
-# encoded file. One more whole-volume temporary adds 4 (float32) or 8
-# (float64) and breaks a bound.
-@pytest.mark.parametrize("command, bound", [("preprocess", 7), ("stack", 3),
-                                            ("stack-slices", 6)])
+# uint8 mask and the gathered stretch scope (~4 measured); from int16 with
+# scaling, the stored payload is briefly held beside the float32 volume
+# (~5); stack holds its uint8 labels (~1.2); slice-directory stack its
+# uint8 labels and their encoded file. One more whole-volume temporary
+# adds 4 (float32) or 8 (float64) and breaks a bound.
+@pytest.mark.parametrize("command, bound", [("preprocess", 7), ("preprocess-int16", 7),
+                                            ("stack", 3), ("stack-slices", 6)])
 def test_peak_bytes_per_added_voxel(peaks, command, bound):
     low, high = peaks[command]
     (h, w), (d0, d1) = (SLICE_PLANE, SLICE_DEPTHS) if command == "stack-slices" else (PLANE, DEPTHS)

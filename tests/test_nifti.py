@@ -689,7 +689,7 @@ def _read_file_chunks(stream: bytes, labels: bool, voxels):
         hdr = next(chunks)
         data = np.empty(hdr.shape, np.uint8 if labels else np.float32, order="F")
         for zs, chunk in chunks:
-            data[:, :, zs] = chunk
+            data[:, :, zs] = chunk.data
     return (LabelVolume if labels else ScalarVolume)(data, hdr.spacing)
 
 
@@ -760,16 +760,17 @@ def test_forged_isize_allocates_no_more_than_the_header_declares():
 
 
 def test_noisy_read_holds_no_whole_volume_temporary(tmp_path):
-    # The CLI holds a file's bytes while it decodes them, so its read peaks
-    # once the payload is out; the finite check adds a block, not 1 B/voxel.
-    from cordpipe.cli import _load_volume
+    # The CLI reads a file in pieces into one payload buffer, so its read
+    # holds neither the stored file nor a second payload; the finite check
+    # adds a block, not 1 B/voxel.
+    from cordpipe.cli import _read_volume
 
     path = tmp_path / "noise.nii.gz"
     raw = write_nifti(_random_scalar(np.random.default_rng(18), (192, 208, 64)))
     path.write_bytes(gzip_nifti(raw))
-    peak, raised = _traced_peak(_load_volume, str(path))
+    peak, raised = _traced_peak(_read_volume, str(path))
     assert raised is None
-    assert peak < path.stat().st_size + len(raw) + (1 << 20)
+    assert peak < len(raw) + (1 << 20)
 
 
 def _header_fault(gz, how):
